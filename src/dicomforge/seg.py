@@ -11,13 +11,19 @@ then segment 2, ...). With `omit_empty`, all-zero frames are skipped; they
 are reconstituted as zero arrays on read because the full source list is
 recorded at the root, so omitted frames stay distinguishable from frames
 of unknown instances.
+
+Mask stacks may be boolean, integer or floating-point arrays. Each stack
+is validated and scanned for empty frames in its own dtype, so no float64
+copy of the masks is made; only the kept frames are copied, once, as one
+stored value per pixel before packing. On read, frames are unpacked on
+demand, one at a time: a binary frame is sliced from the pixel data by its
+bit offset, which need not fall on a byte boundary.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -188,7 +194,6 @@ class _SourceFrame:
     sop_class_uid: str
     sop_instance_uid: str
     frame_number: int
-    multiframe: bool
     position: PlanePositionPatient | PlanePositionSlide
 
 
@@ -239,7 +244,6 @@ def _resolve_sources(sources: Sequence[DataSet]):
                 sop_class_uid=first.value("SOPClassUID"),
                 sop_instance_uid=first.value("SOPInstanceUID"),
                 frame_number=i + 1,
-                multiframe=True,
                 position=_slide_position(item),
             ))
         return frames, rows, cols, orientation, spacing, True
@@ -265,40 +269,57 @@ def _resolve_sources(sources: Sequence[DataSet]):
             sop_class_uid=ds.value("SOPClassUID"),
             sop_instance_uid=ds.value("SOPInstanceUID"),
             frame_number=1,
-            multiframe=False,
             position=PlanePositionPatient(coordinates=tuple(coords)),
         ))
     return frames, rows, cols, orientation, spacing, False
 
 
-def _normalize_masks(masks, n_segments: int, n_frames: int, rows, cols,
-                     seg_type: SegmentationType) -> np.ndarray:
-    if isinstance(masks, np.ndarray) and masks.ndim == 4:
-        stacks = [masks[i] for i in range(masks.shape[0])]
-    else:
-        stacks = list(masks)
+def _mask_stacks(masks, n_segments: int, n_frames: int, rows, cols,
+                 seg_type: SegmentationType) -> list[np.ndarray]:
+    """One validated ``(frames, rows, cols)`` array per segment, each kept in
+    the dtype it was given."""
+    stacks = [np.asarray(stack) for stack in masks]
     if len(stacks) != n_segments:
         raise MaskShapeError(
             f"{len(stacks)} mask stacks supplied for {n_segments} segments"
         )
-    out = np.zeros((n_segments, n_frames, rows, cols), dtype=np.float64)
-    for i, stack in enumerate(stacks):
-        array = np.asarray(stack)
-        if array.ndim == 2:
-            array = array[np.newaxis]
-        if array.shape != (n_frames, rows, cols):
+    out = []
+    for number, stack in enumerate(stacks, start=1):
+        if stack.ndim == 2:
+            stack = stack[np.newaxis]
+        if stack.shape != (n_frames, rows, cols):
             raise MaskShapeError(
-                f"segment {i + 1} mask stack has shape {array.shape}, "
+                f"segment {number} mask stack has shape {stack.shape}, "
                 f"expected {(n_frames, rows, cols)}"
             )
-        out[i] = array
-    if seg_type.is_binary:
-        if not np.isin(out, (0, 1)).all():
-            raise MaskValueError("binary masks may only contain 0 and 1")
-    else:
-        if out.min() < 0 or out.max() > 1:
-            raise MaskValueError("fractional masks must lie within [0, 1]")
+        _check_mask_values(stack, number, seg_type)
+        out.append(stack)
     return out
+
+
+def _check_mask_values(stack: np.ndarray, number: int,
+                       seg_type: SegmentationType) -> None:
+    kind = stack.dtype.kind
+    if kind not in "biuf":
+        raise MaskValueError(
+            f"segment {number} mask has dtype {stack.dtype}; masks are "
+            "boolean, integer or floating-point arrays"
+        )
+    if kind == "b":
+        return
+    if seg_type.is_binary and kind == "f":
+        valid = ((stack == 0) | (stack == 1)).all()
+    else:
+        # Integers within [0, 1] are 0/1. NaN propagates through min/max and
+        # fails both comparisons. `initial` keeps zero-size stacks valid.
+        valid = ((kind == "u" or stack.min(initial=0) >= 0)
+                 and stack.max(initial=0) <= 1)
+    if not valid:
+        raise MaskValueError(
+            f"segment {number}: binary masks may only contain 0 and 1"
+            if seg_type.is_binary else
+            f"segment {number}: fractional masks must lie within [0, 1]"
+        )
 
 
 def create_seg(
@@ -330,18 +351,26 @@ def create_seg(
         )
     source_frames, rows, cols, orientation, spacing, slide_based = \
         _resolve_sources(sources)
-    stacks = _normalize_masks(
-        masks, len(descriptions), len(source_frames), rows, cols, seg_type
+    n_frames = len(source_frames)
+    stacks = _mask_stacks(
+        masks, len(descriptions), n_frames, rows, cols, seg_type
     )
+    kept = [
+        np.flatnonzero(stack.reshape(n_frames, -1).any(axis=1)) if omit_empty
+        else range(n_frames)
+        for stack in stacks
+    ]
 
+    # The kept frames are copied once, as one stored value per pixel.
+    stored = np.empty((sum(map(len, kept)), rows, cols), dtype=np.uint8)
     records: list[FrameRecord] = []
-    frame_arrays: list[np.ndarray] = []
-    for description in descriptions:
-        stack = stacks[description.number - 1]
-        for f, source in enumerate(source_frames):
-            frame = stack[f]
-            if omit_empty and not frame.any():
-                continue
+    for description, stack, frame_numbers in zip(descriptions, stacks, kept):
+        for f in frame_numbers:
+            source = source_frames[f]
+            stored[len(records)] = (
+                stack[f] if seg_type.is_binary
+                else quantize_fraction(stack[f], seg_type.max_fractional_value)
+            )
             records.append(FrameRecord(
                 index=len(records),
                 segment_number=description.number,
@@ -350,21 +379,12 @@ def create_seg(
                 source_frame_number=source.frame_number,
                 position=source.position,
             ))
-            frame_arrays.append(frame)
 
     if seg_type.is_binary:
-        stacked = (
-            np.stack(frame_arrays) if frame_arrays
-            else np.zeros((0, rows, cols))
-        )
-        pixel_data = pack_bits(stacked.astype(np.uint8))
+        pixel_data = pack_bits(stored)
         bits_allocated = 1
     else:
-        quantized = (
-            quantize_fraction(np.stack(frame_arrays), seg_type.max_fractional_value)
-            if frame_arrays else np.zeros((0, rows, cols), dtype=np.uint8)
-        )
-        pixel_data = quantized.tobytes()
+        pixel_data = stored.tobytes()
         bits_allocated = 8
 
     ds = DataSet()
@@ -491,7 +511,7 @@ def create_seg(
         source_ref = DataSet()
         source_ref.put("ReferencedSOPClassUID", record.source_sop_class_uid)
         source_ref.put("ReferencedSOPInstanceUID", record.source_sop_instance_uid)
-        if any(s.multiframe for s in source_frames):
+        if slide_based:
             source_ref.put("ReferencedFrameNumber", record.source_frame_number)
         source_ref.put(
             "PurposeOfReferenceCodeSequence",
@@ -550,6 +570,8 @@ class Segmentation:
                 f"per-frame groups ({len(self.frames)}) disagree with "
                 f"NumberOfFrames ({self.number_of_frames})"
             )
+        element = dataset.element("PixelData")
+        self._pixel_data = element.raw if element is not None else b""
         self._check_pixel_length()
         self._frame_index = {
             (r.segment_number, r.source_sop_instance_uid, r.source_frame_number): r
@@ -633,8 +655,7 @@ class Segmentation:
         return tuple(records)
 
     def _check_pixel_length(self) -> None:
-        element = self.dataset.element("PixelData")
-        actual = len(element.raw) if element is not None else 0
+        actual = len(self._pixel_data)
         pixels = self.number_of_frames * self.rows * self.columns
         if self.seg_type.is_binary:
             expected = math.ceil(pixels / 8)
@@ -646,23 +667,25 @@ class Segmentation:
                 f"{self.number_of_frames} frame(s) of {self.rows}x{self.columns}"
             )
 
-    @cached_property
-    def _frame_pixels(self) -> np.ndarray:
-        """All stored frames as (frames, rows, cols) uint8."""
-        element = self.dataset.element("PixelData")
-        data = element.raw if element is not None else b""
-        pixels = self.number_of_frames * self.rows * self.columns
-        if self.seg_type.is_binary:
-            flat = unpack_bits(data, pixels)
-        else:
-            flat = np.frombuffer(data[:pixels], dtype=np.uint8)
-        return flat.reshape(self.number_of_frames, self.rows, self.columns)
-
     # -- queries ---------------------------------------------------------
 
     def stored_frame(self, index: int) -> np.ndarray:
-        """Raw stored values of one emitted frame (no rescaling)."""
-        return self._frame_pixels[index]
+        """Raw stored values of one emitted frame (no rescaling).
+
+        Only this frame is unpacked. Binary frames start at bit
+        ``index * rows * cols``, which need not fall on a byte boundary.
+        """
+        index = range(self.number_of_frames)[index]
+        pixels = self.rows * self.columns
+        if self.seg_type.is_binary:
+            start, skip = divmod(index * pixels, 8)
+            end = start + math.ceil((skip + pixels) / 8)
+            flat = unpack_bits(memoryview(self._pixel_data)[start:end],
+                               skip + pixels)[skip:]
+        else:
+            flat = np.frombuffer(self._pixel_data, dtype=np.uint8,
+                                 count=pixels, offset=index * pixels)
+        return flat.reshape(self.rows, self.columns)
 
     def find_segments(
         self,
@@ -697,30 +720,39 @@ class Segmentation:
             return str(uid), int(number)
         return str(source_frame), 1
 
+    def _check_segment(self, segment: int) -> None:
+        if segment not in self._segment_numbers():
+            raise UnmappedFrameError(f"no segment number {segment}")
+
+    def _record(self, segment: int, source_frame) -> FrameRecord | None:
+        """The frame stored for `segment` on one source frame, or None when
+        it was omitted as empty."""
+        uid, number = self._frame_key(source_frame)
+        record = self._frame_index.get((segment, uid, number))
+        if record is None and uid not in self._referenced_instances:
+            raise UnmappedFrameError(
+                f"source frame ({uid}, {number}) is not referenced by "
+                "this segmentation"
+            )
+        return record
+
     def segment_pixels(self, segment: int, source_frames: Sequence) -> np.ndarray:
         """Masks of one segment aligned to the requested source frames.
 
         Source frames are addressed by SOP instance UID (single-frame
         sources) or by an (instance UID, frame number) pair. Frames omitted
         as empty come back as zero arrays; unknown instances raise.
-        Binary values are 0/1; fractional values are rescaled to [0, 1].
+        Binary values are 0/1 (uint8); fractional values are rescaled to
+        [0, 1] (float64).
         """
-        if segment not in self._segment_numbers():
-            raise UnmappedFrameError(f"no segment number {segment}")
-        out = np.zeros((len(source_frames), self.rows, self.columns), dtype=np.float64)
+        self._check_segment(segment)
+        out = np.zeros((len(source_frames), self.rows, self.columns), dtype=np.uint8)
         for i, requested in enumerate(source_frames):
-            uid, number = self._frame_key(requested)
-            record = self._frame_index.get((segment, uid, number))
-            if record is None:
-                if uid not in self._referenced_instances:
-                    raise UnmappedFrameError(
-                        f"source frame ({uid}, {number}) is not referenced by "
-                        "this segmentation"
-                    )
-                continue  # omitted empty frame: stays zero
-            out[i] = self._frame_pixels[record.index]
+            record = self._record(segment, requested)
+            if record is not None:
+                out[i] = self.stored_frame(record.index)
         if self.seg_type.is_binary:
-            return out.astype(np.uint8)
+            return out
         return out / self.seg_type.max_fractional_value
 
     def label_map(self, source_frame, segments: Sequence[int] | None = None) -> np.ndarray:
@@ -737,8 +769,10 @@ class Segmentation:
         numbers = sorted(segments) if segments is not None else self._segment_numbers()
         out = np.zeros((self.rows, self.columns), dtype=np.int32)
         for number in numbers:
-            mask = self.segment_pixels(number, [source_frame])[0]
-            out[mask == 1] = number
+            self._check_segment(number)
+            record = self._record(number, source_frame)
+            if record is not None:
+                np.copyto(out, number, where=self.stored_frame(record.index).view(bool))
         return out
 
     def source_frame_keys(self) -> list[tuple[str, int]]:

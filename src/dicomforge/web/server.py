@@ -18,6 +18,7 @@ from ..dataset import DataSet
 from ..errors import DicomforgeError, ServerStartupError
 from ..part10 import read_part10
 from ..tags import resolve_key
+from ..uid import is_valid_uid
 from .jsonmodel import dataset_to_json
 from .multipart import (
     boundary_from_content_type,
@@ -67,21 +68,27 @@ class StubArchive:
 
     # -- storage ------------------------------------------------------------
 
-    def put(self, blob: bytes) -> tuple[str, str, str]:
+    def put(self, blob: bytes) -> tuple[tuple[str, str, str], str]:
+        """Store one Part 10 stream; returns its (study, series, sop) key and
+        its SOP class UID.
+
+        The key's UIDs also name the snapshot file, so each must be a valid
+        UID (digits and dots only).
+        """
         _, ds = read_part10(blob)
-        study = ds.value("StudyInstanceUID")
-        series = ds.value("SeriesInstanceUID")
-        sop = ds.value("SOPInstanceUID")
-        if not (study and series and sop):
-            raise DicomforgeError("instance lacks study/series/sop UIDs")
-        key = (study, series, sop)
+        key = (ds.value("StudyInstanceUID"), ds.value("SeriesInstanceUID"),
+               ds.value("SOPInstanceUID"))
+        if not all(is_valid_uid(uid) for uid in key):
+            raise DicomforgeError(
+                f"instance lacks valid study/series/sop UIDs: {key!r}"
+            )
         meta = _meta_subset(ds, _INSTANCE_ATTRS)
         with self._lock:
             self._instances[key] = _StoredInstance(blob, meta)
         if self._snapshot_dir:
             self._snapshot_dir.mkdir(parents=True, exist_ok=True)
-            (self._snapshot_dir / f"{sop}.dcm").write_bytes(blob)
-        return key
+            (self._snapshot_dir / f"{key[2]}.dcm").write_bytes(blob)
+        return key, meta.value("SOPClassUID", "")
 
     def get(self, study: str, series: str, sop: str) -> bytes | None:
         with self._lock:
@@ -200,15 +207,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
         failed = []
         for _, blob in parts:
             try:
-                study, series, sop = self.archive.put(blob)
+                (study, series, sop), sop_class = self.archive.put(blob)
             except DicomforgeError:
                 item = DataSet()
                 item.put("FailureReason", 272)
                 failed.append(item)
                 continue
-            _, ds = read_part10(blob)
             item = DataSet()
-            item.put("ReferencedSOPClassUID", ds.value("SOPClassUID", ""))
+            item.put("ReferencedSOPClassUID", sop_class)
             item.put("ReferencedSOPInstanceUID", sop)
             item.put(
                 "RetrieveURL",

@@ -1,10 +1,14 @@
 """Segmentation encode/decode tests, anchored on a naive bit-packing oracle."""
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import conftest
 from conftest import make_ct_series, make_ct_source
+from dicomforge import seg as seg_module
 from dicomforge.codec import decode_dataset, encode_dataset
 from dicomforge.coding import SCT, CodedConcept
 from dicomforge.errors import (
@@ -15,6 +19,7 @@ from dicomforge.errors import (
     UnmappedFrameError,
     WrongSopClassError,
 )
+from dicomforge.part10 import file_meta_for, write_part10
 from dicomforge.seg import (
     AlgorithmType,
     FractionalKind,
@@ -168,6 +173,14 @@ class TestCreate:
         with pytest.raises(MaskValueError):
             create_seg(ct_series, [m], [description(1)], SegmentationType.fractional())
 
+    def test_fractional_nan_rejected(self, ct_series):
+        # NaN fails every comparison, so `min < 0 or max > 1` misses it, and
+        # quantizing would store it as 0
+        m = np.full((3, 16, 16), 0.5)
+        m[1, 2, 3] = np.nan
+        with pytest.raises(MaskValueError):
+            create_seg(ct_series, [m], [description(1)], SegmentationType.fractional())
+
     def test_shape_mismatch_rejected(self, ct_series):
         with pytest.raises(MaskShapeError):
             create_seg(ct_series, [np.ones((3, 8, 8), np.uint8)],
@@ -291,6 +304,23 @@ class TestPixels:
         with pytest.raises(UnmappedFrameError):
             open_seg(ds).segment_pixels(1, ["1.2.3.4.5"])
 
+    def test_unaligned_frames_unpacked_one_at_a_time(self, np_rng):
+        # 7x5 frames hold 35 bits, so frames after the first start mid-byte
+        series = make_ct_series(4, rows=7, cols=5)
+        masks = [np_rng.random((4, 7, 5)) < 0.5 for _ in range(2)]
+        ds = create_seg(series, masks, [description(1), description(2)],
+                        SegmentationType.binary(), omit_empty=False)
+        seg = open_seg(decode_dataset(encode_dataset(ds)))
+        everything = unpack_bits(ds.element("PixelData").raw, 8 * 35).reshape(8, 7, 5)
+        for i in range(8):
+            assert np.array_equal(seg.stored_frame(i), everything[i])
+        assert np.array_equal(seg.stored_frame(-1), everything[7])
+        with pytest.raises(IndexError):
+            seg.stored_frame(8)
+        uids = [s.value("SOPInstanceUID") for s in series]
+        for number, mask in enumerate(masks, start=1):
+            assert np.array_equal(seg.segment_pixels(number, uids), mask)
+
     def test_fractional_custom_max_value(self, ct_series):
         m = np.full((3, 16, 16), 0.5)
         ds = create_seg(ct_series, [m], [description(1)],
@@ -362,40 +392,42 @@ class TestLabelMap:
             assert np.array_equal(out, labels[i])
 
 
-class TestSlideSources:
-    def make_sm_source(self):
-        ds = make_ct_source(rows=8, cols=8)
-        ds.put("Modality", "SM")
-        ds.put("SOPClassUID", "1.2.840.10008.5.1.4.1.1.77.1.6")
-        ds.put("NumberOfFrames", 2)
-        ds.remove("ImageOrientationPatient")
-        ds.remove("ImagePositionPatient")
-        ds.remove("PixelSpacing")
-        ds.put("ImageOrientationSlide", ["1", "0", "0", "0", "1", "0"])
-        ds.put("TotalPixelMatrixColumns", 16)
-        ds.put("TotalPixelMatrixRows", 8)
-        from dicomforge.dataset import DataSet
-        measures = DataSet()
-        measures.put("PixelSpacing", ["0.01", "0.01"])
-        shared = DataSet()
-        shared.put("PixelMeasuresSequence", (measures,))
-        ds.put("SharedFunctionalGroupsSequence", (shared,))
-        per_frame = []
-        for i in range(2):
-            pos = DataSet()
-            pos.put("XOffsetInSlideCoordinateSystem", f"{0.08 * i:.2f}")
-            pos.put("YOffsetInSlideCoordinateSystem", "0")
-            pos.put("ZOffsetInSlideCoordinateSystem", "0")
-            pos.put("RowPositionInTotalImagePixelMatrix", 1)
-            pos.put("ColumnPositionInTotalImagePixelMatrix", 1 + 8 * i)
-            frame = DataSet()
-            frame.put("PlanePositionSlideSequence", (pos,))
-            per_frame.append(frame)
-        ds.put("PerFrameFunctionalGroupsSequence", tuple(per_frame))
-        return ds
+def make_sm_source():
+    """A two-frame slide-microscopy source of 8x8 tiles."""
+    ds = make_ct_source(rows=8, cols=8)
+    ds.put("Modality", "SM")
+    ds.put("SOPClassUID", "1.2.840.10008.5.1.4.1.1.77.1.6")
+    ds.put("NumberOfFrames", 2)
+    ds.remove("ImageOrientationPatient")
+    ds.remove("ImagePositionPatient")
+    ds.remove("PixelSpacing")
+    ds.put("ImageOrientationSlide", ["1", "0", "0", "0", "1", "0"])
+    ds.put("TotalPixelMatrixColumns", 16)
+    ds.put("TotalPixelMatrixRows", 8)
+    from dicomforge.dataset import DataSet
+    measures = DataSet()
+    measures.put("PixelSpacing", ["0.01", "0.01"])
+    shared = DataSet()
+    shared.put("PixelMeasuresSequence", (measures,))
+    ds.put("SharedFunctionalGroupsSequence", (shared,))
+    per_frame = []
+    for i in range(2):
+        pos = DataSet()
+        pos.put("XOffsetInSlideCoordinateSystem", f"{0.08 * i:.2f}")
+        pos.put("YOffsetInSlideCoordinateSystem", "0")
+        pos.put("ZOffsetInSlideCoordinateSystem", "0")
+        pos.put("RowPositionInTotalImagePixelMatrix", 1)
+        pos.put("ColumnPositionInTotalImagePixelMatrix", 1 + 8 * i)
+        frame = DataSet()
+        frame.put("PlanePositionSlideSequence", (pos,))
+        per_frame.append(frame)
+    ds.put("PerFrameFunctionalGroupsSequence", tuple(per_frame))
+    return ds
 
+
+class TestSlideSources:
     def test_slide_seg_round_trip(self):
-        source = self.make_sm_source()
+        source = make_sm_source()
         masks = [np.ones((2, 8, 8), np.uint8)]
         ds = create_seg([source], masks, [description(1)],
                         SegmentationType.binary(), omit_empty=False)
@@ -419,3 +451,121 @@ class TestSlideSources:
         assert geometry.position == (0.0, 0.0, 5.0)
         assert geometry.orientation == (1, 0, 0, 0, 1, 0)
         assert geometry.spacing == (1.0, 1.0)
+
+
+def _golden_masks(rng):
+    """Three 4x7x5 stacks in three dtypes; 35-pixel frames start mid-byte."""
+    first = rng.random((4, 7, 5)) < 0.4
+    second = (rng.random((4, 7, 5)) < 0.3).astype(np.uint8)
+    second[2] = 0
+    third = np.zeros((4, 7, 5))
+    third[1, 2:5, 1:4] = 1.0
+    return [first, second, third]
+
+
+def _golden_fractions(rng, dtype):
+    out = rng.random((3, 7, 5)).astype(dtype)
+    out[1] = 0
+    out[2, 0, :] = (0.0, 1.0, 0.5, 1.5 / 255, 0.999)
+    return [out]
+
+
+GOLDEN_CASES = {
+    "binary-omit-empty": (
+        lambda rng: (make_ct_series(4, rows=7, cols=5), _golden_masks(rng),
+                     SegmentationType.binary(), True),
+        "226b80ada46394bf869483d0a9295226"
+        "628ad0f0641fef59127d68a6490473af",
+    ),
+    "binary-keep-empty": (
+        lambda rng: (make_ct_series(4, rows=7, cols=5), _golden_masks(rng),
+                     SegmentationType.binary(), False),
+        "ec94c2e749e2dc4ed60ff7c4283a576c"
+        "49b48e305dc81462cb6409a27a8d767e",
+    ),
+    "fractional-probability-255": (
+        lambda rng: (make_ct_series(3, rows=7, cols=5),
+                     _golden_fractions(rng, np.float64),
+                     SegmentationType.fractional(FractionalKind.PROBABILITY, 255),
+                     True),
+        "308a15557f84b1601221546afc37088d"
+        "dfc00ea4086d10862bfc9a314d673c1f",
+    ),
+    "fractional-occupancy-100": (
+        lambda rng: (make_ct_series(3, rows=7, cols=5),
+                     _golden_fractions(rng, np.float32),
+                     SegmentationType.fractional(FractionalKind.OCCUPANCY, 100),
+                     False),
+        "d203f7f3671e6f880422d8a2199fcd28"
+        "c2e3da33df64333bb5f43b00aa7be812",
+    ),
+    "slide-binary": (
+        lambda rng: ([make_sm_source()],
+                     [np.stack([rng.random((8, 8)) < 0.5, np.zeros((8, 8), bool)])],
+                     SegmentationType.binary(), True),
+        "363814a16d9d6fe761027b80f1c9bb4c"
+        "7c26b8a65e21266d9991eede2b71430f",
+    ),
+}
+
+
+class TestGoldenBytes:
+    """Encoded SEG bytes are pinned: a change to them must be deliberate."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_uids_and_time(self, monkeypatch):
+        counter = itertools.count(1)
+
+        def fixed_uid():
+            return f"2.25.{next(counter)}"
+
+        monkeypatch.setattr(conftest, "new_uid", fixed_uid)
+        monkeypatch.setattr(seg_module, "new_uid", fixed_uid)
+
+        def fixed_timestamp(target):
+            target.put("ContentDate", "20240102")
+            target.put("ContentTime", "101500")
+
+        monkeypatch.setattr(seg_module, "content_timestamp", fixed_timestamp)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_sha256(self, case):
+        build, expected = GOLDEN_CASES[case]
+        sources, masks, seg_type, omit_empty = build(np.random.default_rng(2106))
+        descriptions = [description(n) for n in range(1, len(masks) + 1)]
+        ds = create_seg(sources, masks, descriptions, seg_type, omit_empty,
+                        series_instance_uid="2.25.900", sop_instance_uid="2.25.901")
+        blob = write_part10(file_meta_for(ds), ds)
+        assert hashlib.sha256(blob).hexdigest() == expected
+
+
+# (case, two pixel values, dtype, accepted as BINARY, accepted as FRACTIONAL)
+DTYPE_CASES = [
+    ("bool", (True, False), bool, True, True),
+    ("uint8", (1, 0), np.uint8, True, True),
+    ("int64 holding -1", (1, -1), np.int64, False, False),
+    ("float64 holding 0.5", (1, 0.5), np.float64, False, True),
+    ("float32 exact 0/1", (1, 0), np.float32, True, True),
+]
+
+
+class TestMaskDtypes:
+    """Each dtype is validated in place and encodes like its float64 values."""
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "fractional"])
+    @pytest.mark.parametrize("case, values, dtype, binary_ok, fractional_ok",
+                             DTYPE_CASES, ids=[c[0] for c in DTYPE_CASES])
+    def test_accepted_or_rejected(self, ct_series, case, values, dtype,
+                                  binary_ok, fractional_ok, binary):
+        mask = np.zeros((3, 16, 16), dtype=dtype)
+        mask[0, 0, :2] = values
+        seg_type = SegmentationType.binary() if binary else SegmentationType.fractional()
+        if not (binary_ok if binary else fractional_ok):
+            with pytest.raises(MaskValueError):
+                create_seg(ct_series, [mask], [description(1)], seg_type)
+            return
+        ds = create_seg(ct_series, [mask], [description(1)], seg_type,
+                        omit_empty=False)
+        reference = create_seg(ct_series, [mask.astype(np.float64)],
+                               [description(1)], seg_type, omit_empty=False)
+        assert ds.element("PixelData").raw == reference.element("PixelData").raw

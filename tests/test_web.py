@@ -237,6 +237,25 @@ class TestLifecycle:
             )
             assert out == source
 
+    @pytest.mark.parametrize("field", ["study_uid", "series_uid", "sop_uid"])
+    def test_crafted_uid_rejected_not_written_outside_snapshot(self, tmp_path, field):
+        snapshot = tmp_path / "snapshot"
+        good = make_ct_source()
+        bad = make_ct_source(**{field: "../escaped"})
+        with StubArchive(snapshot_dir=snapshot) as server:
+            client = WebClient(server.base_url, timeout=10)
+            response = client.store_parts(
+                [write_part10(file_meta_for(ds), ds) for ds in (good, bad)]
+            )
+            assert len(server) == 1
+        [failed] = response.items_of("FailedSOPSequence")
+        assert failed.value("FailureReason") == 272
+        [stored] = response.items_of("ReferencedSOPSequence")
+        assert stored.value("ReferencedSOPInstanceUID") == good.value("SOPInstanceUID")
+        assert {p.name for p in tmp_path.rglob("*")} == {
+            "snapshot", f"{good.value('SOPInstanceUID')}.dcm"
+        }
+
     def test_bad_base_url_rejected(self):
         with pytest.raises(ValueError):
             WebClient("ftp://example.org")
