@@ -1,17 +1,36 @@
 """Element-stream codec tests, anchored on hand-encoded byte oracles."""
+import hashlib
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import make_ct_source
 from dicomforge.codec import decode_dataset, encode_dataset
+from dicomforge.coding import SCT, UCUM
 from dicomforge.dataset import DataElement, DataSet
 from dicomforge.errors import (
     DecodeError,
     EncodeError,
     UnsupportedTransferSyntaxError,
 )
+from dicomforge.part10 import file_meta_for, read_part10, write_part10
+from dicomforge.sr import (
+    NumItem,
+    ObserverContext,
+    Scoord3DItem,
+    SRKind,
+    SRMeta,
+    TrackingIdentifier,
+    create_sr,
+    measurement_report,
+    planar_roi_group,
+)
+from dicomforge.sr import document as sr_document
 from dicomforge.tags import Tag
 from dicomforge.uid import EXPLICIT_VR_LITTLE_ENDIAN, IMPLICIT_VR_LITTLE_ENDIAN
-from dicomforge.valuerep import VR
+from dicomforge.valuerep import LONG_FORM_VRS, VR
 
 # (0010,0020) LO, length 4, "ID1 " -- hand-encoded explicit VR little endian
 PATIENT_ID_STREAM = bytes.fromhex("100020004C4F0400494431 20".replace(" ", ""))
@@ -199,3 +218,97 @@ class TestRoundTrip:
             return 1 + measure(items[0]) if items else 0
 
         assert measure(decoded) == depth
+
+
+# -- golden bytes -------------------------------------------------------------
+
+
+def golden_sr(n_groups: int = 120) -> DataSet:
+    """A TID 1500 SR with `n_groups` planar ROI groups; UIDs fixed, no clock."""
+    rng = np.random.default_rng(1500)
+    for_uid = "2.25.30"
+    sources = [
+        make_ct_source(study_uid="2.25.10", series_uid="2.25.20",
+                       sop_uid=f"2.25.{100 + i}", frame_of_reference_uid=for_uid,
+                       position=(0.0, 0.0, 2.5 * i), instance_number=i + 1)
+        for i in range(3)
+    ]
+    groups = []
+    for i in range(n_groups):
+        n = 4 + i % 9
+        angles = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        radius = 2.0 + 8.0 * rng.random()
+        centre = rng.random(2) * 100.0
+        points = np.column_stack([centre[0] + radius * np.cos(angles),
+                                  centre[1] + radius * np.sin(angles),
+                                  np.full(n, 2.5 * (i % 3))])
+        points = np.vstack([points, points[:1]])
+        groups.append(planar_roi_group(
+            TrackingIdentifier(f"2.25.{1000 + i}", f"ROI {i + 1}"),
+            Scoord3DItem(None, "POLYGON", points, for_uid),
+            SCT.Nodule,
+            finding_sites=[SCT.Lung] if i % 2 else [],
+            measurements=[NumItem(SCT.Area, float(np.pi * radius ** 2), UCUM.mm2)],
+        ))
+    observer = ObserverContext.device(name="detector", uid="2.25.40", version="1.0")
+    tree = measurement_report(observer, SCT.ImagingProcedure, groups)
+    meta = SRMeta(series_instance_uid="2.25.50", sop_instance_uid="2.25.51")
+    return create_sr(SRKind.COMPREHENSIVE_3D, sources, tree, meta)
+
+
+def implicit_stream(ds: DataSet, depth: int = 0) -> bytes:
+    """`ds` in implicit VR little endian; sequences and items alternate
+    between undefined and defined lengths with depth."""
+    out = bytearray()
+    for element in ds:
+        out += struct.pack("<HH", *element.tag)
+        if element.vr is VR.SQ:
+            items = [implicit_stream(item, depth + 1) for item in element.values]
+            if depth % 2 == 0:
+                out += b"\xff\xff\xff\xff"
+                for item in items:
+                    out += bytes.fromhex("FEFF00E0FFFFFFFF") + item
+                    out += bytes.fromhex("FEFF0DE000000000")
+                out += bytes.fromhex("FEFFDDE000000000")
+            else:
+                body = b"".join(bytes.fromhex("FEFF00E0")
+                                + struct.pack("<I", len(item)) + item
+                                for item in items)
+                out += struct.pack("<I", len(body)) + body
+        else:
+            header = 12 if element.vr in LONG_FORM_VRS else 8
+            value = encode_dataset(DataSet([element]))[header:]
+            out += struct.pack("<I", len(value)) + value
+    return bytes(out)
+
+
+# SHA-256 of write_part10(golden_sr()), taken before the codec fast path.
+GOLDEN_SR_SHA256 = (
+    "820d0600dfcd3627d107f5ce9c202764"
+    "63b855537b5e4a7de8db0ceaf540f770"
+)
+
+
+class TestGoldenBytes:
+    """Encoded SR bytes are pinned: a change to them must be deliberate."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_time(self, monkeypatch):
+        def fixed_timestamp(target):
+            target.put("ContentDate", "20240102")
+            target.put("ContentTime", "101500")
+
+        monkeypatch.setattr(sr_document, "content_timestamp", fixed_timestamp)
+
+    def test_sr_sha256(self):
+        ds = golden_sr()
+        blob = write_part10(file_meta_for(ds), ds)
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_SR_SHA256
+        assert read_part10(blob)[1] == ds
+
+    def test_implicit_stream_re_encodes_to_explicit_bytes(self):
+        ds = golden_sr()
+        explicit = encode_dataset(ds)
+        stream = implicit_stream(ds)
+        assert stream != explicit
+        assert encode_dataset(decode_dataset(stream, IMPLICIT_VR_LITTLE_ENDIAN)) == explicit
