@@ -4,6 +4,16 @@ Reading accepts implicit and explicit VR little endian, with defined- and
 undefined-length sequences. Writing emits explicit VR little endian only,
 with defined-length sequences and even value lengths, so output is
 canonical and byte-stable under re-encoding.
+
+Decoding walks one ``bytes`` object: each reader takes a position and
+returns the next one, and the only copies are the values themselves (a
+Part 10 stream is read in place, meta group and data set alike). Every
+field read is bounds-checked first, so a short or overrunning stream
+raises :class:`DecodeError` with the byte offset where reading failed,
+never a ``struct`` or index error. Sequences nested deeper than
+``MAX_NESTING`` levels also raise :class:`DecodeError`, well before the
+interpreter's recursion limit. Encoding appends to one ``bytearray`` and
+back-patches sequence and item lengths once their contents are written.
 """
 from __future__ import annotations
 
@@ -11,13 +21,7 @@ import struct
 
 from .dataset import DataElement, DataSet
 from .errors import DecodeError, EncodeError, UnsupportedTransferSyntaxError
-from .tags import (
-    ITEM_DELIMITER_TAG,
-    ITEM_TAG,
-    SEQUENCE_DELIMITER_TAG,
-    Tag,
-    vr_of,
-)
+from .tags import DICTIONARY, Tag
 from .uid import (
     EXPLICIT_VR_LITTLE_ENDIAN,
     IMPLICIT_VR_LITTLE_ENDIAN,
@@ -31,49 +35,78 @@ from .valuerep import (
     MAX_VALUE_LENGTH,
     TEXT_MULTI_VRS,
     TEXT_SINGLE_VRS,
+    TEXT_VRS,
     VR,
     padding_byte,
 )
 
 UNDEFINED_LENGTH = 0xFFFFFFFF
 
-_VR_CODES = {vr.value for vr in VR}
+# Sequences deeper than this are rejected: each level costs the decoder
+# three stack frames, so 64 levels stay far below the recursion limit.
+MAX_NESTING = 64
+
+_EXPLICIT_HEADER = struct.Struct("<HH2sH")  # tag, VR, 16-bit length
+_TAG_AND_U32 = struct.Struct("<HHI")        # implicit header, item header
+_U32 = struct.Struct("<I")
+
+_VR_BY_CODE = {vr.value.encode("ascii"): vr for vr in VR}
+_CODE_BY_VR = {vr: code for code, vr in _VR_BY_CODE.items()}
+# (format character, value width) of the binary numeric VRs; AT values are
+# read as pairs of 16-bit words.
+_NUMERIC = {
+    VR.US: ("H", 2), VR.SS: ("h", 2), VR.UL: ("I", 4), VR.SL: ("i", 4),
+    VR.FL: ("f", 4), VR.FD: ("d", 8), VR.AT: ("H", 4),
+}
+
+_DELIMITER_GROUP = 0xFFFE
+_ITEM = 0xE000
+_ITEM_DELIMITER = 0xE00D
+_SEQUENCE_DELIMITER = 0xE0DD
+_ITEM_DELIMITER_BYTES = b"\xfe\xff\x0d\xe0"
+
+# Tag objects for dictionary and delimiter tags, keyed by group << 16 | element.
+_TAGS = {tag.group << 16 | tag.element: tag for tag in DICTIONARY}
+for _element in (_ITEM, _ITEM_DELIMITER, _SEQUENCE_DELIMITER):
+    _TAGS[_DELIMITER_GROUP << 16 | _element] = Tag(_DELIMITER_GROUP, _element)
+_IMPLICIT_VRS = {key: DICTIONARY[tag][0] for key, tag in _TAGS.items()
+                 if tag in DICTIONARY}
+_new_tuple = tuple.__new__
+_new_element = DataElement.__new__
 
 
-class _Reader:
-    """Cursor over an element stream that reports absolute byte offsets."""
+def _tag(group: int, element: int) -> Tag:
+    """Tag for two unpacked u16 words (always in range, so unchecked)."""
+    return _TAGS.get(group << 16 | element) or _new_tuple(Tag, (group, element))
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def eof(self, end: int | None = None) -> bool:
-        limit = len(self.data) if end is None else end
-        return self.pos >= limit
-
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+def _truncated(data: bytes, pos: int, widths) -> None:
+    """Raise the error that reading fields of `widths` bytes one after
+    another from `pos` hits first."""
+    for width in widths:
+        if pos + width > len(data):
             raise DecodeError(
-                f"truncated stream: needed {n} bytes, "
-                f"{len(self.data) - self.pos} remain",
-                offset=self.pos,
+                f"truncated stream: needed {width} bytes, "
+                f"{len(data) - pos} remain",
+                offset=pos,
             )
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+        pos += width
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.read(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.read(4))[0]
-
-    def tag(self) -> Tag:
-        group = self.u16()
-        element = self.u16()
-        return Tag(group, element)
+def _short_header(data: bytes, pos: int, implicit: bool) -> None:
+    """Raise the error for an element header cut short at `pos`."""
+    _truncated(data, pos, (2, 2))
+    tag = _tag(*struct.unpack_from("<HH", data, pos))
+    if tag.group == _DELIMITER_GROUP and tag.element in (
+            _ITEM, _ITEM_DELIMITER, _SEQUENCE_DELIMITER):
+        raise DecodeError(f"unexpected delimiter {tag} outside a sequence", offset=pos)
+    if implicit:
+        _truncated(data, pos + 4, (4,))
+    _truncated(data, pos + 4, (2,))
+    vr_code = data[pos + 4:pos + 6]
+    if vr_code not in _VR_BY_CODE:
+        raise DecodeError(f"unknown VR {vr_code!r} for {tag}", offset=pos)
+    _truncated(data, pos + 6, (2,))
 
 
 def _parse_text(vr: VR, data: bytes, offset: int):
@@ -95,150 +128,165 @@ def _parse_text(vr: VR, data: bytes, offset: int):
     return tuple(parts)
 
 
-def _parse_value(vr: VR, data: bytes, offset: int):
+def _parse_value(vr: VR, data: bytes, pos: int, end: int, offset: int):
+    """Value of a non-text element whose bytes are data[pos:end]; `offset`
+    is where the element starts, for errors."""
+    numeric = _NUMERIC.get(vr)
+    if numeric is not None:
+        char, width = numeric
+        length = end - pos
+        if length % width:
+            raise DecodeError(f"{vr} value length not a multiple of {width}", offset=offset)
+        if vr is VR.AT:
+            words = struct.unpack_from(f"<{length // 2}H", data, pos)
+            return tuple(_tag(words[i], words[i + 1]) for i in range(0, len(words), 2))
+        return struct.unpack_from(f"<{length // width}{char}", data, pos)
     if vr in BYTES_VRS:
-        return data
+        return data[pos:end]
     if vr is VR.IS:
-        text = data.decode("ascii", errors="replace").strip(" \x00")
+        text = data[pos:end].decode("ascii", errors="replace").strip(" \x00")
         if not text:
             return ()
         try:
             return tuple(int(p.strip()) for p in text.split("\\"))
         except ValueError as exc:
             raise DecodeError(f"bad IS value {text!r}: {exc}", offset=offset)
-    if vr in TEXT_MULTI_VRS or vr in TEXT_SINGLE_VRS:
-        return _parse_text(vr, data, offset)
-    if vr in INT_FORMATS:
-        fmt = INT_FORMATS[vr]
-        width = struct.calcsize(fmt)
-        if len(data) % width:
-            raise DecodeError(f"{vr} value length not a multiple of {width}", offset=offset)
-        return tuple(
-            struct.unpack(fmt, data[i:i + width])[0]
-            for i in range(0, len(data), width)
-        )
-    if vr in FLOAT_FORMATS:
-        fmt = FLOAT_FORMATS[vr]
-        width = struct.calcsize(fmt)
-        if len(data) % width:
-            raise DecodeError(f"{vr} value length not a multiple of {width}", offset=offset)
-        return tuple(
-            struct.unpack(fmt, data[i:i + width])[0]
-            for i in range(0, len(data), width)
-        )
-    if vr is VR.AT:
-        if len(data) % 4:
-            raise DecodeError("AT value length not a multiple of 4", offset=offset)
-        return tuple(
-            Tag(*struct.unpack("<HH", data[i:i + 4]))
-            for i in range(0, len(data), 4)
-        )
     raise DecodeError(f"cannot parse VR {vr}", offset=offset)
 
 
-def _raw_element(tag: Tag, vr: VR, value) -> DataElement:
-    """Build an element from already-parsed values, bypassing normalization
-    checks that decoded streams are allowed to violate (e.g. DS length)."""
-    element = DataElement.__new__(DataElement)
+def _read_element(data: bytes, pos: int, implicit: bool,
+                  depth: int) -> tuple[DataElement, int]:
+    """Read the element at `pos`; returns it and the position after it.
+    `depth` counts the sequences that enclose it."""
+    start = pos
+    if pos + 8 > len(data):
+        _short_header(data, pos, implicit)
+    if implicit:
+        group, number, length = _TAG_AND_U32.unpack_from(data, pos)
+    else:
+        group, number, vr_code, length = _EXPLICIT_HEADER.unpack_from(data, pos)
+    tag = _TAGS.get(group << 16 | number) or _new_tuple(Tag, (group, number))
+    if group == _DELIMITER_GROUP and number in (
+            _ITEM, _ITEM_DELIMITER, _SEQUENCE_DELIMITER):
+        raise DecodeError(f"unexpected delimiter {tag} outside a sequence", offset=start)
+    pos += 8
+    if implicit:
+        vr = _IMPLICIT_VRS.get(group << 16 | number, VR.UN)
+    else:
+        vr = _VR_BY_CODE.get(vr_code)
+        if vr is None:
+            raise DecodeError(f"unknown VR {vr_code!r} for {tag}", offset=start)
+        if vr in LONG_FORM_VRS:
+            if pos + 4 > len(data):
+                _truncated(data, pos, (4,))
+            length = _U32.unpack_from(data, pos)[0]
+            pos += 4
+
+    if vr is VR.SQ:
+        if depth >= MAX_NESTING:
+            raise DecodeError(
+                f"sequence {tag} nested deeper than {MAX_NESTING} levels",
+                offset=start,
+            )
+        if length == UNDEFINED_LENGTH:
+            value, pos = _read_items(data, pos, None, implicit, depth + 1)
+        else:
+            end = pos + length
+            if end > len(data):
+                raise DecodeError(f"sequence length overruns stream for {tag}", offset=start)
+            value, pos = _read_items(data, pos, end, implicit, depth + 1)
+            if pos != end:
+                raise DecodeError(f"sequence items overran declared length for {tag}", offset=start)
+    else:
+        if length == UNDEFINED_LENGTH:
+            raise DecodeError(f"undefined length on non-sequence element {tag}", offset=start)
+        end = pos + length
+        if end > len(data):
+            _truncated(data, pos, (length,))
+        if vr in TEXT_VRS:
+            value = _parse_text(vr, data[pos:end], start)
+        else:
+            value = _parse_value(vr, data, pos, end, start)
+        pos = end
+    # decoded values skip DataElement's normalization checks, which foreign
+    # streams may violate (e.g. DS length)
+    element = _new_element(DataElement)
     element.tag = tag
     element.vr = vr
     element._value = value
-    return element
+    return element, pos
 
 
-def _read_sequence_items(reader: _Reader, implicit: bool, end: int | None) -> tuple:
+def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
+                depth: int) -> tuple[tuple, int]:
+    """Read sequence items up to `end`, or up to the sequence delimiter
+    when `end` is None."""
     items = []
     while True:
         if end is not None:
-            if reader.pos >= end:
+            if pos >= end:
                 break
-        elif reader.eof():
-            raise DecodeError("unterminated undefined-length sequence", offset=reader.pos)
-        at = reader.pos
-        tag = reader.tag()
-        length = reader.u32()
-        if tag == SEQUENCE_DELIMITER_TAG:
+        elif pos >= len(data):
+            raise DecodeError("unterminated undefined-length sequence", offset=pos)
+        at = pos
+        if pos + 8 > len(data):
+            _truncated(data, pos, (2, 2, 4))
+        group, number, length = _TAG_AND_U32.unpack_from(data, pos)
+        pos += 8
+        if group == _DELIMITER_GROUP and number == _SEQUENCE_DELIMITER:
             if end is not None:
                 raise DecodeError(
                     "sequence delimiter inside defined-length sequence", offset=at
                 )
             break
-        if tag != ITEM_TAG:
-            raise DecodeError(f"expected sequence item, found {tag}", offset=at)
+        if group != _DELIMITER_GROUP or number != _ITEM:
+            raise DecodeError(
+                f"expected sequence item, found {_tag(group, number)}", offset=at
+            )
         if length == UNDEFINED_LENGTH:
-            items.append(_read_dataset(reader, implicit, end=None, in_item=True))
+            item, pos = _read_dataset(data, pos, None, True, implicit, depth)
         else:
-            item_end = reader.pos + length
-            if item_end > len(reader.data):
+            item_end = pos + length
+            if item_end > len(data):
                 raise DecodeError("item length overruns stream", offset=at)
-            items.append(_read_dataset(reader, implicit, end=item_end, in_item=False))
-    return tuple(items)
+            item, pos = _read_dataset(data, pos, item_end, False, implicit, depth)
+        items.append(item)
+    return tuple(items), pos
 
 
-def _read_element(reader: _Reader, implicit: bool) -> DataElement:
-    start = reader.pos
-    tag = reader.tag()
-    if tag in (ITEM_TAG, ITEM_DELIMITER_TAG, SEQUENCE_DELIMITER_TAG):
-        raise DecodeError(f"unexpected delimiter {tag} outside a sequence", offset=start)
-    if implicit:
-        vr = vr_of(tag)
-        length = reader.u32()
-    else:
-        vr_code = reader.read(2)
-        try:
-            code = vr_code.decode("ascii")
-        except UnicodeDecodeError:
-            code = ""
-        if code not in _VR_CODES:
-            raise DecodeError(f"unknown VR {vr_code!r} for {tag}", offset=start)
-        vr = VR(code)
-        if vr in LONG_FORM_VRS:
-            reader.read(2)  # reserved
-            length = reader.u32()
-        else:
-            length = reader.u16()
-
-    if vr is VR.SQ:
-        if length == UNDEFINED_LENGTH:
-            items = _read_sequence_items(reader, implicit, end=None)
-        else:
-            end = reader.pos + length
-            if end > len(reader.data):
-                raise DecodeError(f"sequence length overruns stream for {tag}", offset=start)
-            items = _read_sequence_items(reader, implicit, end=end)
-            if reader.pos != end:
-                raise DecodeError(f"sequence items overran declared length for {tag}", offset=start)
-        return _raw_element(tag, VR.SQ, items)
-
-    if length == UNDEFINED_LENGTH:
-        raise DecodeError(f"undefined length on non-sequence element {tag}", offset=start)
-    data = reader.read(length)
-    return _raw_element(tag, vr, _parse_value(vr, data, start))
-
-
-def _read_dataset(
-    reader: _Reader, implicit: bool, end: int | None, in_item: bool
-) -> DataSet:
-    ds = DataSet()
+def _read_dataset(data: bytes, pos: int, end: int | None, in_item: bool,
+                  implicit: bool, depth: int) -> tuple[DataSet, int]:
+    """Read elements up to `end`; with no `end`, up to the item delimiter
+    (`in_item`) or the end of the stream."""
+    elements = {}
     while True:
         if end is not None:
-            if reader.pos > end:
-                raise DecodeError("element overran enclosing length", offset=reader.pos)
-            if reader.pos == end:
+            if pos > end:
+                raise DecodeError("element overran enclosing length", offset=pos)
+            if pos == end:
                 break
-        elif reader.eof():
+        elif pos >= len(data):
             if in_item:
-                raise DecodeError("unterminated undefined-length item", offset=reader.pos)
+                raise DecodeError("unterminated undefined-length item", offset=pos)
             break
         if in_item:
-            peek = reader.pos
-            tag = reader.tag()
-            length = reader.u32()
-            if tag == ITEM_DELIMITER_TAG:
+            if pos + 8 > len(data):
+                _truncated(data, pos, (2, 2, 4))
+            if data.startswith(_ITEM_DELIMITER_BYTES, pos):
+                pos += 8
                 break
-            reader.pos = peek
-        ds.add(_read_element(reader, implicit))
-    return ds
+        element, pos = _read_element(data, pos, implicit, depth)
+        elements[element.tag] = element
+    ds = DataSet.__new__(DataSet)
+    ds._elements = elements
+    return ds, pos
+
+
+def _check_syntax(syntax: str) -> bool:
+    """True for implicit VR; raises for syntaxes outside the read set."""
+    if syntax not in READ_TRANSFER_SYNTAXES:
+        raise UnsupportedTransferSyntaxError(f"unsupported transfer syntax {syntax}")
+    return syntax == IMPLICIT_VR_LITTLE_ENDIAN
 
 
 def decode_dataset(data: bytes, syntax: str = EXPLICIT_VR_LITTLE_ENDIAN) -> DataSet:
@@ -249,14 +297,31 @@ def decode_dataset(data: bytes, syntax: str = EXPLICIT_VR_LITTLE_ENDIAN) -> Data
     UnsupportedTransferSyntaxError
         For syntaxes outside the supported read set.
     DecodeError
-        On truncated streams, length overruns, or undefined-length
-        non-sequence elements; the message carries the byte offset.
+        On truncated streams, length overruns, undefined-length
+        non-sequence elements, or sequences nested deeper than
+        ``MAX_NESTING``; the message carries the byte offset.
     """
-    if syntax not in READ_TRANSFER_SYNTAXES:
-        raise UnsupportedTransferSyntaxError(f"unsupported transfer syntax {syntax}")
-    reader = _Reader(bytes(data))
-    implicit = syntax == IMPLICIT_VR_LITTLE_ENDIAN
-    return _read_dataset(reader, implicit, end=None, in_item=False)
+    implicit = _check_syntax(syntax)
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    return _read_dataset(data, 0, None, False, implicit, 0)[0]
+
+
+def decode_file_body(data: bytes, pos: int) -> tuple[DataSet, DataSet]:
+    """Decode the group-0002 file meta elements at `pos` (explicit VR), then
+    the data set after them in the transfer syntax the meta group names.
+
+    Offsets in errors count from the start of `data`.
+    """
+    meta = DataSet()
+    while pos + 2 <= len(data) and data[pos] == 0x02 and data[pos + 1] == 0x00:
+        element, pos = _read_element(data, pos, False, 0)
+        meta.add(element)
+    syntax = meta.value("TransferSyntaxUID")
+    if syntax is None:
+        raise DecodeError("file meta lacks TransferSyntaxUID", offset=pos)
+    implicit = _check_syntax(syntax)
+    return meta, _read_dataset(data, pos, None, False, implicit, 0)[0]
 
 
 # -- encoding ---------------------------------------------------------------
@@ -270,7 +335,8 @@ def _encode_text(element: DataElement) -> bytes:
         text = "\\".join(element.raw)
     data = text.encode("utf-8")
     limit = MAX_VALUE_LENGTH.get(vr)
-    if limit is not None:
+    # no single value is longer than all of them joined
+    if limit is not None and len(data) > limit:
         parts = [element.raw] if vr in TEXT_SINGLE_VRS else element.raw
         for part in parts:
             if len(str(part).encode("utf-8")) > limit:
@@ -313,27 +379,39 @@ def _encode_value(element: DataElement) -> bytes:
     raise EncodeError(f"{element.tag}: cannot encode VR {vr}")
 
 
-def _encode_element(element: DataElement) -> bytes:
-    tag_bytes = struct.pack("<HH", element.tag.group, element.tag.element)
-    vr = element.vr
-    if vr is VR.SQ:
-        body = b"".join(
-            struct.pack("<HHI", ITEM_TAG.group, ITEM_TAG.element, len(item_bytes))
-            + item_bytes
-            for item_bytes in (encode_dataset(item) for item in element.values)
-        )
-        return tag_bytes + b"SQ\x00\x00" + struct.pack("<I", len(body)) + body
-    body = _encode_value(element)
-    if vr in LONG_FORM_VRS:
-        if len(body) > 0xFFFFFFFE:
-            raise EncodeError(f"{element.tag}: value too large to encode")
-        return tag_bytes + vr.value.encode("ascii") + b"\x00\x00" + struct.pack("<I", len(body)) + body
-    if len(body) > 0xFFFF:
-        raise EncodeError(
-            f"{element.tag}: {vr} value of {len(body)} bytes exceeds the "
-            "16-bit length field"
-        )
-    return tag_bytes + vr.value.encode("ascii") + struct.pack("<H", len(body)) + body
+_LONG_HEADER = struct.Struct("<HH2s2xI")
+_ITEM_HEADER = _TAG_AND_U32.pack(_DELIMITER_GROUP, _ITEM, 0)
+
+
+def _encode_into(out: bytearray, ds: DataSet) -> None:
+    """Append the explicit VR encoding of `ds` to `out`."""
+    for element in ds:
+        tag = element.tag
+        vr = element.vr
+        if vr is VR.SQ:
+            start = len(out)
+            out += _LONG_HEADER.pack(tag.group, tag.element, b"SQ", 0)
+            for item in element.values:
+                item_start = len(out)
+                out += _ITEM_HEADER
+                _encode_into(out, item)
+                _U32.pack_into(out, item_start + 4, len(out) - item_start - 8)
+            _U32.pack_into(out, start + 8, len(out) - start - 12)
+            continue
+        body = _encode_value(element)
+        if vr in LONG_FORM_VRS:
+            if len(body) > 0xFFFFFFFE:
+                raise EncodeError(f"{element.tag}: value too large to encode")
+            out += _LONG_HEADER.pack(tag.group, tag.element, _CODE_BY_VR[vr], len(body))
+        else:
+            if len(body) > 0xFFFF:
+                raise EncodeError(
+                    f"{element.tag}: {vr} value of {len(body)} bytes exceeds the "
+                    "16-bit length field"
+                )
+            out += _EXPLICIT_HEADER.pack(tag.group, tag.element, _CODE_BY_VR[vr],
+                                         len(body))
+        out += body
 
 
 def encode_dataset(ds: DataSet, syntax: str = EXPLICIT_VR_LITTLE_ENDIAN) -> bytes:
@@ -346,4 +424,6 @@ def encode_dataset(ds: DataSet, syntax: str = EXPLICIT_VR_LITTLE_ENDIAN) -> byte
         raise UnsupportedTransferSyntaxError(
             f"write is supported only in explicit VR little endian, not {syntax}"
         )
-    return b"".join(_encode_element(element) for element in ds)
+    out = bytearray()
+    _encode_into(out, ds)
+    return bytes(out)

@@ -161,6 +161,16 @@ class PartialStoreError(TransportError):
         self.failed_sop_instance_uids = list(failed_sop_instance_uids)
 
 
+class RejectedInstanceError(DicomforgeError):
+    """The archive decoded an instance but refused to store it. Carries the
+    SOP class and instance UIDs it read ("" when absent)."""
+
+    def __init__(self, message: str, sop_class_uid: str, sop_instance_uid: str):
+        super().__init__(message)
+        self.sop_class_uid = sop_class_uid
+        self.sop_instance_uid = sop_instance_uid
+
+
 class ProtocolError(DicomforgeError):
     """Response violates the DICOMweb wire format (e.g. bad multipart)."""
 

@@ -1,18 +1,16 @@
 """DICOM Part 10 file format: 128-byte preamble, 'DICM', file meta, data set."""
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from .codec import _Reader, _read_element, encode_dataset, decode_dataset
+from .codec import decode_file_body, encode_dataset
 from .dataset import DataElement, DataSet
-from .errors import DecodeError, NotADicomFileError, UnsupportedTransferSyntaxError
+from .errors import NotADicomFileError, UnsupportedTransferSyntaxError
 from .tags import Tag
 from .uid import (
     EXPLICIT_VR_LITTLE_ENDIAN,
     IMPLEMENTATION_CLASS_UID,
     IMPLEMENTATION_VERSION_NAME,
-    READ_TRANSFER_SYNTAXES,
     WRITE_TRANSFER_SYNTAXES,
 )
 from .valuerep import VR
@@ -68,13 +66,8 @@ def write_part10(meta: FileMeta, ds: DataSet) -> bytes:
     meta_bytes = encode_dataset(meta_ds)
     group_length = DataElement(Tag(0x0002, 0x0000), VR.UL, len(meta_bytes))
     head = DataSet([group_length])
-    return (
-        PREAMBLE
-        + MAGIC
-        + encode_dataset(head)
-        + meta_bytes
-        + encode_dataset(ds, meta.transfer_syntax_uid)
-    )
+    return b"".join((PREAMBLE, MAGIC, encode_dataset(head), meta_bytes,
+                     encode_dataset(ds, meta.transfer_syntax_uid)))
 
 
 def read_part10(data: bytes) -> tuple[FileMeta, DataSet]:
@@ -84,29 +77,19 @@ def read_part10(data: bytes) -> tuple[FileMeta, DataSet]:
     UnsupportedTransferSyntaxError when the declared syntax is outside the
     supported read set (the message names the UID).
     """
-    data = bytes(data)
+    if not isinstance(data, bytes):
+        data = bytes(data)
     if len(data) < 132 or data[128:132] != MAGIC:
         raise NotADicomFileError("missing 'DICM' magic at offset 128")
-    reader = _Reader(data, pos=132)
-    meta_ds = DataSet()
-    while reader.pos + 2 <= len(data):
-        group = struct.unpack("<H", data[reader.pos:reader.pos + 2])[0]
-        if group != 0x0002:
-            break
-        meta_ds.add(_read_element(reader, implicit=False))
-    syntax = meta_ds.value("TransferSyntaxUID")
-    if syntax is None:
-        raise DecodeError("file meta lacks TransferSyntaxUID", offset=reader.pos)
-    if syntax not in READ_TRANSFER_SYNTAXES:
-        raise UnsupportedTransferSyntaxError(f"unsupported transfer syntax {syntax}")
+    meta_ds, ds = decode_file_body(data, 132)
     meta = FileMeta(
         media_storage_sop_class_uid=meta_ds.value("MediaStorageSOPClassUID", ""),
         media_storage_sop_instance_uid=meta_ds.value("MediaStorageSOPInstanceUID", ""),
-        transfer_syntax_uid=syntax,
+        transfer_syntax_uid=meta_ds.value("TransferSyntaxUID"),
         implementation_class_uid=meta_ds.value("ImplementationClassUID", ""),
         implementation_version_name=meta_ds.value("ImplementationVersionName", ""),
     )
-    return meta, decode_dataset(data[reader.pos:], syntax)
+    return meta, ds
 
 
 def write_part10_file(path, ds: DataSet, meta: FileMeta | None = None) -> None:

@@ -14,8 +14,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qsl, urlparse
 
-from ..dataset import DataSet
-from ..errors import DicomforgeError, ServerStartupError
+from ..dataset import DataSet, copy_attributes
+from ..errors import DicomforgeError, RejectedInstanceError, ServerStartupError
 from ..part10 import read_part10
 from ..tags import resolve_key
 from ..uid import is_valid_uid
@@ -46,13 +46,10 @@ class _StoredInstance:
         self.meta = meta
 
 
-def _meta_subset(ds: DataSet, keys) -> DataSet:
-    subset = DataSet()
-    for key in keys:
-        element = ds.element(key)
-        if element is not None:
-            subset.add(element)
-    return subset
+def _uid(ds: DataSet, key: str) -> str:
+    """The UID value of `key`; "" when absent or not text."""
+    value = ds.value(key)
+    return value if isinstance(value, str) else ""
 
 
 class StubArchive:
@@ -73,22 +70,26 @@ class StubArchive:
         its SOP class UID.
 
         The key's UIDs also name the snapshot file, so each must be a valid
-        UID (digits and dots only).
+        UID (digits and dots only); an instance without them raises
+        RejectedInstanceError, which carries the SOP UIDs it does have.
         """
         _, ds = read_part10(blob)
-        key = (ds.value("StudyInstanceUID"), ds.value("SeriesInstanceUID"),
-               ds.value("SOPInstanceUID"))
+        key = (_uid(ds, "StudyInstanceUID"), _uid(ds, "SeriesInstanceUID"),
+               _uid(ds, "SOPInstanceUID"))
+        sop_class = _uid(ds, "SOPClassUID")
         if not all(is_valid_uid(uid) for uid in key):
-            raise DicomforgeError(
-                f"instance lacks valid study/series/sop UIDs: {key!r}"
+            raise RejectedInstanceError(
+                f"instance lacks valid study/series/sop UIDs: {key!r}",
+                sop_class, key[2],
             )
-        meta = _meta_subset(ds, _INSTANCE_ATTRS)
+        meta = DataSet()
+        copy_attributes(ds, meta, _INSTANCE_ATTRS)
         with self._lock:
             self._instances[key] = _StoredInstance(blob, meta)
         if self._snapshot_dir:
             self._snapshot_dir.mkdir(parents=True, exist_ok=True)
             (self._snapshot_dir / f"{key[2]}.dcm").write_bytes(blob)
-        return key, meta.value("SOPClassUID", "")
+        return key, sop_class
 
     def get(self, study: str, series: str, sop: str) -> bytes | None:
         with self._lock:
@@ -193,8 +194,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 (path.startswith("/studies/") and path.count("/") == 2)):
             self._reply(404)
             return
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            self.close_connection = True  # the unread body would follow
+            self._reply_json(400, {"error": f"bad Content-Length {length!r}"})
+            return
+        body = self.rfile.read(int(length))
         try:
             boundary = boundary_from_content_type(
                 self.headers.get("Content-Type", "")
@@ -206,14 +211,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
         referenced = []
         failed = []
         for _, blob in parts:
+            item = DataSet()
             try:
                 (study, series, sop), sop_class = self.archive.put(blob)
-            except DicomforgeError:
-                item = DataSet()
+            except DicomforgeError as exc:
+                if isinstance(exc, RejectedInstanceError):
+                    item.put("ReferencedSOPClassUID", exc.sop_class_uid)
+                    item.put("ReferencedSOPInstanceUID", exc.sop_instance_uid)
                 item.put("FailureReason", 272)
                 failed.append(item)
                 continue
-            item = DataSet()
             item.put("ReferencedSOPClassUID", sop_class)
             item.put("ReferencedSOPInstanceUID", sop)
             item.put(
@@ -291,7 +298,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if dedup_key in seen:
                 continue
             seen.add(dedup_key)
-            records.append(_meta_subset(meta, attrs))
+            record = DataSet()
+            copy_attributes(meta, record, attrs)
+            records.append(record)
 
         records = records[offset:]
         if limit >= 0:

@@ -1,13 +1,20 @@
 """Shared fixtures: synthetic datasets that stand in for acquired images."""
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dicomforge.dataset import DataElement, DataSet
 from dicomforge.tags import Tag
 from dicomforge.uid import CT_IMAGE_STORAGE, new_uid
 from dicomforge.valuerep import VR
+
+# CI runs the same Hypothesis examples on every push.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

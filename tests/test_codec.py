@@ -4,18 +4,27 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_ct_source
-from dicomforge.codec import decode_dataset, encode_dataset
+from dicomforge.codec import MAX_NESTING, decode_dataset, encode_dataset
 from dicomforge.coding import SCT, UCUM
 from dicomforge.dataset import DataElement, DataSet
 from dicomforge.errors import (
     DecodeError,
+    DicomforgeError,
     EncodeError,
     UnsupportedTransferSyntaxError,
 )
-from dicomforge.part10 import file_meta_for, read_part10, write_part10
+from dicomforge.part10 import (
+    MAGIC,
+    PREAMBLE,
+    FileMeta,
+    _meta_elements,
+    file_meta_for,
+    read_part10,
+    write_part10,
+)
 from dicomforge.sr import (
     NumItem,
     ObserverContext,
@@ -312,3 +321,117 @@ class TestGoldenBytes:
         stream = implicit_stream(ds)
         assert stream != explicit
         assert encode_dataset(decode_dataset(stream, IMPLICIT_VR_LITTLE_ENDIAN)) == explicit
+
+
+# -- hostile input ------------------------------------------------------------
+
+
+def nested_sequences(depth: int, implicit: bool = False) -> bytes:
+    """`depth` undefined-length sequences, each holding one item, around a
+    PatientID element."""
+    sq = bytes.fromhex("08001511") + (b"" if implicit else b"SQ\x00\x00")
+    opening = sq + bytes.fromhex("FFFFFFFF" "FEFF00E0FFFFFFFF")
+    closing = bytes.fromhex("FEFF0DE000000000" "FEFFDDE000000000")
+    leaf = (bytes.fromhex("1000200004000000") + b"ID1 " if implicit
+            else PATIENT_ID_STREAM)
+    return opening * depth + leaf + closing * depth
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    def test_deep_nesting_raises_decode_error(self, implicit):
+        syntax = IMPLICIT_VR_LITTLE_ENDIAN if implicit else EXPLICIT_VR_LITTLE_ENDIAN
+        with pytest.raises(DecodeError) as excinfo:
+            decode_dataset(nested_sequences(3000, implicit), syntax)
+        header = 16 if implicit else 20  # sequence header + item header
+        assert excinfo.value.offset == header * MAX_NESTING
+        assert f"deeper than {MAX_NESTING}" in str(excinfo.value)
+
+    def test_nesting_at_the_limit_decodes(self):
+        ds = decode_dataset(nested_sequences(MAX_NESTING))
+        for _ in range(MAX_NESTING):
+            [ds] = ds.items_of("ReferencedSeriesSequence")
+        assert ds.value("PatientID") == "ID1"
+
+    def test_deep_part10_file_fails_validation_in_cli(self, tmp_path, capsys):
+        from dicomforge.cli import main
+
+        head = write_part10(FileMeta("1.2", "1.3"), DataSet())
+        path = tmp_path / "deep.dcm"
+        path.write_bytes(head + nested_sequences(3000))
+        assert main(["validate", str(path)]) == 1
+        assert "deeper than" in capsys.readouterr().err
+
+
+def test_part10_decode_error_offset_counts_from_file_start():
+    ds = DataSet([lo_element("ID1")])
+    ds.put("SOPClassUID", "1.2")
+    ds.put("SOPInstanceUID", "1.3")
+    blob = write_part10(file_meta_for(ds), ds)
+    with pytest.raises(DecodeError) as excinfo:
+        read_part10(blob[:-2])
+    assert excinfo.value.offset == len(blob) - 4  # where "ID1 " starts
+
+
+def implicit_part10(ds: DataSet) -> bytes:
+    meta = FileMeta(ds.value("SOPClassUID"), ds.value("SOPInstanceUID"),
+                    transfer_syntax_uid=IMPLICIT_VR_LITTLE_ENDIAN)
+    meta_bytes = encode_dataset(DataSet(_meta_elements(meta)))
+    head = encode_dataset(
+        DataSet([DataElement(Tag(0x0002, 0x0000), VR.UL, len(meta_bytes))])
+    )
+    return PREAMBLE + MAGIC + head + meta_bytes + implicit_stream(ds)
+
+
+def _fuzz_streams() -> dict[str, bytes]:
+    report = golden_sr(2)
+    report.put("ContentDate", "20240102")
+    report.put("ContentTime", "101500")
+    every_vr = make_ct_source(study_uid="2.25.1", series_uid="2.25.2",
+                              sop_uid="2.25.3", frame_of_reference_uid="2.25.4")
+    every_vr.put("DimensionIndexPointer", [Tag(0x0062, 0x000B), Tag(0x0020, 0x9157)])
+    every_vr.put("GraphicData", [1.5, -2.25])
+    every_vr.put("ColumnPositionInTotalImagePixelMatrix", -12)
+    every_vr.put("PixelData", bytes(range(16)))
+    return {
+        "sr-explicit": write_part10(file_meta_for(report), report),
+        "sr-implicit": implicit_part10(report),
+        "ct-explicit": write_part10(file_meta_for(every_vr), every_vr),
+        "ct-implicit": implicit_part10(every_vr),
+    }
+
+
+FUZZ_STREAMS = _fuzz_streams()
+# Four-byte words that steer a decoder into its rarer paths.
+FUZZ_WORDS = [b"\xff\xff\xff\xff", b"\xfe\xff\x00\xe0", b"\xfe\xff\x0d\xe0",
+              b"\xfe\xff\xdd\xe0", b"SQ\x00\x00", b"\x00\x00\x00\x00"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_STREAMS)), st.data())
+def test_mutated_part10_raises_only_dicomforge_errors(name, data):
+    """Truncated, bit-flipped and spliced streams decode or raise a
+    DicomforgeError; never a struct, index, value or recursion error."""
+    stream = bytearray(FUZZ_STREAMS[name])
+    position = st.integers(0, len(stream) - 1)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "splice", "word"]))
+    if kind == "truncate":
+        del stream[data.draw(position):]
+    elif kind == "flip":
+        flips = data.draw(st.lists(st.tuples(position, st.integers(0, 7)),
+                                   min_size=1, max_size=8))
+        for at, bit in flips:
+            stream[at] ^= 1 << bit
+    elif kind == "splice":
+        donor = FUZZ_STREAMS[data.draw(st.sampled_from(sorted(FUZZ_STREAMS)))]
+        start = data.draw(st.integers(0, len(donor)))
+        at = data.draw(position)
+        cut = data.draw(st.integers(0, 64))
+        stream[at:at + cut] = donor[start:start + data.draw(st.integers(0, 64))]
+    else:
+        at = data.draw(position)
+        stream[at:at + 4] = data.draw(st.sampled_from(FUZZ_WORDS))
+    try:
+        read_part10(bytes(stream))
+    except DicomforgeError:
+        pass

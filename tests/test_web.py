@@ -1,4 +1,5 @@
 """DICOMweb loop tests against the in-repo stub archive."""
+import socket
 import threading
 
 import numpy as np
@@ -116,10 +117,39 @@ class TestStoreRetrieve:
         good_blob = write_part10(file_meta_for(good), good)
         bad_blob = write_part10(file_meta_for(bad), bad)
         response = client.store_parts([good_blob, bad_blob])
-        assert len(response.items_of("FailedSOPSequence")) == 1
-        with pytest.raises(PartialStoreError):
+        [failed] = response.items_of("FailedSOPSequence")
+        assert failed.value("ReferencedSOPClassUID") == "1.2.840.10008.5.1.4.1.1.2"
+        assert failed.value("ReferencedSOPInstanceUID") == "1.2.900"
+        with pytest.raises(PartialStoreError) as excinfo:
             client.store_instances([good, bad])
+        assert excinfo.value.failed_sop_instance_uids == ["1.2.900"]
         assert len(archive) >= 1
+
+    def test_undecodable_part_fails_without_uids(self, client, archive):
+        good, cut = make_ct_source(), make_ct_source()
+        good_blob = write_part10(file_meta_for(good), good)
+        cut_blob = write_part10(file_meta_for(cut), cut)[:-3]
+        response = client.store_parts([good_blob, cut_blob])
+        [failed] = response.items_of("FailedSOPSequence")
+        assert failed.value("FailureReason") == 272
+        assert "ReferencedSOPInstanceUID" not in failed
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0", ""])
+    def test_bad_content_length_answers_400(self, archive, length):
+        request = (
+            "POST /studies HTTP/1.1\r\n"
+            f"Host: 127.0.0.1:{archive.port}\r\n"
+            "Content-Type: multipart/related; type=\"application/dicom\"; boundary=b\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"Content-Length" in rest
 
     def test_restore_replaces_not_duplicates(self, client, archive):
         seg = make_seg()
