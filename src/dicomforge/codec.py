@@ -63,14 +63,15 @@ _DELIMITER_GROUP = 0xFFFE
 _ITEM = 0xE000
 _ITEM_DELIMITER = 0xE00D
 _SEQUENCE_DELIMITER = 0xE0DD
+_DELIMITERS = (_ITEM, _ITEM_DELIMITER, _SEQUENCE_DELIMITER)
 _ITEM_DELIMITER_BYTES = b"\xfe\xff\x0d\xe0"
 
-# Tag objects for dictionary and delimiter tags, keyed by group << 16 | element.
+# Dictionary VRs and Tag objects for dictionary and delimiter tags, keyed by
+# group << 16 | element.
+_IMPLICIT_VRS = {tag.group << 16 | tag.element: vr for tag, (vr, _) in DICTIONARY.items()}
 _TAGS = {tag.group << 16 | tag.element: tag for tag in DICTIONARY}
-for _element in (_ITEM, _ITEM_DELIMITER, _SEQUENCE_DELIMITER):
+for _element in _DELIMITERS:
     _TAGS[_DELIMITER_GROUP << 16 | _element] = Tag(_DELIMITER_GROUP, _element)
-_IMPLICIT_VRS = {key: DICTIONARY[tag][0] for key, tag in _TAGS.items()
-                 if tag in DICTIONARY}
 _new_tuple = tuple.__new__
 _new_element = DataElement.__new__
 
@@ -94,11 +95,11 @@ def _truncated(data: bytes, pos: int, widths) -> None:
 
 
 def _short_header(data: bytes, pos: int, implicit: bool) -> None:
-    """Raise the error for an element header cut short at `pos`."""
+    """Raise the error that reading the element header at `pos` field by
+    field hits, for a header cut short by the end of the stream."""
     _truncated(data, pos, (2, 2))
     tag = _tag(*struct.unpack_from("<HH", data, pos))
-    if tag.group == _DELIMITER_GROUP and tag.element in (
-            _ITEM, _ITEM_DELIMITER, _SEQUENCE_DELIMITER):
+    if tag.group == _DELIMITER_GROUP and tag.element in _DELIMITERS:
         raise DecodeError(f"unexpected delimiter {tag} outside a sequence", offset=pos)
     if implicit:
         _truncated(data, pos + 4, (4,))
@@ -165,9 +166,8 @@ def _read_element(data: bytes, pos: int, implicit: bool,
         group, number, length = _TAG_AND_U32.unpack_from(data, pos)
     else:
         group, number, vr_code, length = _EXPLICIT_HEADER.unpack_from(data, pos)
-    tag = _TAGS.get(group << 16 | number) or _new_tuple(Tag, (group, number))
-    if group == _DELIMITER_GROUP and number in (
-            _ITEM, _ITEM_DELIMITER, _SEQUENCE_DELIMITER):
+    tag = _tag(group, number)
+    if group == _DELIMITER_GROUP and number in _DELIMITERS:
         raise DecodeError(f"unexpected delimiter {tag} outside a sequence", offset=start)
     pos += 8
     if implicit:
@@ -282,7 +282,7 @@ def _read_dataset(data: bytes, pos: int, end: int | None, in_item: bool,
     return ds, pos
 
 
-def _check_syntax(syntax: str) -> bool:
+def _is_implicit(syntax: str) -> bool:
     """True for implicit VR; raises for syntaxes outside the read set."""
     if syntax not in READ_TRANSFER_SYNTAXES:
         raise UnsupportedTransferSyntaxError(f"unsupported transfer syntax {syntax}")
@@ -301,7 +301,7 @@ def decode_dataset(data: bytes, syntax: str = EXPLICIT_VR_LITTLE_ENDIAN) -> Data
         non-sequence elements, or sequences nested deeper than
         ``MAX_NESTING``; the message carries the byte offset.
     """
-    implicit = _check_syntax(syntax)
+    implicit = _is_implicit(syntax)
     if not isinstance(data, bytes):
         data = bytes(data)
     return _read_dataset(data, 0, None, False, implicit, 0)[0]
@@ -320,7 +320,7 @@ def decode_file_body(data: bytes, pos: int) -> tuple[DataSet, DataSet]:
     syntax = meta.value("TransferSyntaxUID")
     if syntax is None:
         raise DecodeError("file meta lacks TransferSyntaxUID", offset=pos)
-    implicit = _check_syntax(syntax)
+    implicit = _is_implicit(syntax)
     return meta, _read_dataset(data, pos, None, False, implicit, 0)[0]
 
 

@@ -13,10 +13,12 @@ from dicomforge.errors import (
     ProtocolError,
     TransportError,
 )
-from dicomforge.dataset import DataSet
+from dicomforge.dataset import DataElement, DataSet
 from dicomforge.part10 import file_meta_for, write_part10
 from dicomforge.seg import SegmentationType, SegmentDescription, create_seg
 from dicomforge.sr.items import AlgorithmIdentification
+from dicomforge.tags import Tag
+from dicomforge.valuerep import VR
 from dicomforge.web import StubArchive, WebClient
 from dicomforge.web.multipart import (
     build_multipart,
@@ -124,6 +126,17 @@ class TestStoreRetrieve:
             client.store_instances([good, bad])
         assert excinfo.value.failed_sop_instance_uids == ["1.2.900"]
         assert len(archive) >= 1
+
+    def test_non_text_study_uid_rejected_with_uids(self, client, archive):
+        good, bad = make_ct_source(), make_ct_source()
+        bad.add(DataElement(Tag(0x0020, 0x000D), VR.OB, b"1.2.3\x00"))
+        response = client.store_parts(
+            [write_part10(file_meta_for(ds), ds) for ds in (good, bad)]
+        )
+        [failed] = response.items_of("FailedSOPSequence")
+        assert failed.value("FailureReason") == 272
+        assert failed.value("ReferencedSOPInstanceUID") == bad.value("SOPInstanceUID")
+        assert len(archive) == 1
 
     def test_undecodable_part_fails_without_uids(self, client, archive):
         good, cut = make_ct_source(), make_ct_source()
