@@ -3,9 +3,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dicomforge.roi import (
     BoundingBox,
+    LabeledComponents,
     bounding_boxes,
     connected_components,
     threshold,
@@ -239,3 +241,217 @@ class TestBoundingBoxes:
         assert np.array_equal(
             box.corner_points(), [(2, 3), (7, 3), (7, 9), (2, 9)]
         )
+
+
+# -- Reference oracles ---------------------------------------------------------
+#
+# The direct implementations below are the per-pixel BFS labeller, the
+# per-label box scan and the full-image Moore tracer. They are slow but
+# obviously correct; the library's run-based versions must reproduce their
+# output exactly (labels, label order, dtype, boxes and contour vertices).
+
+MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+MOORE_INDEX = {offset: i for i, offset in enumerate(MOORE)}
+
+
+def reference_components(mask: np.ndarray, connectivity: int):
+    offsets = N4 if connectivity == 4 else N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+    rows, cols = mask.shape
+    labels = np.zeros((rows, cols), dtype=np.int32)
+    count = 0
+    for r in range(rows):
+        for c in range(cols):
+            if not mask[r, c] or labels[r, c]:
+                continue
+            count += 1
+            queue = deque([(r, c)])
+            labels[r, c] = count
+            while queue:
+                qr, qc = queue.popleft()
+                for dr, dc in offsets:
+                    nr, nc = qr + dr, qc + dc
+                    if 0 <= nr < rows and 0 <= nc < cols \
+                            and mask[nr, nc] and not labels[nr, nc]:
+                        labels[nr, nc] = count
+                        queue.append((nr, nc))
+    return labels, count
+
+
+def reference_boxes(labels: np.ndarray, count: int) -> list:
+    boxes = []
+    for label in range(1, count + 1):
+        rows_idx, cols_idx = np.nonzero(labels == label)
+        if len(rows_idx) == 0:
+            continue
+        boxes.append(BoundingBox(label, cols_idx.min(), rows_idx.min(),
+                                 cols_idx.max(), rows_idx.max()))
+    return boxes
+
+
+def reference_trace(labels: np.ndarray, label: int, start) -> list:
+    rows, cols = labels.shape
+    path = [start]
+    initial = state = (start, 0)
+    seen = {state}
+    while True:
+        (r, c), back = state
+        nxt = None
+        for k in range(1, 9):
+            dr, dc = MOORE[(back + k) % 8]
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < rows and 0 <= nc < cols and labels[nr, nc] == label:
+                pr, pc = MOORE[(back + k - 1) % 8]
+                nxt = ((nr, nc), MOORE_INDEX[(r + pr - nr, c + pc - nc)])
+                break
+        if nxt is None or nxt == initial or nxt in seen:
+            break
+        seen.add(nxt)
+        path.append(nxt[0])
+        state = nxt
+    return path
+
+
+def reference_contours(labels: np.ndarray, count: int) -> list:
+    contours = []
+    for label in range(1, count + 1):
+        pixels = np.argwhere(labels == label)
+        if len(pixels) == 0:
+            continue
+        start = tuple(pixels[0])
+        path = reference_trace(labels, label, start)
+        vertices = np.array(
+            [(c, r) for r, c in path] + [(start[1], start[0])], dtype=float)
+        contours.append((label, vertices))
+    return contours
+
+
+def assert_matches_reference(mask: np.ndarray, connectivity: int) -> None:
+    expected_labels, expected_count = reference_components(mask, connectivity)
+    lc = connected_components(mask, connectivity)
+    assert lc.count == expected_count
+    assert lc.labels.dtype == np.int32
+    assert lc.labels.shape == mask.shape
+    assert np.array_equal(lc.labels, expected_labels)
+    assert_outputs_match_reference(LabeledComponents(expected_labels, expected_count))
+
+
+def assert_outputs_match_reference(lc: LabeledComponents) -> None:
+    assert bounding_boxes(lc) == reference_boxes(lc.labels, lc.count)
+    got = [(c.label, c.vertices) for c in trace_contours(lc)]
+    expected = reference_contours(lc.labels, lc.count)
+    assert [label for label, _ in got] == [label for label, _ in expected]
+    for (_, vertices), (_, expected_vertices) in zip(got, expected):
+        assert vertices.dtype == expected_vertices.dtype
+        assert np.array_equal(vertices, expected_vertices)
+
+
+@st.composite
+def masks(draw):
+    rows = draw(st.integers(1, 23))
+    cols = draw(st.integers(1, 23))
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+class TestReferenceOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(masks(), st.sampled_from((4, 8)))
+    @example(np.zeros((1, 1), np.uint8), 8)
+    @example(np.ones((1, 1), np.uint8), 4)
+    @example(np.array([[1, 0, 1, 1, 0, 0, 1, 1, 1]], np.uint8), 8)
+    @example(np.array([[1], [0], [1], [1], [0], [1]], np.uint8), 4)
+    @example(np.zeros((5, 7), np.uint8), 4)
+    @example(np.ones((5, 7), np.uint8), 8)
+    @example(np.ones((1, 23), np.uint8), 4)
+    @example(np.ones((23, 1), np.uint8), 8)
+    @example(np.eye(6, dtype=np.uint8), 8)
+    @example(np.eye(6, dtype=np.uint8)[::-1].copy(), 8)
+    @example(np.eye(6, dtype=np.uint8), 4)
+    def test_random_masks_match_reference(self, mask, connectivity):
+        assert_matches_reference(mask, connectivity)
+
+    def test_u_and_spiral_shapes_merge_late(self):
+        # Both arms of a U get separate provisional labels in the first row
+        # and only meet at the bottom; a spiral nests several such merges.
+        u_shape = np.zeros((6, 7), np.uint8)
+        u_shape[0:5, 1] = u_shape[0:5, 5] = 1
+        u_shape[4, 1:6] = 1
+        spiral = np.array([
+            [1, 1, 1, 1, 1, 1, 1],
+            [0, 0, 0, 0, 0, 0, 1],
+            [1, 1, 1, 1, 1, 0, 1],
+            [1, 0, 0, 0, 1, 0, 1],
+            [1, 0, 1, 0, 0, 0, 1],
+            [1, 0, 1, 1, 1, 1, 1],
+        ], np.uint8)
+        zigzag = np.array([[1, 0, 1, 0, 1, 0, 1], [0, 1, 0, 1, 0, 1, 0]], np.uint8)
+        for mask in (u_shape, spiral, zigzag, zigzag[::-1].copy()):
+            for connectivity in (4, 8):
+                assert_matches_reference(mask, connectivity)
+
+    def test_mask_truthiness_includes_nan_and_negatives(self):
+        mask = np.array([
+            [0.0, np.nan, 0.0, -2.0],
+            [0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 3.0, 1e-9],
+        ])
+        for connectivity in (4, 8):
+            assert_matches_reference(mask, connectivity)
+        assert_matches_reference(mask.astype(bool), 8)
+        assert_matches_reference(np.nan_to_num(mask * 4, nan=7).astype(np.int64), 8)
+
+    def test_hand_built_labels_with_gaps_and_stray_labels(self):
+        labels = np.array([
+            [0, 3, 3, 0, 7, 0],
+            [1, 0, 3, 0, 7, 0],
+            [1, 1, 0, -1, 0, 5],
+            [0, 0, 3, 0, 0, 5],
+        ], dtype=np.int64)
+        # label 2 is missing, 3 has two separate pieces, 5 is above count 4,
+        # 7 is far above it and -1 is negative: only 1 and 3 yield outputs.
+        lc = LabeledComponents(labels=labels, count=4)
+        assert [box.label for box in bounding_boxes(lc)] == [1, 3]
+        assert [c.label for c in trace_contours(lc)] == [1, 3]
+        assert_outputs_match_reference(lc)
+        for count in (0, 1, 2, 5, 6, 7, 8):
+            assert_outputs_match_reference(LabeledComponents(labels, count))
+        assert_outputs_match_reference(LabeledComponents(labels.astype(np.uint8) % 8, 7))
+
+    def test_hand_built_labels_touching_each_other(self, np_rng):
+        for _ in range(20):
+            labels = np_rng.integers(0, 5, size=(9, 11))
+            assert_outputs_match_reference(LabeledComponents(labels, 3))
+
+
+def first_encounter(labels: np.ndarray, count: int) -> np.ndarray:
+    """Relabel 1..count in raster order of each label's first pixel."""
+    found, first = np.unique(labels.ravel(), return_index=True)
+    order = found[found > 0][np.argsort(first[found > 0])]
+    remap = np.zeros(count + 1, dtype=np.int32)
+    remap[order] = np.arange(1, len(order) + 1, dtype=np.int32)
+    return remap[labels]
+
+
+class TestScipyDifferential:
+    @settings(max_examples=100, deadline=None)
+    @given(masks(), st.sampled_from((4, 8)))
+    def test_matches_scipy_label_in_first_encounter_order(self, mask, connectivity):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+        expected, count = ndimage.label(mask, structure=structure)
+        lc = connected_components(mask, connectivity)
+        assert lc.count == count
+        assert np.array_equal(lc.labels, first_encounter(expected, count))
+
+    def test_large_noise_matches_scipy(self, np_rng):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        mask = (np_rng.random((128, 96)) < 0.3).astype(np.uint8)
+        for connectivity in (4, 8):
+            structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+            expected, count = ndimage.label(mask, structure=structure)
+            lc = connected_components(mask, connectivity)
+            assert lc.count == count
+            assert np.array_equal(lc.labels, first_encounter(expected, count))
+            assert_outputs_match_reference(lc)
