@@ -36,6 +36,21 @@ class InstanceRef(NamedTuple):
     sop_class_uid: str
 
 
+def _status_error(method: str, url: str, response: requests.Response) -> TransportError:
+    return TransportError(
+        f"{method} {url} returned {response.status_code}: {response.text[:200]}",
+        status=response.status_code,
+    )
+
+
+def _failed_uids(response_ds: DataSet) -> list[str]:
+    """The SOP instance UID of each FailedSOPSequence item ("" if absent)."""
+    return [
+        item.value("ReferencedSOPInstanceUID", "")
+        for item in response_ds.items_of("FailedSOPSequence")
+    ]
+
+
 class WebClient:
     """Thin HTTP client for one DICOMweb origin.
 
@@ -64,7 +79,9 @@ class WebClient:
             headers["Authorization"] = f"Bearer {self._token}"
         return headers
 
-    def _request(self, method: str, url: str, **kwargs) -> requests.Response:
+    def _request(self, method: str, url: str, allow: tuple[int, ...] = (),
+                 **kwargs) -> requests.Response:
+        """Send one request; statuses >= 400 raise unless listed in `allow`."""
         try:
             response = requests.request(
                 method, url, timeout=self.timeout, auth=self._basic, **kwargs
@@ -73,12 +90,8 @@ class WebClient:
             raise TransportError(f"{method} {url} failed: {exc}") from exc
         if response.status_code == 404:
             raise NotFoundError(f"{url} not found")
-        if response.status_code >= 400:
-            excerpt = response.text[:200]
-            raise TransportError(
-                f"{method} {url} returned {response.status_code}: {excerpt}",
-                status=response.status_code,
-            )
+        if response.status_code >= 400 and response.status_code not in allow:
+            raise _status_error(method, url, response)
         return response
 
     # -- STOW-RS -----------------------------------------------------------
@@ -92,10 +105,7 @@ class WebClient:
         parts = [write_part10(file_meta_for(ds), ds) for ds in datasets]
         by_sop = {ds.value("SOPInstanceUID"): ds for ds in datasets}
         response_ds = self.store_parts(parts)
-        failed = [
-            item.value("ReferencedSOPInstanceUID", "")
-            for item in response_ds.items_of("FailedSOPSequence")
-        ]
+        failed = _failed_uids(response_ds)
         if failed:
             raise PartialStoreError(failed, status=202)
         refs = []
@@ -111,18 +121,33 @@ class WebClient:
         return refs
 
     def store_parts(self, parts: Sequence[bytes]) -> DataSet:
-        """Low-level store of pre-encoded Part 10 byte streams."""
+        """Low-level store of pre-encoded Part 10 byte streams.
+
+        Returns the store response. When the server rejected every part
+        (409 with a store response), raises PartialStoreError with the
+        rejected SOP instance UIDs ("" where the server could not read one).
+        """
         boundary = random_boundary()
         body = build_multipart(list(parts), boundary)
+        url = f"{self.base_url}/studies"
         response = self._request(
             "POST",
-            f"{self.base_url}/studies",
+            url,
+            allow=(409,),
             data=body,
             headers=self._headers(**{
                 "Content-Type": content_type_header(boundary),
                 "Accept": "application/dicom+json",
             }),
         )
+        if response.status_code == 409:
+            try:
+                failed = _failed_uids(dataset_from_json(response.json()))
+            except (ValueError, ProtocolError):
+                failed = []
+            if not failed:  # not a store response: a plain HTTP error
+                raise _status_error("POST", url, response)
+            raise PartialStoreError(failed, status=409)
         try:
             return dataset_from_json(response.json())
         except ValueError as exc:

@@ -41,8 +41,12 @@ def dataset_to_json(ds: DataSet) -> dict:
 
 def dataset_from_json(obj: dict) -> DataSet:
     """Parse the attribute-keyed model back into a DataSet."""
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"metadata object is not a JSON object: {obj!r:.80}")
     ds = DataSet()
     for key, entry in obj.items():
+        if not isinstance(entry, dict):
+            raise ProtocolError(f"attribute {key!r} is not a JSON object")
         try:
             tag = Tag(int(key[:4], 16), int(key[4:8], 16))
         except (ValueError, IndexError):

@@ -44,7 +44,13 @@ def boundary_from_content_type(value: str) -> str:
 
 
 def parse_multipart(body: bytes, boundary: str) -> list[tuple[dict[str, str], bytes]]:
-    """Split a multipart/related payload into (headers, content) parts."""
+    """Split a multipart/related payload into (headers, content) parts.
+
+    Boundaries and part headers must be ASCII; anything else is a
+    ProtocolError, like every other malformed payload.
+    """
+    if not boundary.isascii():
+        raise ProtocolError(f"multipart boundary {boundary!r} is not ASCII")
     delimiter = b"--" + boundary.encode("ascii")
     start = body.find(delimiter)
     if start < 0:
@@ -61,8 +67,11 @@ def parse_multipart(body: bytes, boundary: str) -> list[tuple[dict[str, str], by
         header_end = body.find(CRLF + CRLF, pos)
         if header_end < 0:
             raise ProtocolError("unterminated multipart part headers")
+        head = body[pos:header_end]
+        if not head.isascii():
+            raise ProtocolError("non-ASCII bytes in multipart part headers")
         headers = {}
-        for line in body[pos:header_end].split(CRLF):
+        for line in head.split(CRLF):
             if b":" in line:
                 key, _, value = line.partition(b":")
                 headers[key.decode("ascii").strip().lower()] = value.decode(

@@ -4,11 +4,13 @@ Serves the three endpoint families the client speaks (store, retrieve,
 search) over HTTP/1.1. Instances are keyed by (study, series, sop);
 re-storing a key replaces the previous bytes (last writer wins). State is
 in-memory; an optional snapshot directory persists stored files for CLI
-demos and reloads them on startup.
+demos (each replaced atomically, under the store lock) and reloads them on
+startup.
 """
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -85,11 +87,22 @@ class StubArchive:
         meta = DataSet()
         copy_attributes(ds, meta, _INSTANCE_ATTRS)
         with self._lock:
+            if self._snapshot_dir:
+                self._write_snapshot(key[2], blob)
             self._instances[key] = _StoredInstance(blob, meta)
-        if self._snapshot_dir:
-            self._snapshot_dir.mkdir(parents=True, exist_ok=True)
-            (self._snapshot_dir / f"{key[2]}.dcm").write_bytes(blob)
         return key, sop_class
+
+    def _write_snapshot(self, sop: str, blob: bytes) -> None:
+        """Replace `<sop>.dcm` atomically: readers see the old file or the
+        new one, never a torn write. Callers hold `_lock`."""
+        self._snapshot_dir.mkdir(parents=True, exist_ok=True)
+        path = self._snapshot_dir / f"{sop}.dcm"
+        partial = path.with_name(path.name + ".partial")
+        try:
+            partial.write_bytes(blob)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
 
     def get(self, study: str, series: str, sop: str) -> bytes | None:
         with self._lock:

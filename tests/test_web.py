@@ -4,10 +4,13 @@ import threading
 
 import numpy as np
 import pytest
+import requests
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_ct_series, make_ct_source
 from dicomforge.coding import SCT
 from dicomforge.errors import (
+    DicomforgeError,
     NotFoundError,
     PartialStoreError,
     ProtocolError,
@@ -20,8 +23,10 @@ from dicomforge.sr.items import AlgorithmIdentification
 from dicomforge.tags import Tag
 from dicomforge.valuerep import VR
 from dicomforge.web import StubArchive, WebClient
+from dicomforge.web.jsonmodel import dataset_from_json
 from dicomforge.web.multipart import (
     build_multipart,
+    content_type_header,
     parse_multipart,
     random_boundary,
 )
@@ -29,6 +34,13 @@ from dicomforge.web.multipart import (
 
 @pytest.fixture
 def archive():
+    with StubArchive() as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
+def shared_archive():
+    """One archive for every example of a Hypothesis test."""
     with StubArchive() as server:
         yield server
 
@@ -65,6 +77,44 @@ class TestMultipart:
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
             parse_multipart(b"not multipart at all", "abc123")
+
+    def test_non_ascii_part_header_rejected(self):
+        body = build_multipart([b"x"], "b").replace(b"Content-Type", b"Content-\xe9Type")
+        with pytest.raises(ProtocolError, match="non-ASCII"):
+            parse_multipart(body, "b")
+
+    def test_non_ascii_boundary_rejected(self):
+        with pytest.raises(ProtocolError, match="not ASCII"):
+            parse_multipart(build_multipart([b"x"], "b"), "\xe9")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_bodies_raise_only_dicomforge_errors(self, data):
+        """Truncated, bit-flipped, spliced and byte-inserted bodies parse or
+        raise a DicomforgeError; never a decode, index or value error."""
+        boundary = data.draw(st.sampled_from(["b", "0123456789abcdef", "--x"]))
+        parts = data.draw(st.lists(st.binary(max_size=24), min_size=1, max_size=3))
+        body = bytearray(build_multipart(parts, boundary))
+        position = st.integers(0, len(body) - 1)
+        kind = data.draw(st.sampled_from(["truncate", "flip", "splice", "insert"]))
+        if kind == "truncate":
+            del body[data.draw(position):]
+        elif kind == "flip":
+            for at, bit in data.draw(st.lists(st.tuples(position, st.integers(0, 7)),
+                                              min_size=1, max_size=8)):
+                body[at] ^= 1 << bit
+        elif kind == "splice":
+            at = data.draw(position)
+            body[at:at + data.draw(st.integers(0, 16))] = body[data.draw(position):][:16]
+        else:
+            at = data.draw(position)
+            body[at:at] = data.draw(st.sampled_from(
+                [b"\r\n", b"--", b"\r\n\r\n", b":", b"\xe9", b"--" + boundary.encode()]))
+        try:
+            parsed = parse_multipart(bytes(body), boundary)
+        except DicomforgeError:
+            return
+        assert all(isinstance(content, bytes) for _, content in parsed)
 
 
 class TestStoreRetrieve:
@@ -149,20 +199,62 @@ class TestStoreRetrieve:
 
     @pytest.mark.parametrize("length", ["abc", "-5", "1_0", ""])
     def test_bad_content_length_answers_400(self, archive, length):
-        request = (
-            "POST /studies HTTP/1.1\r\n"
-            f"Host: 127.0.0.1:{archive.port}\r\n"
-            "Content-Type: multipart/related; type=\"application/dicom\"; boundary=b\r\n"
-            f"Content-Length: {length}\r\n\r\n"
-        ).encode("ascii")
-        with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as sock:
-            sock.sendall(request)
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
-        status_line, _, rest = reply.partition(b"\r\n")
+        status_line, rest = raw_stow(archive, b"boundary=b", length.encode("ascii"), b"")
         assert status_line == b"HTTP/1.1 400 Bad Request"
         assert b"Content-Length" in rest
+
+    def test_non_ascii_part_header_answers_400(self, archive):
+        body = build_multipart([b"x"], "b").replace(b"Content-Type", b"Content-\xe9Type")
+        status_line, rest = raw_stow(archive, b"boundary=b", b"%d" % len(body), body)
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"non-ASCII" in rest
+
+    def test_non_ascii_boundary_answers_400(self, archive):
+        body = build_multipart([b"x"], "b")
+        status_line, rest = raw_stow(archive, "boundary=\u00e9".encode("utf-8"),
+                                     b"%d" % len(body), body)
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"not ASCII" in rest
+
+    def test_all_parts_rejected_reports_failed_uids(self, client, archive):
+        bad = make_ct_source(sop_uid="1.2.901", study_uid="../escaped")
+        with pytest.raises(PartialStoreError) as excinfo:
+            client.store_instances([bad])
+        assert excinfo.value.failed_sop_instance_uids == ["1.2.901"]
+        assert excinfo.value.status == 409
+        cut = make_ct_source()
+        with pytest.raises(PartialStoreError) as excinfo:
+            client.store_parts([write_part10(file_meta_for(cut), cut)[:-3]])
+        assert excinfo.value.failed_sop_instance_uids == [""]
+        assert len(archive) == 0
+
+    def test_non_json_409_stays_a_transport_error(self, monkeypatch, client):
+        reply = requests.Response()
+        reply.status_code, reply._content = 409, b"conflict"
+        monkeypatch.setattr(requests, "request", lambda *args, **kwargs: reply)
+        with pytest.raises(TransportError) as excinfo:
+            client.store_parts([b"x"])
+        assert excinfo.value.status == 409
+        assert not isinstance(excinfo.value, PartialStoreError)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_mutated_stow_never_answers_5xx(self, shared_archive, data):
+        source = make_ct_source(study_uid="2.25.1", series_uid="2.25.2", sop_uid="2.25.3",
+                                frame_of_reference_uid="2.25.4")
+        boundary = "b"
+        body = bytearray(build_multipart([write_part10(file_meta_for(source), source)],
+                                         boundary))
+        # Half the flips land in the multipart delimiter and part headers.
+        position = st.integers(0, 96) | st.integers(0, len(body) - 1)
+        for at, bit in data.draw(st.lists(st.tuples(position, st.integers(0, 7)),
+                                          min_size=1, max_size=8)):
+            body[at] ^= 1 << bit
+        response = requests.post(
+            f"{shared_archive.base_url}/studies", data=bytes(body), timeout=10,
+            headers={"Content-Type": content_type_header(boundary)},
+        )
+        assert response.status_code in (200, 400, 409)
 
     def test_restore_replaces_not_duplicates(self, client, archive):
         seg = make_seg()
@@ -181,6 +273,29 @@ class TestStoreRetrieve:
         with pytest.raises(TransportError) as excinfo:
             client.search("instances", {"PatientName": "x"})
         assert excinfo.value.status == 400
+
+
+@pytest.mark.parametrize("payload", [[], "text", {"00080018": "1.2.3"}])
+def test_non_object_json_metadata_rejected(payload):
+    with pytest.raises(ProtocolError, match="not a JSON object"):
+        dataset_from_json(payload)
+
+
+def raw_stow(archive, boundary_param: bytes, length: bytes, body: bytes):
+    """POST raw bytes to /studies; returns the status line and the rest."""
+    request = (
+        b"POST /studies HTTP/1.1\r\n"
+        b"Host: 127.0.0.1:%d\r\n"
+        b"Content-Type: multipart/related; type=\"application/dicom\"; %s\r\n"
+        b"Content-Length: %s\r\nConnection: close\r\n\r\n"
+    ) % (archive.port, boundary_param, length) + body
+    with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    return status_line, rest
 
 
 class TestSearch:
@@ -298,6 +413,29 @@ class TestLifecycle:
         assert {p.name for p in tmp_path.rglob("*")} == {
             "snapshot", f"{good.value('SOPInstanceUID')}.dcm"
         }
+
+    def test_concurrent_puts_of_one_sop_leave_one_intact_snapshot(self, tmp_path):
+        blobs = []
+        for k in range(8):
+            ds = make_ct_source(study_uid="2.25.1", series_uid="2.25.2",
+                                sop_uid="2.25.3", patient_id=f"P{k}" * (k + 1))
+            blobs.append(write_part10(file_meta_for(ds), ds))
+        archive = StubArchive(snapshot_dir=tmp_path)
+
+        def put_all(order):
+            for blob in order:
+                archive.put(blob)
+
+        threads = [threading.Thread(target=put_all, args=(blobs[k:] + blobs[:k],))
+                   for k in range(len(blobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [p.name for p in tmp_path.iterdir()] == ["2.25.3.dcm"]
+        on_disk = (tmp_path / "2.25.3.dcm").read_bytes()
+        assert on_disk in blobs
+        assert on_disk == archive.get("2.25.1", "2.25.2", "2.25.3")
 
     def test_bad_base_url_rejected(self):
         with pytest.raises(ValueError):
