@@ -170,8 +170,9 @@ def _union_runs(n: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def _extents(components: LabeledComponents):
-    """Labels 1..count that have pixels, each with its first raster pixel and
-    its inclusive box, from one pass over the labelled pixels."""
+    """(label, min_row, min_col, max_row, max_col, start_col) for each label
+    1..count that has pixels, from one pass over the labelled pixels. The
+    label's first raster pixel is (min_row, start_col)."""
     labels = np.asarray(components.labels)
     cols = labels.shape[1]
     flat = labels.ravel()
@@ -188,8 +189,8 @@ def _extents(components: LabeledComponents):
     np.minimum.at(min_col, group, col)
     np.maximum.at(max_col, group, col)
     np.maximum.at(max_row, group, row)
-    return zip(present.tolist(), index[first].tolist(), row[first].tolist(),
-               min_col.tolist(), max_row.tolist(), max_col.tolist())
+    return zip(present.tolist(), row[first].tolist(), min_col.tolist(),
+               max_row.tolist(), max_col.tolist(), col[first].tolist())
 
 
 # Moore neighborhood in clockwise order starting west, as (drow, dcol); after
@@ -237,16 +238,13 @@ def trace_contours(components: LabeledComponents) -> list[Contour]:
     traced (only outer boundaries are emitted).
     """
     labels = np.asarray(components.labels)
-    cols = labels.shape[1]
     contours = []
-    for label, start, min_row, min_col, max_row, max_col in _extents(components):
+    for label, min_row, min_col, max_row, max_col, start_col in _extents(components):
         # The box padded by one background pixel on each side.
         inside = np.zeros((max_row - min_row + 3, max_col - min_col + 3), dtype=bool)
         inside[1:-1, 1:-1] = labels[min_row:max_row + 1, min_col:max_col + 1] == label
         width = inside.shape[1]
-        start_row, start_col = divmod(start, cols)
-        path = _trace_one(inside.ravel().tolist(), width,
-                          (start_row - min_row + 1) * width + start_col - min_col + 1)
+        path = _trace_one(inside.ravel().tolist(), width, width + start_col - min_col + 1)
         path.append(path[0])
         rows, columns = np.divmod(np.array(path), width)
         vertices = np.column_stack([columns + (min_col - 1), rows + (min_row - 1)])
@@ -258,5 +256,5 @@ def bounding_boxes(components: LabeledComponents) -> list[BoundingBox]:
     """Tight inclusive boxes, one per component, in label order."""
     return [
         BoundingBox(label, min_col, min_row, max_col, max_row)
-        for label, _, min_row, min_col, max_row, max_col in _extents(components)
+        for label, min_row, min_col, max_row, max_col, _ in _extents(components)
     ]

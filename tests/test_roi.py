@@ -419,6 +419,12 @@ class TestReferenceOracles:
             assert_outputs_match_reference(LabeledComponents(labels, count))
         assert_outputs_match_reference(LabeledComponents(labels.astype(np.uint8) % 8, 7))
 
+    def test_hand_built_fractional_labels_match_nothing(self):
+        labels = np.array([[0.0, 1.0, 1.5], [2.0, 0.0, 1.5], [2.5, 2.0, np.nan]])
+        lc = LabeledComponents(labels=labels, count=3)
+        assert [box.label for box in bounding_boxes(lc)] == [1, 2]
+        assert_outputs_match_reference(lc)
+
     def test_hand_built_labels_touching_each_other(self, np_rng):
         for _ in range(20):
             labels = np_rng.integers(0, 5, size=(9, 11))
