@@ -13,7 +13,9 @@ raises :class:`DecodeError` with the byte offset where reading failed,
 never a ``struct`` or index error. Sequences nested deeper than
 ``MAX_NESTING`` levels also raise :class:`DecodeError`, well before the
 interpreter's recursion limit. Encoding appends to one ``bytearray`` and
-back-patches sequence and item lengths once their contents are written.
+back-patches sequence and item lengths once their contents are written; a
+sequence item object that occurs more than once in the data set (shared
+code items, for one) is encoded once and its bytes copied for each repeat.
 """
 from __future__ import annotations
 
@@ -74,6 +76,9 @@ for _element in _DELIMITERS:
     _TAGS[_DELIMITER_GROUP << 16 | _element] = Tag(_DELIMITER_GROUP, _element)
 _new_tuple = tuple.__new__
 _new_element = DataElement.__new__
+# VRs the per-element paths test for, bound once (a class attribute lookup
+# on the enum costs more than the test)
+_SQ, _UI, _DS, _UN = VR.SQ, VR.UI, VR.DS, VR.UN
 
 
 def _tag(group: int, element: int) -> Tag:
@@ -117,14 +122,14 @@ def _parse_text(vr: VR, data: bytes, offset: int):
         raise DecodeError(f"invalid UTF-8 in {vr} value: {exc}", offset=offset)
     if vr in TEXT_SINGLE_VRS:
         return text.rstrip(" \x00") if text else ""
-    if vr is VR.UI:
+    if vr is _UI:
         text = text.rstrip("\x00")
     else:
         text = text.rstrip(" ")
     if not text:
         return ()
     parts = text.split("\\")
-    if vr is VR.DS:
+    if vr is _DS:
         return tuple(p.strip() for p in parts)
     return tuple(parts)
 
@@ -166,12 +171,13 @@ def _read_element(data: bytes, pos: int, implicit: bool,
         group, number, length = _TAG_AND_U32.unpack_from(data, pos)
     else:
         group, number, vr_code, length = _EXPLICIT_HEADER.unpack_from(data, pos)
-    tag = _tag(group, number)
+    key = group << 16 | number
+    tag = _TAGS.get(key) or _new_tuple(Tag, (group, number))
     if group == _DELIMITER_GROUP and number in _DELIMITERS:
         raise DecodeError(f"unexpected delimiter {tag} outside a sequence", offset=start)
     pos += 8
     if implicit:
-        vr = _IMPLICIT_VRS.get(group << 16 | number, VR.UN)
+        vr = _IMPLICIT_VRS.get(key, _UN)
     else:
         vr = _VR_BY_CODE.get(vr_code)
         if vr is None:
@@ -182,7 +188,7 @@ def _read_element(data: bytes, pos: int, implicit: bool,
             length = _U32.unpack_from(data, pos)[0]
             pos += 4
 
-    if vr is VR.SQ:
+    if vr is _SQ:
         if depth >= MAX_NESTING:
             raise DecodeError(
                 f"sequence {tag} nested deeper than {MAX_NESTING} levels",
@@ -327,86 +333,115 @@ def decode_file_body(data: bytes, pos: int) -> tuple[DataSet, DataSet]:
 # -- encoding ---------------------------------------------------------------
 
 
-def _encode_text(element: DataElement) -> bytes:
-    vr = element.vr
-    if vr in TEXT_SINGLE_VRS:
-        text = element.raw
-    else:
-        text = "\\".join(element.raw)
+def _encode_bytes(element: DataElement) -> bytes:
+    data = element._value  # padded even at construction,
+    if len(data) % 2:      # but decoded foreign values may arrive odd
+        data += b"\x00"
+    return data
+
+
+def _encode_integer_strings(element: DataElement) -> bytes:
+    for v in element._value:
+        if len(str(v)) > 12:
+            raise EncodeError(f"{element.tag}: IS value {v} exceeds 12 characters")
+    data = "\\".join(str(v) for v in element._value).encode("ascii")
+    if len(data) % 2:
+        data += b" "
+    return data
+
+
+def _encode_text(element: DataElement, text: str, parts) -> bytes:
+    """UTF-8 bytes of `text`, the joined `parts`, padded to even length."""
     data = text.encode("utf-8")
+    vr = element.vr
     limit = MAX_VALUE_LENGTH.get(vr)
     # no single value is longer than all of them joined
     if limit is not None and len(data) > limit:
-        parts = [element.raw] if vr in TEXT_SINGLE_VRS else element.raw
         for part in parts:
             if len(str(part).encode("utf-8")) > limit:
                 raise EncodeError(
                     f"{element.tag}: {vr} value exceeds {limit} bytes: {part!r}"
                 )
     if len(data) % 2:
-        data += padding_byte(vr)
+        data += _PADDING[vr]
     return data
 
 
-def _encode_value(element: DataElement) -> bytes:
+def _encode_multi_text(element: DataElement) -> bytes:
+    return _encode_text(element, "\\".join(element._value), element._value)
+
+
+def _encode_single_text(element: DataElement) -> bytes:
+    return _encode_text(element, element._value, (element._value,))
+
+
+def _encode_numbers(element: DataElement) -> bytes:
+    raw = element._value
     vr = element.vr
-    if vr in BYTES_VRS:
-        data = element.raw  # padded even at construction,
-        if len(data) % 2:   # but decoded foreign values may arrive odd
-            data += b"\x00"
-        return data
-    if vr is VR.IS:
-        for v in element.raw:
-            if len(str(v)) > 12:
-                raise EncodeError(f"{element.tag}: IS value {v} exceeds 12 characters")
-        data = "\\".join(str(v) for v in element.raw).encode("ascii")
-        if len(data) % 2:
-            data += b" "
-        return data
-    if vr in TEXT_MULTI_VRS or vr in TEXT_SINGLE_VRS:
-        return _encode_text(element)
-    if vr in INT_FORMATS:
-        fmt = INT_FORMATS[vr]
-        try:
-            return b"".join(struct.pack(fmt, v) for v in element.raw)
-        except struct.error as exc:
-            raise EncodeError(f"{element.tag}: {vr} value out of range: {exc}")
-    if vr in FLOAT_FORMATS:
-        fmt = FLOAT_FORMATS[vr]
-        return b"".join(struct.pack(fmt, v) for v in element.raw)
-    if vr is VR.AT:
-        return b"".join(struct.pack("<HH", t.group, t.element) for t in element.raw)
-    raise EncodeError(f"{element.tag}: cannot encode VR {vr}")
+    try:
+        return struct.pack(f"<{len(raw)}{_NUMERIC[vr][0]}", *raw)
+    except struct.error as exc:
+        raise EncodeError(f"{element.tag}: {vr} value out of range: {exc}")
 
 
+def _encode_tags(element: DataElement) -> bytes:
+    return b"".join(struct.pack("<HH", t.group, t.element) for t in element._value)
+
+
+# Value encoder per VR; sequences are written by _encode_into itself.
+_ENCODERS = {
+    **dict.fromkeys(TEXT_MULTI_VRS, _encode_multi_text),
+    **dict.fromkeys(TEXT_SINGLE_VRS, _encode_single_text),
+    **dict.fromkeys(BYTES_VRS, _encode_bytes),
+    **dict.fromkeys((*INT_FORMATS, *FLOAT_FORMATS), _encode_numbers),
+    VR.IS: _encode_integer_strings,
+    VR.AT: _encode_tags,
+}
+_PADDING = {vr: padding_byte(vr) for vr in VR}
 _LONG_HEADER = struct.Struct("<HH2s2xI")
 _ITEM_HEADER = _TAG_AND_U32.pack(_DELIMITER_GROUP, _ITEM, 0)
 
 
-def _encode_into(out: bytearray, ds: DataSet) -> None:
-    """Append the explicit VR encoding of `ds` to `out`."""
-    for element in ds:
-        tag = element.tag
+def _encode_into(out: bytearray, ds: DataSet, encoded: dict) -> None:
+    """Append the explicit VR encoding of `ds` to `out`.
+
+    `encoded` maps ``id(item)`` of each sequence item already written in
+    this call to the (start, end) of its bytes in `out`; an item object met
+    again is copied from there instead of being encoded twice. (The items
+    are all reachable from the data set being encoded, so their ids stay
+    unique for the whole call.)
+    """
+    elements = ds._elements
+    for tag in sorted(elements):
+        element = elements[tag]
         vr = element.vr
-        if vr is VR.SQ:
+        if vr is _SQ:
             start = len(out)
             out += _LONG_HEADER.pack(tag.group, tag.element, b"SQ", 0)
-            for item in element.values:
+            for item in element._value:
+                span = encoded.get(id(item))
+                if span is not None:
+                    out += out[span[0]:span[1]]
+                    continue
                 item_start = len(out)
                 out += _ITEM_HEADER
-                _encode_into(out, item)
+                _encode_into(out, item, encoded)
                 _U32.pack_into(out, item_start + 4, len(out) - item_start - 8)
+                encoded[id(item)] = (item_start, len(out))
             _U32.pack_into(out, start + 8, len(out) - start - 12)
             continue
-        body = _encode_value(element)
+        encoder = _ENCODERS.get(vr)
+        if encoder is None:
+            raise EncodeError(f"{tag}: cannot encode VR {vr}")
+        body = encoder(element)
         if vr in LONG_FORM_VRS:
             if len(body) > 0xFFFFFFFE:
-                raise EncodeError(f"{element.tag}: value too large to encode")
+                raise EncodeError(f"{tag}: value too large to encode")
             out += _LONG_HEADER.pack(tag.group, tag.element, _CODE_BY_VR[vr], len(body))
         else:
             if len(body) > 0xFFFF:
                 raise EncodeError(
-                    f"{element.tag}: {vr} value of {len(body)} bytes exceeds the "
+                    f"{tag}: {vr} value of {len(body)} bytes exceeds the "
                     "16-bit length field"
                 )
             out += _EXPLICIT_HEADER.pack(tag.group, tag.element, _CODE_BY_VR[vr],
@@ -425,5 +460,5 @@ def encode_dataset(ds: DataSet, syntax: str = EXPLICIT_VR_LITTLE_ENDIAN) -> byte
             f"write is supported only in explicit VR little endian, not {syntax}"
         )
     out = bytearray()
-    _encode_into(out, ds)
+    _encode_into(out, ds, {})
     return bytes(out)

@@ -2,21 +2,27 @@
 
 A :class:`CodedConcept` carries (value, scheme, meaning, optional version).
 Equality compares value, scheme designator, and scheme version; the meaning
-is documentation only and never participates. Registries for the handful of
-schemes this package works with (DCM, SCT, UCUM, caDSR, ICD-O-3, ICD-10-CM)
-ship the codes needed for lung-tumor annotation workflows; concepts outside
-the registries are perfectly legal values, the registries are a convenience.
+is documentation only and never participates. Each concept builds its
+code-sequence item once and hands out that one data set from then on.
+Registries for the handful of schemes this package works with (DCM, SCT,
+UCUM, caDSR, ICD-O-3, ICD-10-CM) ship the codes needed for lung-tumor
+annotation workflows; concepts outside the registries are perfectly legal
+values, the registries are a convenience.
 """
 from __future__ import annotations
 
 from .dataset import DataSet
 from .errors import MalformedCodeError, UnknownCodeError, UnknownSchemeError
+from .tags import TAGS
 
 
 class CodedConcept:
     """A terminology code: value + scheme designator + meaning (+ version)."""
 
-    __slots__ = ("value", "scheme", "meaning", "version")
+    # `_items` holds the code-sequence item once concept_to_items built it;
+    # it lives on the concept (not in a cache keyed by equality) because
+    # equal concepts may differ in meaning.
+    __slots__ = ("value", "scheme", "meaning", "version", "_items")
 
     def __init__(self, value: str, scheme: str, meaning: str, version: str | None = None):
         if not value:
@@ -27,6 +33,7 @@ class CodedConcept:
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "meaning", meaning)
         object.__setattr__(self, "version", version)
+        object.__setattr__(self, "_items", None)
 
     def __setattr__(self, name, _value):
         raise AttributeError("CodedConcept is immutable")
@@ -67,8 +74,13 @@ def concept_to_items(concept: CodedConcept) -> DataSet:
     """Serialize to the code-sequence item attributes.
 
     Values longer than 16 characters go to the long-code attribute instead
-    of the 16-character code value.
+    of the 16-character code value. The item is built on the first call and
+    the same data set is returned on every later one, so it must not be
+    mutated.
     """
+    ds = concept._items
+    if ds is not None:
+        return ds
     ds = DataSet()
     if len(concept.value) <= 16:
         ds.put("CodeValue", concept.value)
@@ -78,6 +90,7 @@ def concept_to_items(concept: CodedConcept) -> DataSet:
     if concept.version is not None:
         ds.put("CodingSchemeVersion", concept.version)
     ds.put("CodeMeaning", concept.meaning)
+    object.__setattr__(concept, "_items", ds)
     return ds
 
 
@@ -86,18 +99,15 @@ def concept_from_items(ds: DataSet) -> CodedConcept:
 
     Raises MalformedCodeError when the value or scheme attribute is absent.
     """
-    value = ds.value("CodeValue") or ds.value("LongCodeValue") or ds.value("URNCodeValue")
-    scheme = ds.value("CodingSchemeDesignator")
+    value = (ds.value(TAGS.CodeValue) or ds.value(TAGS.LongCodeValue)
+             or ds.value(TAGS.URNCodeValue))
+    scheme = ds.value(TAGS.CodingSchemeDesignator)
     if not value or not scheme:
         raise MalformedCodeError(
             "code item needs a code value and a coding scheme designator"
         )
-    return CodedConcept(
-        value=value,
-        scheme=scheme,
-        meaning=ds.value("CodeMeaning", ""),
-        version=ds.value("CodingSchemeVersion"),
-    )
+    return CodedConcept(value, scheme, ds.value(TAGS.CodeMeaning, ""),
+                        ds.value(TAGS.CodingSchemeVersion))
 
 
 class CodeRegistry:

@@ -6,16 +6,23 @@ Python shapes (tuples of str/int/float, bytes, nested data sets) so that
 ``decode(encode(ds)) == ds`` holds element-wise. Instances are treated as
 immutable once construction is finished; nothing in this package mutates a
 data set it did not just build.
+
+Built data sets may share item objects: every code-sequence item for one
+:class:`~dicomforge.coding.CodedConcept` is the same data set, which
+:func:`~dicomforge.coding.concept_to_items` caches on the concept; SR items
+share one element object per relationship and value type; and a sequence
+may hold one item object several times. Mutating a data set that
+``concept_to_items`` returned, or one reachable from a built SR or SEG, is
+unsupported: the change would show up everywhere the item is shared.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from .tags import Tag, TagKey, keyword_of, resolve_key, vr_of
+from .tags import KEYWORD_TO_TAG_VR, Tag, TagKey, keyword_of, resolve_key, vr_of
 from .valuerep import (
     BYTES_VRS,
-    FLOAT_FORMATS,
     INT_FORMATS,
     TEXT_MULTI_VRS,
     TEXT_SINGLE_VRS,
@@ -34,70 +41,97 @@ def _as_tuple(value: Any) -> tuple:
     return (value,)
 
 
-def _normalize(tag: Tag, vr: VR, value: Any):
-    """Coerce `value` into the canonical in-memory shape for `vr`."""
-    if vr is VR.SQ:
-        items = _as_tuple(value)
-        for item in items:
-            if not isinstance(item, DataSet):
-                raise TypeError(f"{tag}: sequence items must be DataSet")
-        return items
-    if vr in BYTES_VRS:
-        if value is None:
-            value = b""
-        if not isinstance(value, (bytes, bytearray, memoryview)):
-            raise TypeError(f"{tag}: VR {vr} requires bytes")
-        data = bytes(value)
-        if len(data) % 2:
-            data += b"\x00"  # construction-time padding keeps round trips exact
-        return data
-    if vr in TEXT_SINGLE_VRS:
-        if value is None:
-            return ""
-        if not isinstance(value, str):
-            raise TypeError(f"{tag}: VR {vr} requires str")
-        return value
-    if vr is VR.DS:
-        parts = []
-        for v in _as_tuple(value):
-            if isinstance(v, str):
-                v = v.strip()
-                if not is_valid_ds(v):
-                    raise ValueError(f"{tag}: {v!r} is not a valid decimal string")
-                parts.append(v)
-            else:
-                parts.append(format_ds(v))
-        return tuple(parts)
-    if vr in TEXT_MULTI_VRS:
-        parts = _as_tuple(value)
-        out = []
-        for v in parts:
-            if not isinstance(v, str):
-                raise TypeError(f"{tag}: VR {vr} requires str values")
-            if "\\" in v:
-                raise ValueError(f"{tag}: backslash not allowed inside a {vr} value")
+# Normalizers: each coerces `value` into the canonical in-memory shape for
+# its VR, raising TypeError/ValueError naming `tag` when it cannot.
+
+
+def _sequence(tag: Tag, vr: VR, value: Any) -> tuple:
+    items = _as_tuple(value)
+    for item in items:
+        if not isinstance(item, DataSet):
+            raise TypeError(f"{tag}: sequence items must be DataSet")
+    return items
+
+
+def _bytes(tag: Tag, vr: VR, value: Any) -> bytes:
+    if value is None:
+        value = b""
+    if not isinstance(value, (bytes, bytearray, memoryview)):
+        raise TypeError(f"{tag}: VR {vr} requires bytes")
+    data = bytes(value)
+    if len(data) % 2:
+        data += b"\x00"  # construction-time padding keeps round trips exact
+    return data
+
+
+def _single_text(tag: Tag, vr: VR, value: Any) -> str:
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise TypeError(f"{tag}: VR {vr} requires str")
+    return value
+
+
+def _decimals(tag: Tag, vr: VR, value: Any) -> tuple:
+    parts = []
+    for v in _as_tuple(value):
+        if isinstance(v, str):
+            v = v.strip()
+            if not is_valid_ds(v):
+                raise ValueError(f"{tag}: {v!r} is not a valid decimal string")
+            parts.append(v)
+        else:
+            parts.append(format_ds(v))
+    return tuple(parts)
+
+
+def _multi_text(tag: Tag, vr: VR, value: Any) -> tuple:
+    out = _as_tuple(value)
+    for v in out:
+        if not isinstance(v, str):
+            raise TypeError(f"{tag}: VR {vr} requires str values")
+        if "\\" in v:
+            raise ValueError(f"{tag}: backslash not allowed inside a {vr} value")
+    if out == ("",):
+        return ()
+    return out
+
+
+def _integers(tag: Tag, vr: VR, value: Any) -> tuple:
+    return tuple(map(int, _as_tuple(value)))
+
+
+def _doubles(tag: Tag, vr: VR, value: Any) -> tuple:
+    return tuple(map(float, _as_tuple(value)))
+
+
+def _singles(tag: Tag, vr: VR, value: Any) -> tuple:
+    return float32_round_trip(tuple(map(float, _as_tuple(value))))
+
+
+def _tags(tag: Tag, vr: VR, value: Any) -> tuple:
+    out = []
+    for v in _as_tuple(value):
+        if isinstance(v, Tag):
             out.append(v)
-        if out == [""]:
-            return ()
-        return tuple(out)
-    if vr is VR.IS or vr in INT_FORMATS:
-        return tuple(int(v) for v in _as_tuple(value))
-    if vr in FLOAT_FORMATS:
-        values = tuple(float(v) for v in _as_tuple(value))
-        if vr is VR.FL:
-            values = tuple(float32_round_trip(v) for v in values)
-        return values
-    if vr is VR.AT:
-        out = []
-        for v in _as_tuple(value):
-            if isinstance(v, Tag):
-                out.append(v)
-            elif isinstance(v, tuple) and len(v) == 2:
-                out.append(Tag(*v))
-            else:
-                raise TypeError(f"{tag}: VR AT requires Tag values")
-        return tuple(out)
-    raise ValueError(f"{tag}: unhandled VR {vr}")
+        elif isinstance(v, tuple) and len(v) == 2:
+            out.append(Tag(*v))
+        else:
+            raise TypeError(f"{tag}: VR AT requires Tag values")
+    return tuple(out)
+
+
+_NORMALIZERS = {
+    **dict.fromkeys(TEXT_MULTI_VRS, _multi_text),
+    **dict.fromkeys(TEXT_SINGLE_VRS, _single_text),
+    **dict.fromkeys(BYTES_VRS, _bytes),
+    **dict.fromkeys((VR.IS, *INT_FORMATS), _integers),
+    VR.DS: _decimals,
+    VR.FD: _doubles,
+    VR.FL: _singles,
+    VR.AT: _tags,
+    VR.SQ: _sequence,
+}
 
 
 class DataElement:
@@ -106,9 +140,11 @@ class DataElement:
     __slots__ = ("tag", "vr", "_value")
 
     def __init__(self, tag: Tag, vr: VR, value: Any = None):
+        if type(vr) is not VR:
+            vr = VR(vr)
         self.tag = tag
-        self.vr = VR(vr)
-        self._value = _normalize(tag, self.vr, value)
+        self.vr = vr
+        self._value = _NORMALIZERS[vr](tag, vr, value)
 
     @property
     def values(self) -> tuple:
@@ -172,12 +208,16 @@ class DataSet:
 
     def put(self, key: TagKey, value: Any, vr: VR | str | None = None) -> None:
         """Set an element, taking the VR from the dictionary when omitted."""
-        tag = resolve_key(key)
+        entry = KEYWORD_TO_TAG_VR.get(key) if isinstance(key, str) else None
+        if entry is None:
+            tag = resolve_key(key)
+            entry = tag, vr_of(tag)
+        tag, dictionary_vr = entry
         if vr is None:
-            vr = vr_of(tag)
+            vr = dictionary_vr
             if vr is VR.UN and not isinstance(value, (bytes, bytearray)):
                 raise ValueError(f"{tag}: VR required for tags outside the dictionary")
-        self.add(DataElement(tag, VR(vr), value))
+        self._elements[tag] = DataElement(tag, vr, value)
 
     def remove(self, key: TagKey) -> None:
         self._elements.pop(resolve_key(key), None)
@@ -185,7 +225,8 @@ class DataSet:
     # -- access ------------------------------------------------------------
 
     def element(self, key: TagKey) -> DataElement | None:
-        return self._elements.get(resolve_key(key))
+        # a Tag is looked up as it is; other keys are resolved first
+        return self._elements.get(key if key.__class__ is Tag else resolve_key(key))
 
     def __getitem__(self, key: TagKey) -> DataElement:
         tag = resolve_key(key)
@@ -204,7 +245,9 @@ class DataSet:
         element = self.element(key)
         if element is None:
             return default
-        value = element.value
+        value = element._value
+        if isinstance(value, tuple):
+            value = value[0] if value else None
         return default if value is None else value
 
     def values(self, key: TagKey) -> tuple:
@@ -222,7 +265,7 @@ class DataSet:
             return ()
         if element.vr is not VR.SQ:
             raise TypeError(f"{element.tag} is {element.vr}, not a sequence")
-        return element.values
+        return element._value
 
     # -- iteration / comparison --------------------------------------------
 

@@ -17,8 +17,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..coding import CodedConcept, concept_from_items, concept_to_items
-from ..dataset import DataSet
+from ..dataset import DataElement, DataSet
 from ..errors import InvalidGraphicError, InvalidUnitError
+from ..tags import KEYWORD_TO_TAG_VR, TAGS
 from ..uid import is_valid_uid, new_uid
 from ..valuerep import format_ds, is_valid_ds
 
@@ -69,6 +70,15 @@ class ContinuityOfContent(str, enum.Enum):
     CONTINUOUS = "CONTINUOUS"
 
 
+def _member(cls: type[enum.Enum], value):
+    """``cls(value)``: a member passes through and a member's value maps to
+    it by one lookup; anything else raises as the enum call does."""
+    try:
+        return cls._value2member_map_[value]
+    except (KeyError, TypeError):
+        return cls(value)
+
+
 @dataclass(frozen=True)
 class TrackingIdentifier:
     """Stable identity for an ROI: a UID plus an optional readable label."""
@@ -114,7 +124,7 @@ class ContentItem:
     ):
         self.name = name
         self.relationship = (
-            None if relationship is None else RelationshipType(relationship)
+            None if relationship is None else _member(RelationshipType, relationship)
         )
         self.children = tuple(children)
         self._validate_children()
@@ -137,7 +147,7 @@ class ContentItem:
 
     def with_relationship(self, relationship) -> "ContentItem":
         clone = copy.copy(self)
-        clone.relationship = RelationshipType(relationship)
+        clone.relationship = _member(RelationshipType, relationship)
         return clone
 
     def with_children(self, children: Iterable["ContentItem"]) -> "ContentItem":
@@ -161,9 +171,9 @@ class ContentItem:
     ) -> list["ContentItem"]:
         """All items matching every supplied filter, in document order."""
         if value_type is not None:
-            value_type = ValueType(value_type)
+            value_type = _member(ValueType, value_type)
         if relationship is not None:
-            relationship = RelationshipType(relationship)
+            relationship = _member(RelationshipType, relationship)
         candidates = self.iter() if recursive else iter((self, *self.children))
         out = []
         for item in candidates:
@@ -213,7 +223,7 @@ class ContainerItem(ContentItem):
         template_id: str | None = None,
     ):
         super().__init__(name, relationship, children)
-        self.continuity = ContinuityOfContent(continuity)
+        self.continuity = _member(ContinuityOfContent, continuity)
         self.template_id = template_id
 
     def _payload(self):
@@ -398,7 +408,7 @@ class ScoordItem(ContentItem):
     def __init__(self, name, graphic_type: GraphicType2D | str, points,
                  relationship=None, children=()):
         super().__init__(name, relationship, children)
-        self.graphic_type = GraphicType2D(graphic_type)
+        self.graphic_type = _member(GraphicType2D, graphic_type)
         self.points = _as_float32_points(points, 2, self.graphic_type.value)
         _check_arity(self.graphic_type, len(self.points), _ARITY_2D)
 
@@ -425,7 +435,7 @@ class Scoord3DItem(ContentItem):
                  frame_of_reference_uid: str,
                  relationship=None, children=()):
         super().__init__(name, relationship, children)
-        self.graphic_type = GraphicType3D(graphic_type)
+        self.graphic_type = _member(GraphicType3D, graphic_type)
         self.points = _as_float32_points(points, 3, self.graphic_type.value)
         _check_arity(self.graphic_type, len(self.points), _ARITY_3D)
         if self.graphic_type is GraphicType3D.POLYGON and not np.array_equal(
@@ -563,16 +573,30 @@ class ObserverContext:
 # -- serialization -----------------------------------------------------------
 
 
+def _member_elements(keyword: str, *enums: type[enum.Enum]) -> dict:
+    """One element per enum member, valued by the member, for `keyword`."""
+    tag, vr = KEYWORD_TO_TAG_VR[keyword]
+    return {m: DataElement(tag, vr, m.value) for cls in enums for m in cls}
+
+
+# Elements valued by an enum member recur in every item, so items share one
+# element object per member.
+_RELATIONSHIP_ELEMENTS = _member_elements("RelationshipType", RelationshipType)
+_VALUE_TYPE_ELEMENTS = _member_elements("ValueType", ValueType)
+_CONTINUITY_ELEMENTS = _member_elements("ContinuityOfContent", ContinuityOfContent)
+_GRAPHIC_TYPE_ELEMENTS = _member_elements("GraphicType", GraphicType2D, GraphicType3D)
+
+
 def item_to_dataset(item: ContentItem) -> DataSet:
     """Serialize one content item (and its subtree) to data elements."""
     ds = DataSet()
     if item.relationship is not None:
-        ds.put("RelationshipType", item.relationship.value)
-    ds.put("ValueType", item.value_type.value)
+        ds.add(_RELATIONSHIP_ELEMENTS[item.relationship])
+    ds.add(_VALUE_TYPE_ELEMENTS[item.value_type])
     if item.name is not None:
         ds.put("ConceptNameCodeSequence", (concept_to_items(item.name),))
     if isinstance(item, ContainerItem):
-        ds.put("ContinuityOfContent", item.continuity.value)
+        ds.add(_CONTINUITY_ELEMENTS[item.continuity])
         if item.template_id:
             template = DataSet()
             template.put("MappingResource", "DCMR")
@@ -613,11 +637,11 @@ def item_to_dataset(item: ContentItem) -> DataSet:
         ref.put("ReferencedSOPInstanceUID", item.sop_instance_uid)
         ds.put("ReferencedSOPSequence", (ref,))
     elif isinstance(item, ScoordItem):
-        ds.put("GraphicData", [float(v) for v in item.points.ravel()])
-        ds.put("GraphicType", item.graphic_type.value)
+        ds.put("GraphicData", item.points.ravel().tolist())
+        ds.add(_GRAPHIC_TYPE_ELEMENTS[item.graphic_type])
     elif isinstance(item, Scoord3DItem):
-        ds.put("GraphicData", [float(v) for v in item.points.ravel()])
-        ds.put("GraphicType", item.graphic_type.value)
+        ds.put("GraphicData", item.points.ravel().tolist())
+        ds.add(_GRAPHIC_TYPE_ELEMENTS[item.graphic_type])
         ds.put("ReferencedFrameOfReferenceUID", item.frame_of_reference_uid)
     else:  # pragma: no cover - the class map is closed
         raise TypeError(f"cannot serialize {type(item).__name__}")
@@ -628,74 +652,75 @@ def item_to_dataset(item: ContentItem) -> DataSet:
 
 def item_from_dataset(ds: DataSet) -> ContentItem:
     """Inverse of :func:`item_to_dataset` (tolerant of extra attributes)."""
-    value_type = ValueType(ds.value("ValueType"))
-    relationship = ds.value("RelationshipType")
-    name_items = ds.items_of("ConceptNameCodeSequence")
+    value_type = _member(ValueType, ds.value(TAGS.ValueType))
+    relationship = ds.value(TAGS.RelationshipType)
+    name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
     name = concept_from_items(name_items[0]) if name_items else None
-    children = tuple(item_from_dataset(c) for c in ds.items_of("ContentSequence"))
+    children = tuple(item_from_dataset(c) for c in ds.items_of(TAGS.ContentSequence))
 
     if value_type is ValueType.CONTAINER:
-        template_items = ds.items_of("ContentTemplateSequence")
-        template_id = template_items[0].value("TemplateIdentifier") if template_items else None
+        template_items = ds.items_of(TAGS.ContentTemplateSequence)
+        template_id = (template_items[0].value(TAGS.TemplateIdentifier)
+                       if template_items else None)
         return ContainerItem(
             name,
             children=children,
-            continuity=ContinuityOfContent(ds.value("ContinuityOfContent", "SEPARATE")),
+            continuity=ds.value(TAGS.ContinuityOfContent, "SEPARATE"),
             relationship=relationship,
             template_id=template_id,
         )
     if value_type is ValueType.CODE:
-        value = concept_from_items(ds.items_of("ConceptCodeSequence")[0])
+        value = concept_from_items(ds.items_of(TAGS.ConceptCodeSequence)[0])
         return CodeItem(name, value, relationship, children)
     if value_type is ValueType.NUM:
-        measured = ds.items_of("MeasuredValueSequence")[0]
-        unit = concept_from_items(measured.items_of("MeasurementUnitsCodeSequence")[0])
-        qualifier_items = ds.items_of("NumericValueQualifierCodeSequence")
+        measured = ds.items_of(TAGS.MeasuredValueSequence)[0]
+        unit = concept_from_items(measured.items_of(TAGS.MeasurementUnitsCodeSequence)[0])
+        qualifier_items = ds.items_of(TAGS.NumericValueQualifierCodeSequence)
         qualifier = concept_from_items(qualifier_items[0]) if qualifier_items else None
-        return NumItem(name, measured.value("NumericValue"), unit, qualifier,
+        return NumItem(name, measured.value(TAGS.NumericValue), unit, qualifier,
                        relationship, children)
     if value_type is ValueType.TEXT:
-        return TextItem(name, ds.value("TextValue", ""), relationship, children)
+        return TextItem(name, ds.value(TAGS.TextValue, ""), relationship, children)
     if value_type is ValueType.UIDREF:
-        return UIDRefItem(name, ds.value("UID"), relationship, children)
+        return UIDRefItem(name, ds.value(TAGS.UID), relationship, children)
     if value_type is ValueType.PNAME:
-        return PNameItem(name, ds.value("PersonName", ""), relationship, children)
+        return PNameItem(name, ds.value(TAGS.PersonName, ""), relationship, children)
     if value_type is ValueType.DATETIME:
-        return DateTimeItem(name, ds.value("DateTime", ""), relationship, children)
+        return DateTimeItem(name, ds.value(TAGS.DateTime, ""), relationship, children)
     if value_type in (ValueType.IMAGE, ValueType.COMPOSITE):
-        ref = ds.items_of("ReferencedSOPSequence")[0]
+        ref = ds.items_of(TAGS.ReferencedSOPSequence)[0]
         if value_type is ValueType.IMAGE:
-            frames = ref.values("ReferencedFrameNumber")
+            frames = ref.values(TAGS.ReferencedFrameNumber)
             return ImageItem(
                 name,
-                ref.value("ReferencedSOPClassUID"),
-                ref.value("ReferencedSOPInstanceUID"),
-                segment_number=ref.value("ReferencedSegmentNumber"),
+                ref.value(TAGS.ReferencedSOPClassUID),
+                ref.value(TAGS.ReferencedSOPInstanceUID),
+                segment_number=ref.value(TAGS.ReferencedSegmentNumber),
                 frame_numbers=frames or None,
                 relationship=relationship,
                 children=children,
             )
         return CompositeItem(
             name,
-            ref.value("ReferencedSOPClassUID"),
-            ref.value("ReferencedSOPInstanceUID"),
+            ref.value(TAGS.ReferencedSOPClassUID),
+            ref.value(TAGS.ReferencedSOPInstanceUID),
             relationship,
             children,
         )
     if value_type is ValueType.SCOORD:
         return ScoordItem(
             name,
-            ds.value("GraphicType"),
-            np.asarray(ds.values("GraphicData")),
+            ds.value(TAGS.GraphicType),
+            np.asarray(ds.values(TAGS.GraphicData)),
             relationship,
             children,
         )
     if value_type is ValueType.SCOORD3D:
         return Scoord3DItem(
             name,
-            ds.value("GraphicType"),
-            np.asarray(ds.values("GraphicData")),
-            ds.value("ReferencedFrameOfReferenceUID"),
+            ds.value(TAGS.GraphicType),
+            np.asarray(ds.values(TAGS.GraphicData)),
+            ds.value(TAGS.ReferencedFrameOfReferenceUID),
             relationship,
             children,
         )

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 from typing import NamedTuple, Union
 
 from .valuerep import VR
@@ -197,6 +198,13 @@ DICTIONARY: dict[Tag, tuple[VR, str]] = {
 KEYWORD_TO_TAG: dict[str, Tag] = {
     kw: Tag(g, e) for g, e, vr, kw in _ENTRIES
 }
+# Tags as attributes (``TAGS.CodeValue``): readers that look many elements
+# up pass the Tag itself and skip resolving a keyword each time.
+TAGS = SimpleNamespace(**KEYWORD_TO_TAG)
+# keyword -> (tag, dictionary VR), so building an element costs one lookup
+KEYWORD_TO_TAG_VR: dict[str, tuple[Tag, VR]] = {
+    kw: (tag, DICTIONARY[tag][0]) for kw, tag in KEYWORD_TO_TAG.items()
+}
 
 _HEX_TAG_RE = re.compile(r"^([0-9A-Fa-f]{4}),?([0-9A-Fa-f]{4})$")
 
@@ -205,17 +213,18 @@ TagKey = Union[Tag, str, tuple]
 
 def resolve_key(key: TagKey) -> Tag:
     """Turn a Tag, keyword, 'GGGGEEEE'/'GGGG,EEEE' hex string, or pair into a Tag."""
-    if isinstance(key, Tag):
-        return key
-    if isinstance(key, tuple) and len(key) == 2:
-        return Tag(int(key[0]), int(key[1]))
     if isinstance(key, str):
-        if key in KEYWORD_TO_TAG:
-            return KEYWORD_TO_TAG[key]
+        tag = KEYWORD_TO_TAG.get(key)
+        if tag is not None:
+            return tag
         match = _HEX_TAG_RE.match(key)
         if match:
             return Tag(int(match.group(1), 16), int(match.group(2), 16))
         raise KeyError(f"unknown attribute keyword {key!r}")
+    if isinstance(key, Tag):
+        return key
+    if isinstance(key, tuple) and len(key) == 2:
+        return Tag(int(key[0]), int(key[1]))
     raise TypeError(f"cannot interpret {key!r} as a tag")
 
 

@@ -105,6 +105,8 @@ def format_ds(value: float | int) -> str:
     raise ValueError(f"cannot represent {value!r} in 16 characters")
 
 
-def float32_round_trip(value: float) -> float:
-    """Quantize to the nearest IEEE-754 single, as storage under VR FL will."""
-    return struct.unpack("<f", struct.pack("<f", float(value)))[0]
+def float32_round_trip(values: tuple[float, ...]) -> tuple[float, ...]:
+    """Quantize each value to the nearest IEEE-754 single, as storage under
+    VR FL will; a finite value beyond single range raises OverflowError."""
+    fmt = f"<{len(values)}f"
+    return struct.unpack(fmt, struct.pack(fmt, *values))

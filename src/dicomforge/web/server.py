@@ -75,6 +75,16 @@ class StubArchive:
         UID (digits and dots only); an instance without them raises
         RejectedInstanceError, which carries the SOP UIDs it does have.
         """
+        key, sop_class, entry = self._index(blob)
+        with self._lock:
+            if self._snapshot_dir:
+                self._write_snapshot(key[2], blob)
+            self._instances[key] = entry
+        return key, sop_class
+
+    @staticmethod
+    def _index(blob: bytes) -> tuple[tuple[str, str, str], str, _StoredInstance]:
+        """Decode `blob` into its key, SOP class UID and stored entry."""
         _, ds = read_part10(blob)
         key = (_uid(ds, "StudyInstanceUID"), _uid(ds, "SeriesInstanceUID"),
                _uid(ds, "SOPInstanceUID"))
@@ -86,11 +96,7 @@ class StubArchive:
             )
         meta = DataSet()
         copy_attributes(ds, meta, _INSTANCE_ATTRS)
-        with self._lock:
-            if self._snapshot_dir:
-                self._write_snapshot(key[2], blob)
-            self._instances[key] = _StoredInstance(blob, meta)
-        return key, sop_class
+        return key, sop_class, _StoredInstance(blob, meta)
 
     def _write_snapshot(self, sop: str, blob: bytes) -> None:
         """Replace `<sop>.dcm` atomically: readers see the old file or the
@@ -118,13 +124,17 @@ class StubArchive:
             return len(self._instances)
 
     def _load_snapshot(self) -> None:
+        """Index the snapshot files; they are already on disk, so loading
+        leaves them as they are."""
         if not self._snapshot_dir or not self._snapshot_dir.is_dir():
             return
         for path in sorted(self._snapshot_dir.glob("*.dcm")):
             try:
-                self.put(path.read_bytes())
+                key, _, entry = self._index(path.read_bytes())
             except DicomforgeError:
                 continue
+            with self._lock:
+                self._instances[key] = entry
 
     # -- lifecycle -----------------------------------------------------------
 

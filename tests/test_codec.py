@@ -39,7 +39,7 @@ from dicomforge.sr import (
 from dicomforge.sr import document as sr_document
 from dicomforge.tags import Tag
 from dicomforge.uid import EXPLICIT_VR_LITTLE_ENDIAN, IMPLICIT_VR_LITTLE_ENDIAN
-from dicomforge.valuerep import LONG_FORM_VRS, VR
+from dicomforge.valuerep import LONG_FORM_VRS, VR, float32_round_trip
 
 # (0010,0020) LO, length 4, "ID1 " -- hand-encoded explicit VR little endian
 PATIENT_ID_STREAM = bytes.fromhex("100020004C4F0400494431 20".replace(" ", ""))
@@ -227,6 +227,114 @@ class TestRoundTrip:
             return 1 + measure(items[0]) if items else 0
 
         assert measure(decoded) == depth
+
+
+# -- shared items -------------------------------------------------------------
+
+_LEAF_VALUES = {
+    "PatientID": text_values,
+    "CodeMeaning": text_values,
+    "Rows": st.integers(0, 0xFFFF),
+    "GraphicData": st.lists(st.floats(-1e6, 1e6, width=32), max_size=4),
+}
+_SEQUENCES = ["ReferencedSeriesSequence", "ContentSequence", "ConceptNameCodeSequence"]
+
+
+def shared_tree(data, pool: list, depth: int = 0) -> DataSet:
+    """A data set whose sequences may reuse any item object built before,
+    in the same sequence, another sequence or at another depth."""
+    ds = DataSet()
+    for keyword in data.draw(st.lists(st.sampled_from(sorted(_LEAF_VALUES)),
+                                      unique=True, max_size=3)):
+        ds.put(keyword, data.draw(_LEAF_VALUES[keyword]))
+    if depth < 3:
+        for keyword in data.draw(st.lists(st.sampled_from(_SEQUENCES),
+                                          unique=True, max_size=2)):
+            items = []
+            for _ in range(data.draw(st.integers(0, 4))):
+                if pool and data.draw(st.booleans()):
+                    items.append(pool[data.draw(st.integers(0, len(pool) - 1))])
+                else:
+                    items.append(shared_tree(data, pool, depth + 1))
+                    pool.append(items[-1])
+            ds.put(keyword, tuple(items))
+    return ds
+
+
+def unshared_copy(ds: DataSet) -> DataSet:
+    """An equal tree in which every item occurrence is its own object."""
+    out = DataSet()
+    for element in ds:
+        value = element.raw
+        if element.vr is VR.SQ:
+            value = tuple(unshared_copy(item) for item in value)
+        out.add(DataElement(element.tag, element.vr, value))
+    return out
+
+
+def item_occurrences(ds: DataSet) -> list[DataSet]:
+    out = []
+    for element in ds:
+        if element.vr is VR.SQ:
+            for item in element.values:
+                out.append(item)
+                out.extend(item_occurrences(item))
+    return out
+
+
+class TestSharedItems:
+    """The encoder writes a repeated item object once and copies its bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shared_items_encode_like_distinct_copies(self, data):
+        shared = shared_tree(data, [])
+        copy = unshared_copy(shared)
+        assert copy == shared
+        assert len({id(i) for i in item_occurrences(copy)}) == len(item_occurrences(copy))
+        blob = encode_dataset(shared)
+        assert blob == encode_dataset(copy)
+        assert decode_dataset(blob) == shared
+
+    def test_item_repeated_in_one_sequence_and_nested(self):
+        leaf = DataSet()
+        leaf.put("CodeMeaning", "odd")  # odd length: padding inside the copy
+        middle = DataSet()
+        middle.put("ConceptNameCodeSequence", (leaf, leaf))
+        root = DataSet()
+        root.put("ContentSequence", (middle, leaf, middle))
+        root.put("ReferencedSeriesSequence", (leaf,))
+        blob = encode_dataset(root)
+        assert blob == encode_dataset(unshared_copy(root))
+        assert blob.count(encode_dataset(leaf)) == 6
+
+
+def per_value_float32(value: float) -> float:
+    """FL quantization one value at a time, as before batching."""
+    return struct.unpack("<f", struct.pack("<f", float(value)))[0]
+
+
+_FL_EDGES = [float("inf"), float("-inf"), float("nan"), 0.0, -0.0, 1e-46,
+             3.4028234663852886e38, 3.4028235677973366e38, 3.4028236e38, -1e39]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(width=32), st.sampled_from(_FL_EDGES)),
+                max_size=12))
+def test_batched_fl_quantization_matches_per_value(values):
+    try:
+        expected = [per_value_float32(v) for v in values]
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(exc)):
+            float32_round_trip(tuple(values))
+        with pytest.raises(type(exc)):
+            DataElement(Tag(0x0070, 0x0022), VR.FL, values)
+        return
+    for got in (float32_round_trip(tuple(values)),
+                DataElement(Tag(0x0070, 0x0022), VR.FL, values).values):
+        assert len(got) == len(expected)
+        assert all(struct.pack("<d", a) == struct.pack("<d", b) or a != a and b != b
+                   for a, b in zip(got, expected))
 
 
 # -- golden bytes -------------------------------------------------------------

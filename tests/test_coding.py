@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dicomforge.coding import (
+    SCT,
+    UCUM,
     CodedConcept,
     concept_equals,
     concept_from_items,
@@ -139,3 +141,75 @@ class TestSerialization:
         ds.put("CodeMeaning", "Finding")
         with pytest.raises(MalformedCodeError):
             concept_from_items(ds)
+
+
+def _report(findings, long_site: CodedConcept):
+    """An SR with one planar group per finding, each at `long_site`; UIDs
+    fixed so two builds differ only where the code items do."""
+    from conftest import make_ct_source
+    from dicomforge.sr import (
+        NumItem, ObserverContext, Scoord3DItem, SRKind, SRMeta,
+        TrackingIdentifier, create_sr, measurement_report, planar_roi_group,
+    )
+
+    source = make_ct_source(study_uid="2.25.10", series_uid="2.25.20",
+                            sop_uid="2.25.30", frame_of_reference_uid="2.25.40")
+    square = [(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0), (0, 0, 0)]
+    groups = [
+        planar_roi_group(
+            TrackingIdentifier(f"2.25.{100 + i}", f"ROI {i}"),
+            Scoord3DItem(None, "POLYGON", square, "2.25.40"),
+            finding,
+            finding_sites=[long_site],
+            measurements=[NumItem(SCT.Area, 16.0, UCUM.mm2)],
+        )
+        for i, finding in enumerate(findings)
+    ]
+    observer = ObserverContext.device(name="detector", uid="2.25.50", version="1")
+    tree = measurement_report(observer, SCT.ImagingProcedure, groups)
+    meta = SRMeta(series_instance_uid="2.25.60", sop_instance_uid="2.25.61")
+    ds = create_sr(SRKind.COMPREHENSIVE_3D, [source], tree, meta)
+    ds.put("ContentDate", "20240102")
+    ds.put("ContentTime", "101500")
+    return ds
+
+
+class TestItemCache:
+    """concept_to_items builds one item per concept object, never per code."""
+
+    def test_same_object_returned_per_concept(self):
+        assert concept_to_items(SCT.Tumor) is concept_to_items(SCT.Tumor)
+        assert SCT.Tumor == SCT.Neoplasm
+        assert concept_to_items(SCT.Tumor) is not concept_to_items(SCT.Neoplasm)
+
+    def test_equal_concepts_keep_their_own_meaning_through_part10(self):
+        from dicomforge.part10 import file_meta_for, read_part10, write_part10
+        from dicomforge.sr import open_sr
+
+        long_site = CodedConcept("L" * 20, "99LOCAL", "long-coded site")
+        findings = [SCT.Tumor, SCT.Neoplasm, SCT.Tumor, SCT.Neoplasm]
+        ds = _report(findings, long_site)
+        _, back = read_part10(write_part10(file_meta_for(ds), ds))
+        groups = open_sr(back).measurement_groups()
+        assert [g.finding.meaning for g in groups] == ["Tumor", "Neoplasm"] * 2
+        for group in groups:
+            [site] = group.finding_sites
+            assert (site.value, site.meaning) == ("L" * 20, "long-coded site")
+        items = concept_to_items(long_site)
+        assert "CodeValue" not in items
+        assert items.value("LongCodeValue") == "L" * 20
+
+    def test_reports_built_back_to_back_encode_identically(self):
+        from dicomforge.part10 import file_meta_for, write_part10
+
+        long_site = CodedConcept("L" * 20, "99LOCAL", "long-coded site")
+        blobs = []
+        for _ in range(2):
+            ds = _report([SCT.Tumor, SCT.Neoplasm, SCT.Nodule], long_site)
+            blobs.append(write_part10(file_meta_for(ds), ds))
+        assert blobs[0] == blobs[1]
+        # the same bytes as a report whose code items are all freshly built
+        fresh = [CodedConcept(c.value, c.scheme, c.meaning)
+                 for c in (SCT.Tumor, SCT.Neoplasm, SCT.Nodule)]
+        ds = _report(fresh, CodedConcept("L" * 20, "99LOCAL", "long-coded site"))
+        assert write_part10(file_meta_for(ds), ds) == blobs[0]

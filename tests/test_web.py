@@ -1,4 +1,5 @@
 """DICOMweb loop tests against the in-repo stub archive."""
+import os
 import socket
 import threading
 
@@ -394,6 +395,27 @@ class TestLifecycle:
                 source.value("SOPInstanceUID"),
             )
             assert out == source
+
+    def test_restart_leaves_snapshot_files_untouched(self, tmp_path):
+        sources = make_ct_series(3)
+        with StubArchive(snapshot_dir=tmp_path) as server:
+            WebClient(server.base_url, timeout=10).store_instances(sources)
+        files = sorted(tmp_path.glob("*.dcm"))
+        assert len(files) == 3
+        for path in files:  # an old mtime, so a rewrite cannot keep it
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        before = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                  for p in files}
+        with StubArchive(snapshot_dir=tmp_path) as server:
+            assert len(server) == 3
+            for ds in sources:
+                sop = ds.value("SOPInstanceUID")
+                blob = server.get(ds.value("StudyInstanceUID"),
+                                  ds.value("SeriesInstanceUID"), sop)
+                assert blob == before[f"{sop}.dcm"][2]
+        after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                 for p in tmp_path.iterdir()}
+        assert after == before
 
     @pytest.mark.parametrize("field", ["study_uid", "series_uid", "sop_uid"])
     def test_crafted_uid_rejected_not_written_outside_snapshot(self, tmp_path, field):
