@@ -38,6 +38,10 @@ class CodedConcept:
     def __setattr__(self, name, _value):
         raise AttributeError("CodedConcept is immutable")
 
+    def __reduce__(self):
+        # copies and pickles are built afresh, without the cached item
+        return type(self), (self.value, self.scheme, self.meaning, self.version)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodedConcept):
             return NotImplemented

@@ -203,6 +203,14 @@ class DataSet:
 
     # -- construction -----------------------------------------------------
 
+    @classmethod
+    def of(cls, **attributes: Any) -> "DataSet":
+        """A data set holding the given attributes, keyed by keyword."""
+        ds = cls()
+        for keyword, value in attributes.items():
+            ds.put(keyword, value)
+        return ds
+
     def add(self, element: DataElement) -> None:
         self._elements[element.tag] = element
 

@@ -3,10 +3,17 @@
 Derived objects never ask the caller for patient/study context: it is
 copied verbatim from the source instances supplied as evidence, and the
 sources are recorded in reference sequences grouped by study and series.
+
+This module owns the SOP reference formats: :func:`sop_reference` builds
+every SOP reference item (SEG and SR references, STOW responses),
+:func:`reference_sequence` every study/series hierarchy (SR evidence and
+predecessors, the SEG root ReferencedSeriesSequence), and
+:func:`read_references` reads each hierarchy back.
 """
 from __future__ import annotations
 
 import datetime
+from typing import NamedTuple
 
 from .dataset import DataSet, copy_attributes
 from .errors import EvidenceError
@@ -27,6 +34,15 @@ PATIENT_STUDY_KEYS = (
     "SpecimenDescriptionSequence",
     "ContainerIdentifier",
 )
+
+
+class EvidenceReference(NamedTuple):
+    """(study, series, SOP class, SOP instance) UIDs of one instance."""
+
+    study_instance_uid: str
+    series_instance_uid: str
+    sop_class_uid: str
+    sop_instance_uid: str
 
 
 def check_evidence(evidence) -> list[DataSet]:
@@ -54,50 +70,67 @@ def copy_patient_study(source: DataSet, target: DataSet) -> None:
     copy_attributes(source, target, PATIENT_STUDY_KEYS)
 
 
-def group_by_series(evidence) -> dict[str, list[DataSet]]:
-    """Series UID -> instances, preserving first-seen series order."""
-    by_series: dict[str, list[DataSet]] = {}
-    for ds in evidence:
-        by_series.setdefault(ds.value("SeriesInstanceUID", ""), []).append(ds)
-    return by_series
+def instance_reference(ds: DataSet) -> EvidenceReference:
+    """The reference to the instance `ds`."""
+    return EvidenceReference(
+        ds.value("StudyInstanceUID"),
+        ds.value("SeriesInstanceUID", ""),
+        ds.value("SOPClassUID"),
+        ds.value("SOPInstanceUID"),
+    )
 
 
-def referenced_series_sequence(evidence) -> tuple[DataSet, ...]:
-    """Common-instance-reference style: per series, the instances used."""
-    items = []
-    for series_uid, instances in group_by_series(evidence).items():
-        refs = []
-        for ds in instances:
-            ref = DataSet()
-            ref.put("ReferencedSOPClassUID", ds.value("SOPClassUID"))
-            ref.put("ReferencedSOPInstanceUID", ds.value("SOPInstanceUID"))
-            refs.append(ref)
-        series_item = DataSet()
-        series_item.put("SeriesInstanceUID", series_uid)
-        series_item.put("ReferencedInstanceSequence", tuple(refs))
-        items.append(series_item)
-    return tuple(items)
+def sop_reference(sop_class_uid, sop_instance_uid, **attributes) -> DataSet:
+    """One SOP reference item, plus further attributes by keyword (frame or
+    segment numbers, a purpose of reference, a retrieve URL). Attributes
+    valued None, the UIDs included, are left out."""
+    attributes.update(ReferencedSOPClassUID=sop_class_uid,
+                      ReferencedSOPInstanceUID=sop_instance_uid)
+    return DataSet.of(**{k: v for k, v in attributes.items() if v is not None})
 
 
-def evidence_sequence(evidence) -> tuple[DataSet, ...]:
-    """Hierarchical evidence: one study item holding per-series references."""
-    study_uid = evidence[0].value("StudyInstanceUID")
-    series_items = []
-    for series_uid, instances in group_by_series(evidence).items():
-        refs = []
-        for ds in instances:
-            ref = DataSet()
-            ref.put("ReferencedSOPClassUID", ds.value("SOPClassUID"))
-            ref.put("ReferencedSOPInstanceUID", ds.value("SOPInstanceUID"))
-            refs.append(ref)
-        series_item = DataSet()
-        series_item.put("SeriesInstanceUID", series_uid)
-        series_item.put("ReferencedSOPSequence", tuple(refs))
-        series_items.append(series_item)
-    study_item = DataSet()
-    study_item.put("StudyInstanceUID", study_uid)
-    study_item.put("ReferencedSeriesSequence", tuple(series_items))
-    return (study_item,)
+def reference_sequence(references, sop_sequence: str = "ReferencedSOPSequence",
+                       by_study: bool = True) -> tuple[DataSet, ...]:
+    """Items of a study/series hierarchy over (study, series, SOP class, SOP
+    instance) references, grouped by study and series in first-seen order.
+
+    Each series item lists its SOP references under `sop_sequence`. With
+    `by_study` the items are study items (SR evidence and predecessors);
+    without, the series items alone (the SEG root ReferencedSeriesSequence).
+    """
+    tree: dict[str, dict[str, list[DataSet]]] = {}
+    for study, series, sop_class, sop_instance in references:
+        tree.setdefault(study, {}).setdefault(series, []).append(
+            sop_reference(sop_class, sop_instance))
+    studies = tuple(
+        DataSet.of(StudyInstanceUID=study, ReferencedSeriesSequence=tuple(
+            DataSet.of(SeriesInstanceUID=series, **{sop_sequence: tuple(refs)})
+            for series, refs in by_series.items()
+        ))
+        for study, by_series in tree.items()
+    )
+    if by_study:
+        return studies
+    return tuple(item for study in studies for item in study.items_of("ReferencedSeriesSequence"))
+
+
+def read_references(items, sop_sequence: str = "ReferencedSOPSequence",
+                    by_study: bool = True) -> tuple[EvidenceReference, ...]:
+    """Inverse of :func:`reference_sequence`, in document order. Absent UIDs
+    read as ""; so does the study without `by_study`."""
+    if not by_study:
+        items = (DataSet.of(ReferencedSeriesSequence=tuple(items)),)
+    return tuple(
+        EvidenceReference(
+            study.value("StudyInstanceUID", ""),
+            series.value("SeriesInstanceUID", ""),
+            sop.value("ReferencedSOPClassUID", ""),
+            sop.value("ReferencedSOPInstanceUID", ""),
+        )
+        for study in items
+        for series in study.items_of("ReferencedSeriesSequence")
+        for sop in series.items_of(sop_sequence)
+    )
 
 
 def content_timestamp(target: DataSet) -> None:

@@ -18,13 +18,19 @@ copy of the masks is made; only the kept frames are copied, once, as one
 stored value per pixel before packing. On read, frames are unpacked on
 demand, one at a time: a binary frame is sliced from the pixel data by its
 bit offset, which need not fall on a byte boundary.
+
+Each functional group has one owner that writes and reads it: a
+:class:`FrameRecord` writes and parses its per-frame group, each
+plane-position class its own position item (:func:`plane_position` reads
+either kind), and :func:`shared_geometry` reads the shared group of a SEG
+or a source. SOP references go through :mod:`dicomforge.derived`.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -34,7 +40,10 @@ from .derived import (
     check_evidence,
     content_timestamp,
     copy_patient_study,
-    referenced_series_sequence,
+    instance_reference,
+    read_references,
+    reference_sequence,
+    sop_reference,
 )
 from .errors import (
     GeometryMismatchError,
@@ -47,6 +56,7 @@ from .errors import (
 )
 from .spatial import PlaneGeometry
 from .sr.items import AlgorithmIdentification, TrackingIdentifier
+from .tags import KEYWORD_TO_TAG
 from .uid import SEGMENTATION_STORAGE, new_uid
 
 
@@ -125,16 +135,32 @@ class SegmentDescription:
 class PlanePositionPatient:
     """Patient-frame position of a frame's top-left pixel center (DS strings)."""
 
+    # the per-frame functional group holding the position, and the attribute
+    # that indexes frames by position in the dimension organization
+    sequence: ClassVar[str] = "PlanePositionSequence"
+    index_pointer: ClassVar[str] = "ImagePositionPatient"
+
     coordinates: tuple[str, str, str]
 
     @property
     def xyz(self) -> tuple[float, float, float]:
         return tuple(float(c) for c in self.coordinates)
 
+    def to_item(self) -> DataSet:
+        return DataSet.of(ImagePositionPatient=list(self.coordinates))
+
+    @classmethod
+    def from_item(cls, item: DataSet) -> "PlanePositionPatient":
+        coords = item.values("ImagePositionPatient")
+        return cls(tuple(coords) if len(coords) == 3 else ("0", "0", "0"))
+
 
 @dataclass(frozen=True)
 class PlanePositionSlide:
     """Slide-frame position: mm offsets plus total-pixel-matrix indices."""
+
+    sequence: ClassVar[str] = "PlanePositionSlideSequence"
+    index_pointer: ClassVar[str] = "XOffsetInSlideCoordinateSystem"
 
     coordinates: tuple[str, str, str]
     matrix_row: int
@@ -144,10 +170,60 @@ class PlanePositionSlide:
     def xyz(self) -> tuple[float, float, float]:
         return tuple(float(c) for c in self.coordinates)
 
+    def to_item(self) -> DataSet:
+        x, y, z = self.coordinates
+        return DataSet.of(
+            XOffsetInSlideCoordinateSystem=x,
+            YOffsetInSlideCoordinateSystem=y,
+            ZOffsetInSlideCoordinateSystem=z,
+            RowPositionInTotalImagePixelMatrix=self.matrix_row,
+            ColumnPositionInTotalImagePixelMatrix=self.matrix_column,
+        )
+
+    @classmethod
+    def from_item(cls, item: DataSet) -> "PlanePositionSlide":
+        return cls(
+            coordinates=(
+                item.value("XOffsetInSlideCoordinateSystem", "0"),
+                item.value("YOffsetInSlideCoordinateSystem", "0"),
+                item.value("ZOffsetInSlideCoordinateSystem", "0"),
+            ),
+            matrix_row=int(item.value("RowPositionInTotalImagePixelMatrix", 1)),
+            matrix_column=int(item.value("ColumnPositionInTotalImagePixelMatrix", 1)),
+        )
+
+
+def plane_position(group: DataSet) -> PlanePositionPatient | PlanePositionSlide:
+    """The plane position in a per-frame functional group, of either kind;
+    a group with neither reads as the patient-frame origin."""
+    for kind in (PlanePositionSlide, PlanePositionPatient):
+        items = group.items_of(kind.sequence)
+        if items:
+            return kind.from_item(items[0])
+    return PlanePositionPatient(("0", "0", "0"))
+
+
+def shared_geometry(ds: DataSet) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(orientation, pixel spacing) DS strings from the shared functional
+    group; without a plane orientation there, the root ImageOrientationSlide
+    (slide-based images)."""
+    shared = ds.items_of("SharedFunctionalGroupsSequence")
+    group = shared[0] if shared else DataSet()
+    measures = group.items_of("PixelMeasuresSequence")
+    plane = group.items_of("PlaneOrientationSequence")
+    spacing = measures[0].values("PixelSpacing") if measures else ()
+    orientation = plane[0].values("ImageOrientationPatient") if plane else ()
+    return orientation or ds.values("ImageOrientationSlide"), spacing
+
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """Bookkeeping for one emitted SEG frame."""
+    """One frame of a source image or of a SEG.
+
+    A SEG frame records its segment and the source frame it was derived
+    from; a source frame, not yet assigned a segment, has segment number 0.
+    `index` counts from 0 within the image.
+    """
 
     index: int
     segment_number: int
@@ -155,6 +231,52 @@ class FrameRecord:
     source_sop_instance_uid: str
     source_frame_number: int
     position: PlanePositionPatient | PlanePositionSlide
+
+    def to_group(self, frame_number: bool) -> DataSet:
+        """This SEG frame's per-frame functional group; `frame_number`
+        references the source frame by number (multi-frame sources)."""
+        source = sop_reference(
+            self.source_sop_class_uid,
+            self.source_sop_instance_uid,
+            ReferencedFrameNumber=self.source_frame_number if frame_number else None,
+            PurposeOfReferenceCodeSequence=(
+                concept_to_items(DCM.SourceImageForImageProcessingOperation),
+            ),
+        )
+        group = DataSet.of(
+            FrameContentSequence=(DataSet.of(
+                DimensionIndexValues=[self.segment_number, self.source_frame_number]
+            ),),
+            SegmentIdentificationSequence=(
+                DataSet.of(ReferencedSegmentNumber=self.segment_number),
+            ),
+            DerivationImageSequence=(DataSet.of(
+                SourceImageSequence=(source,),
+                DerivationCodeSequence=(concept_to_items(DCM.Segmentation),),
+            ),),
+        )
+        group.put(self.position.sequence, (self.position.to_item(),))
+        return group
+
+    @classmethod
+    def from_group(cls, index: int, group: DataSet) -> "FrameRecord":
+        """Inverse of :meth:`to_group`; a frame without a segment number
+        raises MalformedSegError."""
+        ident = group.items_of("SegmentIdentificationSequence")
+        segment = ident[0].value("ReferencedSegmentNumber") if ident else None
+        if segment is None:
+            raise MalformedSegError(f"frame {index + 1} lacks a segment identification")
+        derivation = group.items_of("DerivationImageSequence")
+        sources = derivation[0].items_of("SourceImageSequence") if derivation else ()
+        source = sources[0] if sources else DataSet()
+        return cls(
+            index=index,
+            segment_number=int(segment),
+            source_sop_class_uid=source.value("ReferencedSOPClassUID", ""),
+            source_sop_instance_uid=source.value("ReferencedSOPInstanceUID", ""),
+            source_frame_number=int(source.value("ReferencedFrameNumber", 1)),
+            position=plane_position(group),
+        )
 
 
 # -- bit packing --------------------------------------------------------------
@@ -189,29 +311,8 @@ def quantize_fraction(values: np.ndarray, max_value: int) -> np.ndarray:
 # -- source-frame resolution ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SourceFrame:
-    sop_class_uid: str
-    sop_instance_uid: str
-    frame_number: int
-    position: PlanePositionPatient | PlanePositionSlide
-
-
-def _slide_position(item: DataSet) -> PlanePositionSlide:
-    pos = item.items_of("PlanePositionSlideSequence")[0]
-    return PlanePositionSlide(
-        coordinates=(
-            pos.value("XOffsetInSlideCoordinateSystem", "0"),
-            pos.value("YOffsetInSlideCoordinateSystem", "0"),
-            pos.value("ZOffsetInSlideCoordinateSystem", "0"),
-        ),
-        matrix_row=int(pos.value("RowPositionInTotalImagePixelMatrix", 1)),
-        matrix_column=int(pos.value("ColumnPositionInTotalImagePixelMatrix", 1)),
-    )
-
-
 def _resolve_sources(sources: Sequence[DataSet]):
-    """Flatten sources into per-frame descriptors plus shared geometry.
+    """Flatten sources into source-frame records plus shared geometry.
 
     Sources must agree on shape, orientation, and pixel spacing; mismatched
     geometry is rejected rather than resampled.
@@ -220,58 +321,57 @@ def _resolve_sources(sources: Sequence[DataSet]):
     rows = first.value("Rows")
     cols = first.value("Columns")
     slide_based = first.value("Modality") == "SM"
-    frames: list[_SourceFrame] = []
 
     if slide_based:
         if len(sources) != 1:
             raise GeometryMismatchError(
                 "slide-based segmentation expects a single multi-frame source"
             )
-        orientation = first.values("ImageOrientationSlide")
-        shared = first.items_of("SharedFunctionalGroupsSequence")
-        spacing = ()
-        if shared:
-            measures = shared[0].items_of("PixelMeasuresSequence")
-            if measures:
-                spacing = measures[0].values("PixelSpacing")
+        orientation, spacing = shared_geometry(first)
         per_frame = first.items_of("PerFrameFunctionalGroupsSequence")
         if not per_frame:
             raise GeometryMismatchError(
                 "slide-based source lacks per-frame plane positions"
             )
-        for i, item in enumerate(per_frame):
-            frames.append(_SourceFrame(
-                sop_class_uid=first.value("SOPClassUID"),
-                sop_instance_uid=first.value("SOPInstanceUID"),
-                frame_number=i + 1,
-                position=_slide_position(item),
-            ))
-        return frames, rows, cols, orientation, spacing, True
-
-    orientation = first.values("ImageOrientationPatient")
-    spacing = first.values("PixelSpacing")
-    for ds in sources:
-        if int(ds.value("NumberOfFrames", 1)) != 1:
-            raise GeometryMismatchError(
-                "multi-frame patient sources are not supported; pass the "
-                "frames as individual instances"
-            )
-        if (ds.value("Rows"), ds.value("Columns")) != (rows, cols):
-            raise GeometryMismatchError("sources disagree on Rows/Columns")
-        if ds.values("ImageOrientationPatient") != orientation:
-            raise GeometryMismatchError("sources disagree on orientation")
-        if ds.values("PixelSpacing") != spacing:
-            raise GeometryMismatchError("sources disagree on pixel spacing")
-        coords = ds.values("ImagePositionPatient")
-        if len(coords) != 3:
-            raise GeometryMismatchError("source lacks ImagePositionPatient")
-        frames.append(_SourceFrame(
-            sop_class_uid=ds.value("SOPClassUID"),
-            sop_instance_uid=ds.value("SOPInstanceUID"),
-            frame_number=1,
-            position=PlanePositionPatient(coordinates=tuple(coords)),
-        ))
-    return frames, rows, cols, orientation, spacing, False
+        positions = [plane_position(item) for item in per_frame]
+        for number, position in enumerate(positions, start=1):
+            if not isinstance(position, PlanePositionSlide):
+                raise MalformedSegError(
+                    f"slide-based source frame {number} lacks PlanePositionSlideSequence"
+                )
+        sources = [first] * len(per_frame)
+    else:
+        orientation = first.values("ImageOrientationPatient")
+        spacing = first.values("PixelSpacing")
+        positions = []
+        for ds in sources:
+            if int(ds.value("NumberOfFrames", 1)) != 1:
+                raise GeometryMismatchError(
+                    "multi-frame patient sources are not supported; pass the "
+                    "frames as individual instances"
+                )
+            if (ds.value("Rows"), ds.value("Columns")) != (rows, cols):
+                raise GeometryMismatchError("sources disagree on Rows/Columns")
+            if ds.values("ImageOrientationPatient") != orientation:
+                raise GeometryMismatchError("sources disagree on orientation")
+            if ds.values("PixelSpacing") != spacing:
+                raise GeometryMismatchError("sources disagree on pixel spacing")
+            coords = ds.values("ImagePositionPatient")
+            if len(coords) != 3:
+                raise GeometryMismatchError("source lacks ImagePositionPatient")
+            positions.append(PlanePositionPatient(coordinates=tuple(coords)))
+    frames = [
+        FrameRecord(
+            index=i,
+            segment_number=0,
+            source_sop_class_uid=ds.value("SOPClassUID"),
+            source_sop_instance_uid=ds.value("SOPInstanceUID"),
+            source_frame_number=i + 1 if slide_based else 1,
+            position=position,
+        )
+        for i, (ds, position) in enumerate(zip(sources, positions))
+    ]
+    return frames, rows, cols, orientation, spacing, slide_based
 
 
 def _mask_stacks(masks, n_segments: int, n_frames: int, rows, cols,
@@ -366,19 +466,12 @@ def create_seg(
     records: list[FrameRecord] = []
     for description, stack, frame_numbers in zip(descriptions, stacks, kept):
         for f in frame_numbers:
-            source = source_frames[f]
             stored[len(records)] = (
                 stack[f] if seg_type.is_binary
                 else quantize_fraction(stack[f], seg_type.max_fractional_value)
             )
-            records.append(FrameRecord(
-                index=len(records),
-                segment_number=description.number,
-                source_sop_class_uid=source.sop_class_uid,
-                source_sop_instance_uid=source.sop_instance_uid,
-                source_frame_number=source.frame_number,
-                position=source.position,
-            ))
+            records.append(replace(source_frames[f], index=len(records),
+                                   segment_number=description.number))
 
     if seg_type.is_binary:
         pixel_data = pack_bits(stored)
@@ -451,90 +544,38 @@ def create_seg(
     ds.put("SegmentSequence", tuple(segment_items))
 
     organization_uid = new_uid()
-    organization = DataSet()
-    organization.put("DimensionOrganizationUID", organization_uid)
-    ds.put("DimensionOrganizationSequence", (organization,))
-    index_items = []
-    for pointer, group in (
-        ("ReferencedSegmentNumber", "SegmentIdentificationSequence"),
-        (
-            "XOffsetInSlideCoordinateSystem" if slide_based else "ImagePositionPatient",
-            "PlanePositionSlideSequence" if slide_based else "PlanePositionSequence",
-        ),
-    ):
-        index = DataSet()
-        index.put("DimensionOrganizationUID", organization_uid)
-        index.put("DimensionIndexPointer", [_tag_of(pointer)])
-        index.put("FunctionalGroupPointer", [_tag_of(group)])
-        index_items.append(index)
-    ds.put("DimensionIndexSequence", tuple(index_items))
+    ds.put("DimensionOrganizationSequence",
+           (DataSet.of(DimensionOrganizationUID=organization_uid),))
+    position = type(source_frames[0].position)
+    ds.put("DimensionIndexSequence", tuple(
+        DataSet.of(
+            DimensionOrganizationUID=organization_uid,
+            DimensionIndexPointer=[KEYWORD_TO_TAG[pointer]],
+            FunctionalGroupPointer=[KEYWORD_TO_TAG[group]],
+        )
+        for pointer, group in (
+            ("ReferencedSegmentNumber", "SegmentIdentificationSequence"),
+            (position.index_pointer, position.sequence),
+        )
+    ))
 
     shared = DataSet()
-    measures = DataSet()
     if spacing:
-        measures.put("PixelSpacing", list(spacing))
-        shared.put("PixelMeasuresSequence", (measures,))
-    if slide_based:
-        if orientation:
-            ds.put("ImageOrientationSlide", list(orientation))
-    else:
-        plane_orientation = DataSet()
-        plane_orientation.put("ImageOrientationPatient", list(orientation))
-        shared.put("PlaneOrientationSequence", (plane_orientation,))
+        shared.put("PixelMeasuresSequence", (DataSet.of(PixelSpacing=list(spacing)),))
+    if not slide_based:
+        shared.put("PlaneOrientationSequence",
+                   (DataSet.of(ImageOrientationPatient=list(orientation)),))
+    elif orientation:
+        ds.put("ImageOrientationSlide", list(orientation))
     ds.put("SharedFunctionalGroupsSequence", (shared,))
 
-    per_frame_items = []
-    for record in records:
-        item = DataSet()
-        frame_content = DataSet()
-        frame_content.put(
-            "DimensionIndexValues",
-            [record.segment_number, record.source_frame_number],
-        )
-        item.put("FrameContentSequence", (frame_content,))
-        if isinstance(record.position, PlanePositionSlide):
-            pos = DataSet()
-            pos.put("XOffsetInSlideCoordinateSystem", record.position.coordinates[0])
-            pos.put("YOffsetInSlideCoordinateSystem", record.position.coordinates[1])
-            pos.put("ZOffsetInSlideCoordinateSystem", record.position.coordinates[2])
-            pos.put("RowPositionInTotalImagePixelMatrix", record.position.matrix_row)
-            pos.put("ColumnPositionInTotalImagePixelMatrix",
-                    record.position.matrix_column)
-            item.put("PlanePositionSlideSequence", (pos,))
-        else:
-            pos = DataSet()
-            pos.put("ImagePositionPatient", list(record.position.coordinates))
-            item.put("PlanePositionSequence", (pos,))
-        ident = DataSet()
-        ident.put("ReferencedSegmentNumber", record.segment_number)
-        item.put("SegmentIdentificationSequence", (ident,))
-        source_ref = DataSet()
-        source_ref.put("ReferencedSOPClassUID", record.source_sop_class_uid)
-        source_ref.put("ReferencedSOPInstanceUID", record.source_sop_instance_uid)
-        if slide_based:
-            source_ref.put("ReferencedFrameNumber", record.source_frame_number)
-        source_ref.put(
-            "PurposeOfReferenceCodeSequence",
-            (concept_to_items(DCM.SourceImageForImageProcessingOperation),),
-        )
-        derivation = DataSet()
-        derivation.put("SourceImageSequence", (source_ref,))
-        derivation.put(
-            "DerivationCodeSequence", (concept_to_items(DCM.Segmentation),)
-        )
-        item.put("DerivationImageSequence", (derivation,))
-        per_frame_items.append(item)
-    ds.put("PerFrameFunctionalGroupsSequence", tuple(per_frame_items))
-
-    ds.put("ReferencedSeriesSequence", referenced_series_sequence(sources))
+    ds.put("PerFrameFunctionalGroupsSequence",
+           tuple(record.to_group(slide_based) for record in records))
+    ds.put("ReferencedSeriesSequence", reference_sequence(
+        map(instance_reference, sources), "ReferencedInstanceSequence", by_study=False
+    ))
     ds.put("PixelData", pixel_data)
     return ds
-
-
-def _tag_of(keyword: str):
-    from .tags import KEYWORD_TO_TAG
-
-    return KEYWORD_TO_TAG[keyword]
 
 
 # -- parsing -------------------------------------------------------------------
@@ -554,17 +595,23 @@ class Segmentation:
         self.number_of_frames = int(dataset.value("NumberOfFrames", 0))
         self.sop_instance_uid = dataset.value("SOPInstanceUID", "")
         kind = dataset.value("SegmentationType", "")
-        if kind == "BINARY":
-            self.seg_type = SegmentationType.binary()
-        elif kind == "FRACTIONAL":
-            self.seg_type = SegmentationType.fractional(
-                dataset.value("SegmentationFractionalType", "PROBABILITY"),
-                int(dataset.value("MaximumFractionalValue", 255)),
-            )
-        else:
+        if kind not in ("BINARY", "FRACTIONAL"):
             raise MalformedSegError(f"unknown segmentation type {kind!r}")
-        self.descriptions = self._parse_descriptions(dataset)
-        self.frames = self._parse_frames(dataset)
+        try:  # unknown enumerated values and invalid UIDs
+            self.seg_type = (
+                SegmentationType.binary() if kind == "BINARY"
+                else SegmentationType.fractional(
+                    dataset.value("SegmentationFractionalType", "PROBABILITY"),
+                    int(dataset.value("MaximumFractionalValue", 255)),
+                )
+            )
+            self.descriptions = self._parse_descriptions(dataset)
+        except ValueError as exc:
+            raise MalformedSegError(f"malformed segmentation: {exc}") from exc
+        self.frames = tuple(
+            FrameRecord.from_group(i, group)
+            for i, group in enumerate(dataset.items_of("PerFrameFunctionalGroupsSequence"))
+        )
         if len(self.frames) != self.number_of_frames:
             raise MalformedSegError(
                 f"per-frame groups ({len(self.frames)}) disagree with "
@@ -577,17 +624,21 @@ class Segmentation:
             (r.segment_number, r.source_sop_instance_uid, r.source_frame_number): r
             for r in self.frames
         }
-        self._referenced_instances = {
-            ref.value("ReferencedSOPInstanceUID")
-            for series in dataset.items_of("ReferencedSeriesSequence")
-            for ref in series.items_of("ReferencedInstanceSequence")
-        }
+        self._source_uids = [
+            ref.sop_instance_uid for ref in read_references(
+                dataset.items_of("ReferencedSeriesSequence"),
+                "ReferencedInstanceSequence", by_study=False,
+            )
+        ]
+        self._referenced_instances = set(self._source_uids)
 
     @staticmethod
     def _parse_descriptions(dataset: DataSet) -> tuple[SegmentDescription, ...]:
         out = []
-        for item in dataset.items_of("SegmentSequence"):
-            algorithm_type = AlgorithmType(item.value("SegmentAlgorithmType", "MANUAL"))
+        for i, item in enumerate(dataset.items_of("SegmentSequence")):
+            number = item.value("SegmentNumber")
+            if number is None:
+                raise MalformedSegError(f"segment item {i + 1} lacks a SegmentNumber")
             algorithm = None
             if item.value("SegmentAlgorithmName"):
                 algorithm = AlgorithmIdentification(
@@ -603,56 +654,18 @@ class Segmentation:
             type_items = item.items_of("SegmentedPropertyTypeCodeSequence")
             site_items = item.items_of("AnatomicRegionSequence")
             out.append(SegmentDescription(
-                number=int(item.value("SegmentNumber")),
+                number=int(number),
                 label=item.value("SegmentLabel", ""),
                 category=concept_from_items(category_items[0]) if category_items
                 else CodedConcept("unknown", "99UNKNOWN", "unknown"),
                 property_type=concept_from_items(type_items[0]) if type_items
                 else CodedConcept("unknown", "99UNKNOWN", "unknown"),
-                algorithm_type=algorithm_type,
+                algorithm_type=item.value("SegmentAlgorithmType", "MANUAL"),
                 algorithm=algorithm,
                 anatomic_site=concept_from_items(site_items[0]) if site_items else None,
                 tracking=tracking,
             ))
         return tuple(out)
-
-    @staticmethod
-    def _parse_frames(dataset: DataSet) -> tuple[FrameRecord, ...]:
-        records = []
-        for i, item in enumerate(dataset.items_of("PerFrameFunctionalGroupsSequence")):
-            ident_items = item.items_of("SegmentIdentificationSequence")
-            if not ident_items:
-                raise MalformedSegError(f"frame {i + 1} lacks a segment identification")
-            segment = int(ident_items[0].value("ReferencedSegmentNumber"))
-            sop_class = ""
-            sop_instance = ""
-            frame_number = 1
-            derivation = item.items_of("DerivationImageSequence")
-            if derivation:
-                source_items = derivation[0].items_of("SourceImageSequence")
-                if source_items:
-                    sop_class = source_items[0].value("ReferencedSOPClassUID", "")
-                    sop_instance = source_items[0].value("ReferencedSOPInstanceUID", "")
-                    frame_number = int(source_items[0].value("ReferencedFrameNumber", 1))
-            if item.items_of("PlanePositionSlideSequence"):
-                position = _slide_position(item)
-            else:
-                pos_items = item.items_of("PlanePositionSequence")
-                coords = (
-                    pos_items[0].values("ImagePositionPatient") if pos_items else ()
-                )
-                position = PlanePositionPatient(
-                    coordinates=tuple(coords) if len(coords) == 3 else ("0", "0", "0")
-                )
-            records.append(FrameRecord(
-                index=i,
-                segment_number=segment,
-                source_sop_class_uid=sop_class,
-                source_sop_instance_uid=sop_instance,
-                source_frame_number=frame_number,
-                position=position,
-            ))
-        return tuple(records)
 
     def _check_pixel_length(self) -> None:
         actual = len(self._pixel_data)
@@ -781,36 +794,18 @@ class Segmentation:
         Single-frame sources appear in root reference order with frame 1;
         a multi-frame source expands to frames 1..max frame referenced.
         """
-        ordered_uids = [
-            ref.value("ReferencedSOPInstanceUID")
-            for series in self.dataset.items_of("ReferencedSeriesSequence")
-            for ref in series.items_of("ReferencedInstanceSequence")
-        ]
         max_frame = max((r.source_frame_number for r in self.frames), default=1)
-        if len(ordered_uids) == 1 and max_frame > 1:
-            return [(ordered_uids[0], n) for n in range(1, max_frame + 1)]
-        return [(uid, 1) for uid in ordered_uids]
+        if len(self._source_uids) == 1 and max_frame > 1:
+            return [(self._source_uids[0], n) for n in range(1, max_frame + 1)]
+        return [(uid, 1) for uid in self._source_uids]
 
     def plane_geometry(self, record: FrameRecord) -> PlaneGeometry:
         """Plane geometry of one frame (for pixel <-> mm conversion)."""
-        shared = self.dataset.items_of("SharedFunctionalGroupsSequence")
-        spacing = ()
-        orientation = ()
-        if shared:
-            measures = shared[0].items_of("PixelMeasuresSequence")
-            if measures:
-                spacing = measures[0].floats("PixelSpacing")
-            plane = shared[0].items_of("PlaneOrientationSequence")
-            if plane:
-                orientation = plane[0].floats("ImageOrientationPatient")
-        if not orientation:
-            orientation = self.dataset.floats("ImageOrientationSlide")
+        orientation, spacing = shared_geometry(self.dataset)
         if len(orientation) != 6 or len(spacing) != 2:
             raise MalformedSegError("segmentation lacks orientation/spacing")
         return PlaneGeometry(
-            position=record.position.xyz,
-            orientation=tuple(orientation),
-            spacing=tuple(spacing),
+            position=record.position.xyz, orientation=orientation, spacing=spacing
         )
 
 

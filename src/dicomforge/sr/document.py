@@ -16,10 +16,13 @@ import numpy as np
 from ..coding import DCM, SCT, CodedConcept, concept_from_items
 from ..dataset import DataSet
 from ..derived import (
+    EvidenceReference,
     check_evidence,
     content_timestamp,
     copy_patient_study,
-    evidence_sequence,
+    instance_reference,
+    read_references,
+    reference_sequence,
 )
 from ..errors import (
     EvidenceError,
@@ -89,13 +92,6 @@ class DocumentReference(NamedTuple):
     sop_instance_uid: str
 
 
-class EvidenceReference(NamedTuple):
-    study_instance_uid: str
-    series_instance_uid: str
-    sop_class_uid: str
-    sop_instance_uid: str
-
-
 @dataclass(frozen=True)
 class SRMeta:
     """Series/instance identity and document flags for a created SR.
@@ -138,14 +134,6 @@ def _forbid_3d(tree: ContentItem) -> None:
             )
 
 
-def _referenced_instance_uids(tree: ContentItem) -> set[str]:
-    uids = set()
-    for item in tree.iter():
-        if isinstance(item, ImageItem):
-            uids.add(item.sop_instance_uid)
-    return uids
-
-
 def create_sr(
     kind: SRKind,
     evidence: Sequence[DataSet],
@@ -167,8 +155,10 @@ def create_sr(
     if kind is SRKind.COMPREHENSIVE:
         _forbid_3d(tree)
 
-    evidence_uids = {ds.value("SOPInstanceUID") for ds in evidence}
-    missing = _referenced_instance_uids(tree) - evidence_uids
+    missing = (
+        {item.sop_instance_uid for item in tree.iter() if isinstance(item, ImageItem)}
+        - {ds.value("SOPInstanceUID") for ds in evidence}
+    )
     if missing:
         raise EvidenceError(
             "tree references instances absent from evidence: "
@@ -202,20 +192,13 @@ def create_sr(
         )
         ds.put("VerifyingObserverSequence", (observer,))
     if meta.predecessors:
-        items = []
-        for ref in meta.predecessors:
-            sop = DataSet()
-            sop.put("ReferencedSOPClassUID", kind.sop_class_uid)
-            sop.put("ReferencedSOPInstanceUID", ref.sop_instance_uid)
-            series = DataSet()
-            series.put("SeriesInstanceUID", ref.series_instance_uid)
-            series.put("ReferencedSOPSequence", (sop,))
-            study = DataSet()
-            study.put("StudyInstanceUID", ref.study_instance_uid)
-            study.put("ReferencedSeriesSequence", (series,))
-            items.append(study)
-        ds.put("PredecessorDocumentsSequence", tuple(items))
-    ds.put("CurrentRequestedProcedureEvidenceSequence", evidence_sequence(evidence))
+        # one study item per predecessor, even when studies repeat
+        ds.put("PredecessorDocumentsSequence", tuple(
+            item for study, series, sop in meta.predecessors
+            for item in reference_sequence([(study, series, kind.sop_class_uid, sop)])
+        ))
+    ds.put("CurrentRequestedProcedureEvidenceSequence",
+           reference_sequence(map(instance_reference, evidence)))
 
     root = item_to_dataset(tree)
     for element in root:
@@ -412,35 +395,14 @@ class StructuredReport:
         )
         self.sop_instance_uid = dataset.value("SOPInstanceUID", "")
         self.series_instance_uid = dataset.value("SeriesInstanceUID", "")
-        self.predecessors = self._parse_predecessors(dataset)
-        self.evidence = self._parse_evidence(dataset)
-
-    @staticmethod
-    def _parse_predecessors(dataset: DataSet) -> tuple[DocumentReference, ...]:
-        out = []
-        for study in dataset.items_of("PredecessorDocumentsSequence"):
-            for series in study.items_of("ReferencedSeriesSequence"):
-                for sop in series.items_of("ReferencedSOPSequence"):
-                    out.append(DocumentReference(
-                        study.value("StudyInstanceUID", ""),
-                        series.value("SeriesInstanceUID", ""),
-                        sop.value("ReferencedSOPInstanceUID", ""),
-                    ))
-        return tuple(out)
-
-    @staticmethod
-    def _parse_evidence(dataset: DataSet) -> tuple[EvidenceReference, ...]:
-        out = []
-        for study in dataset.items_of("CurrentRequestedProcedureEvidenceSequence"):
-            for series in study.items_of("ReferencedSeriesSequence"):
-                for sop in series.items_of("ReferencedSOPSequence"):
-                    out.append(EvidenceReference(
-                        study.value("StudyInstanceUID", ""),
-                        series.value("SeriesInstanceUID", ""),
-                        sop.value("ReferencedSOPClassUID", ""),
-                        sop.value("ReferencedSOPInstanceUID", ""),
-                    ))
-        return tuple(out)
+        self.predecessors = tuple(
+            DocumentReference(ref.study_instance_uid, ref.series_instance_uid,
+                              ref.sop_instance_uid)
+            for ref in read_references(dataset.items_of("PredecessorDocumentsSequence"))
+        )
+        self.evidence = read_references(
+            dataset.items_of("CurrentRequestedProcedureEvidenceSequence")
+        )
 
     def measurement_groups(
         self,

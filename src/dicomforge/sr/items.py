@@ -18,8 +18,9 @@ import numpy as np
 
 from ..coding import CodedConcept, concept_from_items, concept_to_items
 from ..dataset import DataElement, DataSet
-from ..errors import InvalidGraphicError, InvalidUnitError
-from ..tags import KEYWORD_TO_TAG_VR, TAGS
+from ..derived import sop_reference
+from ..errors import InvalidGraphicError, InvalidUnitError, MissingContentError
+from ..tags import KEYWORD_TO_TAG_VR, TAGS, keyword_of
 from ..uid import is_valid_uid, new_uid
 from ..valuerep import format_ds, is_valid_ds
 
@@ -622,20 +623,13 @@ def item_to_dataset(item: ContentItem) -> DataSet:
         ds.put("PersonName", item.value)
     elif isinstance(item, DateTimeItem):
         ds.put("DateTime", item.value)
-    elif isinstance(item, ImageItem):
-        ref = DataSet()
-        ref.put("ReferencedSOPClassUID", item.sop_class_uid)
-        ref.put("ReferencedSOPInstanceUID", item.sop_instance_uid)
-        if item.segment_number is not None:
-            ref.put("ReferencedSegmentNumber", item.segment_number)
-        if item.frame_numbers is not None:
-            ref.put("ReferencedFrameNumber", list(item.frame_numbers))
-        ds.put("ReferencedSOPSequence", (ref,))
-    elif isinstance(item, CompositeItem):
-        ref = DataSet()
-        ref.put("ReferencedSOPClassUID", item.sop_class_uid)
-        ref.put("ReferencedSOPInstanceUID", item.sop_instance_uid)
-        ds.put("ReferencedSOPSequence", (ref,))
+    elif isinstance(item, _ReferenceItem):
+        ds.put("ReferencedSOPSequence", (sop_reference(
+            item.sop_class_uid,
+            item.sop_instance_uid,
+            ReferencedSegmentNumber=getattr(item, "segment_number", None),
+            ReferencedFrameNumber=getattr(item, "frame_numbers", None),
+        ),))
     elif isinstance(item, ScoordItem):
         ds.put("GraphicData", item.points.ravel().tolist())
         ds.add(_GRAPHIC_TYPE_ELEMENTS[item.graphic_type])
@@ -650,8 +644,17 @@ def item_to_dataset(item: ContentItem) -> DataSet:
     return ds
 
 
+def _first_item(ds: DataSet, tag, value_type: ValueType) -> DataSet:
+    """First item of a sequence that a `value_type` item must carry."""
+    items = ds.items_of(tag)
+    if not items:
+        raise MissingContentError(f"{value_type.value} item lacks {keyword_of(tag)}")
+    return items[0]
+
+
 def item_from_dataset(ds: DataSet) -> ContentItem:
-    """Inverse of :func:`item_to_dataset` (tolerant of extra attributes)."""
+    """Inverse of :func:`item_to_dataset` (tolerant of extra attributes);
+    a sequence the value type requires, when absent, raises MissingContentError."""
     value_type = _member(ValueType, ds.value(TAGS.ValueType))
     relationship = ds.value(TAGS.RelationshipType)
     name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
@@ -670,11 +673,13 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
             template_id=template_id,
         )
     if value_type is ValueType.CODE:
-        value = concept_from_items(ds.items_of(TAGS.ConceptCodeSequence)[0])
+        value = concept_from_items(_first_item(ds, TAGS.ConceptCodeSequence, value_type))
         return CodeItem(name, value, relationship, children)
     if value_type is ValueType.NUM:
-        measured = ds.items_of(TAGS.MeasuredValueSequence)[0]
-        unit = concept_from_items(measured.items_of(TAGS.MeasurementUnitsCodeSequence)[0])
+        measured = _first_item(ds, TAGS.MeasuredValueSequence, value_type)
+        unit = concept_from_items(
+            _first_item(measured, TAGS.MeasurementUnitsCodeSequence, value_type)
+        )
         qualifier_items = ds.items_of(TAGS.NumericValueQualifierCodeSequence)
         qualifier = concept_from_items(qualifier_items[0]) if qualifier_items else None
         return NumItem(name, measured.value(TAGS.NumericValue), unit, qualifier,
@@ -688,24 +693,18 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
     if value_type is ValueType.DATETIME:
         return DateTimeItem(name, ds.value(TAGS.DateTime, ""), relationship, children)
     if value_type in (ValueType.IMAGE, ValueType.COMPOSITE):
-        ref = ds.items_of(TAGS.ReferencedSOPSequence)[0]
-        if value_type is ValueType.IMAGE:
-            frames = ref.values(TAGS.ReferencedFrameNumber)
-            return ImageItem(
-                name,
-                ref.value(TAGS.ReferencedSOPClassUID),
-                ref.value(TAGS.ReferencedSOPInstanceUID),
-                segment_number=ref.value(TAGS.ReferencedSegmentNumber),
-                frame_numbers=frames or None,
-                relationship=relationship,
-                children=children,
-            )
-        return CompositeItem(
+        ref = _first_item(ds, TAGS.ReferencedSOPSequence, value_type)
+        uids = (ref.value(TAGS.ReferencedSOPClassUID),
+                ref.value(TAGS.ReferencedSOPInstanceUID))
+        if value_type is ValueType.COMPOSITE:
+            return CompositeItem(name, *uids, relationship, children)
+        return ImageItem(
             name,
-            ref.value(TAGS.ReferencedSOPClassUID),
-            ref.value(TAGS.ReferencedSOPInstanceUID),
-            relationship,
-            children,
+            *uids,
+            segment_number=ref.value(TAGS.ReferencedSegmentNumber),
+            frame_numbers=ref.values(TAGS.ReferencedFrameNumber) or None,
+            relationship=relationship,
+            children=children,
         )
     if value_type is ValueType.SCOORD:
         return ScoordItem(

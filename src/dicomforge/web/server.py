@@ -17,6 +17,7 @@ from pathlib import Path
 from urllib.parse import parse_qsl, urlparse
 
 from ..dataset import DataSet, copy_attributes
+from ..derived import sop_reference
 from ..errors import DicomforgeError, RejectedInstanceError, ServerStartupError
 from ..part10 import read_part10
 from ..tags import resolve_key
@@ -234,23 +235,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
         referenced = []
         failed = []
         for _, blob in parts:
-            item = DataSet()
             try:
                 (study, series, sop), sop_class = self.archive.put(blob)
             except DicomforgeError as exc:
-                if isinstance(exc, RejectedInstanceError):
-                    item.put("ReferencedSOPClassUID", exc.sop_class_uid)
-                    item.put("ReferencedSOPInstanceUID", exc.sop_instance_uid)
-                item.put("FailureReason", 272)
-                failed.append(item)
+                uids = ((exc.sop_class_uid, exc.sop_instance_uid)
+                        if isinstance(exc, RejectedInstanceError) else (None, None))
+                failed.append(sop_reference(*uids, FailureReason=272))
                 continue
-            item.put("ReferencedSOPClassUID", sop_class)
-            item.put("ReferencedSOPInstanceUID", sop)
-            item.put(
-                "RetrieveURL",
-                f"/studies/{study}/series/{series}/instances/{sop}",
-            )
-            referenced.append(item)
+            referenced.append(sop_reference(
+                sop_class, sop,
+                RetrieveURL=f"/studies/{study}/series/{series}/instances/{sop}",
+            ))
         response = DataSet()
         if failed:
             response.put("FailedSOPSequence", tuple(failed))

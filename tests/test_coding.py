@@ -1,4 +1,7 @@
 """Coded-concept semantics: equality, registries, serialization."""
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,9 +146,10 @@ class TestSerialization:
             concept_from_items(ds)
 
 
-def _report(findings, long_site: CodedConcept):
+def _report(findings, long_site: CodedConcept, clone=lambda tree: tree):
     """An SR with one planar group per finding, each at `long_site`; UIDs
-    fixed so two builds differ only where the code items do."""
+    fixed so two builds differ only where the code items do. The report is
+    built around `clone(tree)`."""
     from conftest import make_ct_source
     from dicomforge.sr import (
         NumItem, ObserverContext, Scoord3DItem, SRKind, SRMeta,
@@ -166,7 +170,7 @@ def _report(findings, long_site: CodedConcept):
         for i, finding in enumerate(findings)
     ]
     observer = ObserverContext.device(name="detector", uid="2.25.50", version="1")
-    tree = measurement_report(observer, SCT.ImagingProcedure, groups)
+    tree = clone(measurement_report(observer, SCT.ImagingProcedure, groups))
     meta = SRMeta(series_instance_uid="2.25.60", sop_instance_uid="2.25.61")
     ds = create_sr(SRKind.COMPREHENSIVE_3D, [source], tree, meta)
     ds.put("ContentDate", "20240102")
@@ -213,3 +217,33 @@ class TestItemCache:
                  for c in (SCT.Tumor, SCT.Neoplasm, SCT.Nodule)]
         ds = _report(fresh, CodedConcept("L" * 20, "99LOCAL", "long-coded site"))
         assert write_part10(file_meta_for(ds), ds) == blobs[0]
+
+
+class TestCopy:
+    """Copies and pickles of a concept are equal to it and build their own
+    code item."""
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_concept(self, clone):
+        versioned = CodedConcept("C34", "ICD10", "Lung cancer", version="2024")
+        for concept in (SCT.Tumor, versioned):
+            items = concept_to_items(concept)
+            twin = clone(concept)
+            assert twin is not concept
+            assert (twin.value, twin.scheme, twin.meaning, twin.version) == (
+                concept.value, concept.scheme, concept.meaning, concept.version)
+            assert twin._items is None
+            assert concept_to_items(twin) == items
+            assert concept_to_items(twin) is not items
+
+    def test_deep_copied_report_encodes_identically(self):
+        from dicomforge.part10 import file_meta_for, write_part10
+
+        site = CodedConcept("L" * 20, "99LOCAL", "long-coded site")
+        findings = [SCT.Tumor, SCT.Neoplasm]
+        blobs = [write_part10(file_meta_for(ds), ds) for ds in (
+            _report(findings, site), _report(findings, site, copy.deepcopy),
+        )]
+        assert blobs[0] == blobs[1]

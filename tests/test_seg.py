@@ -19,7 +19,8 @@ from dicomforge.errors import (
     UnmappedFrameError,
     WrongSopClassError,
 )
-from dicomforge.part10 import file_meta_for, write_part10
+from dicomforge.cli import main
+from dicomforge.part10 import file_meta_for, write_part10, write_part10_file
 from dicomforge.seg import (
     AlgorithmType,
     FractionalKind,
@@ -219,6 +220,26 @@ class TestCreate:
                        [description(1)], SegmentationType.binary())
 
 
+def _first_group(ds, keyword):
+    return ds.items_of("PerFrameFunctionalGroupsSequence")[0].items_of(keyword)[0]
+
+
+# (case, segmentation type, change to a freshly built SEG)
+MALFORMED_CASES = [
+    ("frame without segment number", SegmentationType.binary(),
+     lambda ds: _first_group(ds, "SegmentIdentificationSequence")
+     .remove("ReferencedSegmentNumber")),
+    ("segment without number", SegmentationType.binary(),
+     lambda ds: ds.items_of("SegmentSequence")[0].remove("SegmentNumber")),
+    ("unknown algorithm type", SegmentationType.binary(),
+     lambda ds: ds.items_of("SegmentSequence")[0].put("SegmentAlgorithmType", "GUESS")),
+    ("unknown fractional type", SegmentationType.fractional(),
+     lambda ds: ds.put("SegmentationFractionalType", "LIKELIHOOD")),
+    ("zero maximum fractional value", SegmentationType.fractional(),
+     lambda ds: ds.put("MaximumFractionalValue", 0)),
+]
+
+
 class TestOpen:
     def test_descriptions_round_trip(self, ct_series):
         tracking = TrackingIdentifier.generate("nodule 1")
@@ -252,6 +273,20 @@ class TestOpen:
         ds.put("PixelData", element.raw[:-4])
         with pytest.raises(MalformedSegError):
             open_seg(ds)
+
+    @pytest.mark.parametrize("case, seg_type, corrupt", MALFORMED_CASES,
+                             ids=[c[0] for c in MALFORMED_CASES])
+    def test_malformed_structure(self, ct_series, tmp_path, capsys,
+                                 case, seg_type, corrupt):
+        ds = create_seg(ct_series, [np.full((3, 16, 16), 1, np.uint8)],
+                        [description(1)], seg_type)
+        corrupt(ds)
+        with pytest.raises(MalformedSegError):
+            open_seg(ds)
+        path = tmp_path / "seg.dcm"
+        write_part10_file(path, ds)
+        assert main(["validate", str(path)]) == 1
+        assert "ERROR validation" in capsys.readouterr().err
 
     def test_frame_records(self, ct_series):
         ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
@@ -442,6 +477,14 @@ class TestSlideSources:
         geometry = seg.plane_geometry(seg.frames[1])
         assert geometry.position == (pytest.approx(0.08), 0.0, 0.0)
         assert geometry.spacing == (0.01, 0.01)
+
+    def test_slide_frame_without_position(self):
+        source = make_sm_source()
+        source.items_of("PerFrameFunctionalGroupsSequence")[1].remove(
+            "PlanePositionSlideSequence")
+        with pytest.raises(MalformedSegError, match="frame 2 lacks"):
+            create_seg([source], [np.ones((2, 8, 8), np.uint8)], [description(1)],
+                       SegmentationType.binary())
 
     def test_patient_seg_plane_geometry(self, ct_series):
         ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],

@@ -18,6 +18,7 @@ from dicomforge.sr import (
     CodeItem,
     GroupKind,
     ImageItem,
+    ImageReference,
     NumItem,
     ObserverContext,
     RelationshipType,
@@ -62,6 +63,17 @@ def nodule_report(evidence, n_groups=1, finding=None):
             measurements=[NumItem(SCT.Diameter, f"{7.5 + i}", UCUM.mm)],
         ))
     return measurement_report(OBSERVER, SCT.ImagingProcedure, groups)
+
+
+def first_item(ds, value_type):
+    """The first content item of `value_type` in document order."""
+    for item in ds.items_of("ContentSequence"):
+        if item.value("ValueType") == value_type:
+            return item
+        found = first_item(item, value_type)
+        if found is not None:
+            return found
+    return None
 
 
 class TestCreate:
@@ -153,6 +165,31 @@ class TestOpen:
     def test_wrong_sop_class(self, ct_source):
         with pytest.raises(WrongSopClassError):
             open_sr(ct_source)
+
+    @pytest.mark.parametrize("value_type, sequence", [
+        ("IMAGE", "ReferencedSOPSequence"),
+        ("CODE", "ConceptCodeSequence"),
+    ])
+    def test_item_without_required_sequence(self, ct_series, tmp_path, capsys,
+                                            value_type, sequence):
+        from dicomforge.cli import main
+        from dicomforge.part10 import write_part10_file
+
+        group = measurement_group(
+            TrackingIdentifier.generate("whole image"), SCT.Nodule,
+            referenced_images=[ImageReference(ct_series[0].value("SOPClassUID"),
+                                              ct_series[0].value("SOPInstanceUID"))],
+        )
+        ds = create_sr(SRKind.COMPREHENSIVE, ct_series,
+                       measurement_report(OBSERVER, SCT.ImagingProcedure, [group]))
+        first_item(ds, value_type).remove(sequence)
+        with pytest.raises(MissingContentError, match=sequence):
+            open_sr(ds)
+        path = tmp_path / "sr.dcm"
+        write_part10_file(path, ds)
+        for command in ("validate", "dump-sr"):
+            assert main([command, str(path)]) == 1
+            assert sequence in capsys.readouterr().err
 
     def test_evidence_references_exposed(self, ct_series):
         ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series))
