@@ -353,6 +353,142 @@ class TestSearch:
         }
 
 
+def ct(study, series, sop, **kwargs):
+    return make_ct_source(study_uid=study, series_uid=series, sop_uid=sop, **kwargs)
+
+
+def found(client, level, query=None, attribute="SOPInstanceUID", **paging):
+    return [r.value(attribute) for r in client.search(level, query, **paging)]
+
+
+class TestSearchByUid:
+    """QIDO answers filtered by study, series or SOP instance UID: which
+    records come back, in which order, and with which contents."""
+
+    # Study 2.25.1 holds series .11 (sops .111, .112) and .12 (sop .121);
+    # study 2.25.2 holds series .21 (sop .211). Stored interleaved.
+    STORE_ORDER = [("2.25.1", "2.25.11", "2.25.111"), ("2.25.2", "2.25.21", "2.25.211"),
+                   ("2.25.1", "2.25.12", "2.25.121"), ("2.25.1", "2.25.11", "2.25.112")]
+
+    @pytest.fixture
+    def stored(self, client):
+        client.store_instances([ct(*key, patient_id=f"P{key[0][-1]}")
+                                for key in self.STORE_ORDER])
+        return client
+
+    @pytest.mark.parametrize("query, sops", [
+        ({"StudyInstanceUID": "2.25.1"}, ["2.25.111", "2.25.121", "2.25.112"]),
+        ({"StudyInstanceUID": "2.25.2"}, ["2.25.211"]),
+        ({"SeriesInstanceUID": "2.25.11"}, ["2.25.111", "2.25.112"]),
+        ({"SeriesInstanceUID": "2.25.12"}, ["2.25.121"]),
+        ({"SOPInstanceUID": "2.25.112"}, ["2.25.112"]),
+        ({"StudyInstanceUID": "2.25.1", "SeriesInstanceUID": "2.25.11"},
+         ["2.25.111", "2.25.112"]),
+        ({"SeriesInstanceUID": "2.25.11", "SOPInstanceUID": "2.25.111"}, ["2.25.111"]),
+        ({"0020000E": "2.25.11"}, ["2.25.111", "2.25.112"]),
+    ])
+    def test_instances_in_store_order(self, stored, query, sops):
+        assert found(stored, "instances", query) == sops
+        everything = stored.search("instances")
+        assert stored.search("instances", query) == [
+            r for r in everything if r.value("SOPInstanceUID") in sops
+        ]
+
+    @pytest.mark.parametrize("query, series", [
+        ({"StudyInstanceUID": "2.25.1"}, ["2.25.11", "2.25.12"]),
+        ({"SeriesInstanceUID": "2.25.12"}, ["2.25.12"]),
+        ({"SOPInstanceUID": "2.25.112"}, ["2.25.11"]),
+        ({"SOPInstanceUID": "2.25.211"}, ["2.25.21"]),
+    ])
+    def test_series_level(self, stored, query, series):
+        assert found(stored, "series", query, "SeriesInstanceUID") == series
+
+    @pytest.mark.parametrize("query, studies", [
+        ({"StudyInstanceUID": "2.25.2"}, ["2.25.2"]),
+        ({"SeriesInstanceUID": "2.25.12"}, ["2.25.1"]),
+        ({"SOPInstanceUID": "2.25.211"}, ["2.25.2"]),
+    ])
+    def test_study_level(self, stored, query, studies):
+        records = stored.search("studies", query)
+        assert [r.value("StudyInstanceUID") for r in records] == studies
+        assert [r.value("PatientID") for r in records] == [f"P{s[-1]}" for s in studies]
+        assert all("SeriesInstanceUID" not in r for r in records)
+
+    def test_restored_instance_keeps_its_place(self, stored):
+        stored.store_instances([ct("2.25.1", "2.25.11", "2.25.111", patient_id="NEW")])
+        records = stored.search("instances", {"SeriesInstanceUID": "2.25.11"})
+        assert [r.value("SOPInstanceUID") for r in records] == ["2.25.111", "2.25.112"]
+        assert [r.value("PatientID") for r in records] == ["NEW", "P1"]
+        assert found(stored, "instances", {"StudyInstanceUID": "2.25.1"}) == [
+            "2.25.111", "2.25.121", "2.25.112"]
+
+    def test_series_uid_shared_by_two_studies(self, client):
+        client.store_instances([ct("2.25.1", "2.25.9", "2.25.91"),
+                                ct("2.25.3", "2.25.8", "2.25.81"),
+                                ct("2.25.2", "2.25.9", "2.25.92")])
+        assert found(client, "instances", {"SeriesInstanceUID": "2.25.9"}) == [
+            "2.25.91", "2.25.92"]
+        assert found(client, "series", {"SeriesInstanceUID": "2.25.9"},
+                     "StudyInstanceUID") == ["2.25.1", "2.25.2"]
+        assert found(client, "instances", {"StudyInstanceUID": "2.25.2",
+                                           "SeriesInstanceUID": "2.25.9"}) == ["2.25.92"]
+
+    def test_uid_filter_with_modality(self, client):
+        series = make_ct_series(2)
+        seg = make_seg(series)
+        client.store_instances([series[0], seg, series[1]])
+        study = seg.value("StudyInstanceUID")
+        assert found(client, "instances", {"StudyInstanceUID": study,
+                                           "Modality": "SEG"}) == [seg.value("SOPInstanceUID")]
+        assert found(client, "instances", {"StudyInstanceUID": study,
+                                           "Modality": "CT"}) == [
+            s.value("SOPInstanceUID") for s in series]
+        assert found(client, "series", {"SeriesInstanceUID": seg.value("SeriesInstanceUID"),
+                                        "Modality": "CT"}) == []
+
+    def test_mismatched_study_and_series_answers_204(self, stored, archive):
+        response = requests.get(f"{archive.base_url}/instances", timeout=10, params={
+            "StudyInstanceUID": "2.25.2", "SeriesInstanceUID": "2.25.11"})
+        assert response.status_code == 204
+        assert response.content == b""
+        for uid in ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID"):
+            response = requests.get(f"{archive.base_url}/series", timeout=10,
+                                    params={uid: "2.25.404"})
+            assert response.status_code == 204
+
+    @pytest.mark.parametrize("paging, sops", [
+        ({"limit": 1}, ["2.25.111"]),
+        ({"limit": 0}, []),
+        ({"offset": 1}, ["2.25.121", "2.25.112"]),
+        ({"offset": 1, "limit": 1}, ["2.25.121"]),
+        ({"offset": 2, "limit": 5}, ["2.25.112"]),
+        ({"offset": 3}, []),
+        ({"offset": 7, "limit": 1}, []),
+    ])
+    def test_limit_and_offset_on_uid_filter(self, stored, archive, paging, sops):
+        assert found(stored, "instances", {"StudyInstanceUID": "2.25.1"}, **paging) == sops
+        response = requests.get(f"{archive.base_url}/instances", timeout=10,
+                                params={"StudyInstanceUID": "2.25.1", **paging})
+        assert response.status_code == (200 if sops else 204)
+
+    def test_search_by_series_after_snapshot_restart(self, tmp_path):
+        with StubArchive(snapshot_dir=tmp_path) as server:
+            WebClient(server.base_url, timeout=10).store_instances(
+                [ct(*key) for key in [("2.25.1", "2.25.11", "2.25.113"),
+                                      ("2.25.2", "2.25.21", "2.25.211"),
+                                      ("2.25.1", "2.25.11", "2.25.112")]])
+        with StubArchive(snapshot_dir=tmp_path) as server:
+            client = WebClient(server.base_url, timeout=10)
+            # a restart indexes the snapshot files in file-name order
+            assert found(client, "instances", {"SeriesInstanceUID": "2.25.11"}) == [
+                "2.25.112", "2.25.113"]
+            assert found(client, "studies", {"SeriesInstanceUID": "2.25.21"},
+                         "StudyInstanceUID") == ["2.25.2"]
+            client.store_instances([ct("2.25.1", "2.25.11", "2.25.111")])
+            assert found(client, "instances", {"SeriesInstanceUID": "2.25.11"}) == [
+                "2.25.112", "2.25.113", "2.25.111"]
+
+
 class TestConcurrency:
     def test_concurrent_store_all_retrievable(self, archive):
         client = WebClient(archive.base_url, timeout=10)
