@@ -2,10 +2,21 @@
 
 Serves the three endpoint families the client speaks (store, retrieve,
 search) over HTTP/1.1. Instances are keyed by (study, series, sop);
-re-storing a key replaces the previous bytes (last writer wins). State is
-in-memory; an optional snapshot directory persists stored files for CLI
-demos (each replaced atomically, under the store lock) and reloads them on
-startup.
+re-storing a key replaces the previous bytes (last writer wins) and keeps
+the key's place in store order. State is in-memory; an optional snapshot
+directory persists stored files for CLI demos (each replaced atomically,
+under the store lock) and reloads them on startup.
+
+A search filtered by StudyInstanceUID, SeriesInstanceUID or
+SOPInstanceUID reads only the instances stored under that UID: one index
+per UID level maps each UID to its keys in store order. Every filter is
+still tested on every candidate, so the index only narrows the set; the
+answer is the one a scan of the whole archive gives. Only the records left
+after offset/limit are turned into JSON.
+
+A request answered without reading its body (a POST to an unknown path, a
+bad Content-Length) closes the connection, so the unread body is never
+parsed as the next request.
 """
 from __future__ import annotations
 
@@ -20,7 +31,7 @@ from ..dataset import DataSet, copy_attributes
 from ..derived import sop_reference
 from ..errors import DicomforgeError, RejectedInstanceError, ServerStartupError
 from ..part10 import read_part10
-from ..tags import resolve_key
+from ..tags import Tag, resolve_key
 from ..uid import is_valid_uid
 from .jsonmodel import dataset_to_json
 from .multipart import (
@@ -31,14 +42,18 @@ from .multipart import (
     random_boundary,
 )
 
-_FILTER_KEYS = {"Modality", "PatientID", "SOPInstanceUID",
-                "StudyInstanceUID", "SeriesInstanceUID"}
+_UID_KEYS = ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID")
+_FILTER_TAGS = frozenset(resolve_key(k) for k in ("Modality", "PatientID", *_UID_KEYS))
 
 _STUDY_ATTRS = ("StudyInstanceUID", "PatientID", "PatientName", "StudyDate",
                 "AccessionNumber")
 _SERIES_ATTRS = _STUDY_ATTRS + ("SeriesInstanceUID", "Modality", "SeriesNumber")
 _INSTANCE_ATTRS = _SERIES_ATTRS + ("SOPClassUID", "SOPInstanceUID",
                                    "InstanceNumber")
+
+# search level -> (length of the key prefix a record stands for, its attributes)
+_LEVELS = {"studies": (1, _STUDY_ATTRS), "series": (2, _SERIES_ATTRS),
+           "instances": (3, _INSTANCE_ATTRS)}
 
 
 class _StoredInstance:
@@ -63,6 +78,11 @@ class StubArchive:
         self._snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
         self._lock = threading.Lock()
         self._instances: dict[tuple[str, str, str], _StoredInstance] = {}
+        # UID tag -> UID -> the keys stored under it, in store order (a dict
+        # used as an ordered set); keys are never removed
+        self._by_uid: dict[Tag, dict[str, dict[tuple[str, str, str], None]]] = {
+            resolve_key(k): {} for k in _UID_KEYS
+        }
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -76,15 +96,23 @@ class StubArchive:
         UID (digits and dots only); an instance without them raises
         RejectedInstanceError, which carries the SOP UIDs it does have.
         """
-        key, sop_class, entry = self._index(blob)
-        with self._lock:
-            if self._snapshot_dir:
-                self._write_snapshot(key[2], blob)
-            self._instances[key] = entry
+        key, sop_class, entry = self._decode(blob)
+        self._add(key, entry, snapshot=True)
         return key, sop_class
 
+    def _add(self, key: tuple[str, str, str], entry: _StoredInstance,
+             snapshot: bool) -> None:
+        """Store `entry` under `key` and index it by its UIDs, writing its
+        snapshot file first when `snapshot` is set and there is a directory."""
+        with self._lock:
+            if snapshot and self._snapshot_dir:
+                self._write_snapshot(key[2], entry.blob)
+            self._instances[key] = entry
+            for tag, index in self._by_uid.items():
+                index.setdefault(entry.meta.value(tag, ""), {})[key] = None
+
     @staticmethod
-    def _index(blob: bytes) -> tuple[tuple[str, str, str], str, _StoredInstance]:
+    def _decode(blob: bytes) -> tuple[tuple[str, str, str], str, _StoredInstance]:
         """Decode `blob` into its key, SOP class UID and stored entry."""
         _, ds = read_part10(blob)
         key = (_uid(ds, "StudyInstanceUID"), _uid(ds, "SeriesInstanceUID"),
@@ -116,9 +144,15 @@ class StubArchive:
             entry = self._instances.get((study, series, sop))
         return entry.blob if entry else None
 
-    def records(self) -> list[tuple[tuple[str, str, str], DataSet]]:
+    def candidates(self, filters: dict[Tag, str]) -> list[tuple[tuple[str, str, str], DataSet]]:
+        """(key, metadata) of the instances a search with `filters` must
+        test, in store order: those stored under the filter's UID with the
+        fewest instances, or all of them when no UID is filtered on."""
         with self._lock:
-            return [(key, entry.meta) for key, entry in self._instances.items()]
+            hits = [self._by_uid[tag].get(value, {})
+                    for tag, value in filters.items() if tag in self._by_uid]
+            keys = min(hits, key=len) if hits else self._instances
+            return [(key, self._instances[key].meta) for key in keys]
 
     def __len__(self) -> int:
         with self._lock:
@@ -131,11 +165,10 @@ class StubArchive:
             return
         for path in sorted(self._snapshot_dir.glob("*.dcm")):
             try:
-                key, _, entry = self._index(path.read_bytes())
+                key, _, entry = self._decode(path.read_bytes())
             except DicomforgeError:
                 continue
-            with self._lock:
-                self._instances[key] = entry
+            self._add(key, entry, snapshot=False)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -200,6 +233,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _reply(self, status: int, body: bytes = b"",
                content_type: str = "application/dicom+json") -> None:
         self.send_response(status)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if body:
             self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -216,6 +251,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         path = urlparse(self.path).path.rstrip("/")
         if not (path == "/studies" or
                 (path.startswith("/studies/") and path.count("/") == 2)):
+            self.close_connection = True  # the unread body would follow
             self._reply(404)
             return
         length = self.headers.get("Content-Length", "0").strip()
@@ -297,33 +333,30 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 self._reply_json(400, {"error": f"unknown attribute {key!r}"})
                 return
             filters[tag] = value
-        known = {resolve_key(k) for k in _FILTER_KEYS}
-        if not set(filters) <= known:
+        if not set(filters) <= _FILTER_TAGS:
             self._reply_json(400, {"error": "unsupported search attribute"})
             return
 
-        records = []
+        depth, attrs = _LEVELS[level]
+        matches = []
         seen = set()
-        for (study, series, sop), meta in self.archive.records():
+        for key, meta in self.archive.candidates(filters):
             if any(meta.value(tag, "") != value for tag, value in filters.items()):
                 continue
-            if level == "studies":
-                dedup_key, attrs = study, _STUDY_ATTRS
-            elif level == "series":
-                dedup_key, attrs = (study, series), _SERIES_ATTRS
-            else:
-                dedup_key, attrs = (study, series, sop), _INSTANCE_ATTRS
-            if dedup_key in seen:
+            if key[:depth] in seen:
                 continue
-            seen.add(dedup_key)
-            record = DataSet()
-            copy_attributes(meta, record, attrs)
-            records.append(record)
+            seen.add(key[:depth])
+            matches.append(meta)
 
-        records = records[offset:]
+        matches = matches[offset:]
         if limit >= 0:
-            records = records[:limit]
-        if not records:
+            matches = matches[:limit]
+        if not matches:
             self._reply(204)
             return
-        self._reply_json(200, [dataset_to_json(r) for r in records])
+        records = []
+        for meta in matches:
+            record = DataSet()
+            copy_attributes(meta, record, attrs)
+            records.append(dataset_to_json(record))
+        self._reply_json(200, records)

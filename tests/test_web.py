@@ -268,6 +268,24 @@ class TestStoreRetrieve:
         response = requests.get(f"{archive.base_url}/nope", timeout=5)
         assert response.status_code == 404
 
+    def test_post_to_unknown_path_leaves_no_body_on_the_connection(self, client, archive):
+        client.store_instances([make_ct_source()])
+        smuggled = b"GET /instances HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+        request = (b"POST /nope HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
+                   b"Content-Length: %d\r\n\r\n" % (archive.port, len(smuggled))) + smuggled
+        reply = b""
+        with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as sock:
+            sock.sendall(request)
+            sock.settimeout(2)  # a kept-alive connection would never end the reply
+            try:
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            except TimeoutError:
+                pass
+        assert reply.startswith(b"HTTP/1.1 404 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+
     def test_http_error_raises_transport_error(self, client, archive):
         import requests
         # search with unsupported attribute -> 400 from the stub
