@@ -654,8 +654,14 @@ def _first_item(ds: DataSet, tag, value_type: ValueType) -> DataSet:
 
 def item_from_dataset(ds: DataSet) -> ContentItem:
     """Inverse of :func:`item_to_dataset` (tolerant of extra attributes);
-    a sequence the value type requires, when absent, raises MissingContentError."""
-    value_type = _member(ValueType, ds.value(TAGS.ValueType))
+    a missing or unknown value type, a sequence the value type requires,
+    when absent, and a malformed UIDREF value raise MissingContentError."""
+    try:
+        value_type = _member(ValueType, ds.value(TAGS.ValueType))
+    except ValueError:
+        raise MissingContentError(
+            f"content item has no known ValueType: {ds.value(TAGS.ValueType)!r}"
+        ) from None
     relationship = ds.value(TAGS.RelationshipType)
     name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
     name = concept_from_items(name_items[0]) if name_items else None
@@ -687,7 +693,10 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
     if value_type is ValueType.TEXT:
         return TextItem(name, ds.value(TAGS.TextValue, ""), relationship, children)
     if value_type is ValueType.UIDREF:
-        return UIDRefItem(name, ds.value(TAGS.UID), relationship, children)
+        uid = ds.value(TAGS.UID)
+        if not is_valid_uid(uid):
+            raise MissingContentError(f"UIDREF item lacks a well-formed UID: {uid!r}")
+        return UIDRefItem(name, uid, relationship, children)
     if value_type is ValueType.PNAME:
         return PNameItem(name, ds.value(TAGS.PersonName, ""), relationship, children)
     if value_type is ValueType.DATETIME:

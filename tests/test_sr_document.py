@@ -191,6 +191,26 @@ class TestOpen:
             assert main([command, str(path)]) == 1
             assert sequence in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value_type, corrupt, message", [
+        ("CODE", lambda item: item.remove("ValueType"), "ValueType"),
+        ("CODE", lambda item: item.put("ValueType", "SOUND"), "SOUND"),
+        ("UIDREF", lambda item: item.put("UID", "1.2.abc"), "1.2.abc"),
+        ("UIDREF", lambda item: item.remove("UID"), "UID"),
+    ], ids=["no value type", "unknown value type", "malformed uid", "no uid"])
+    def test_malformed_item(self, ct_series, tmp_path, capsys,
+                            value_type, corrupt, message):
+        from dicomforge.cli import main
+        from dicomforge.part10 import write_part10_file
+
+        ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series))
+        corrupt(first_item(ds, value_type))
+        with pytest.raises(MissingContentError, match=message):
+            open_sr(ds)
+        path = tmp_path / "sr.dcm"
+        write_part10_file(path, ds)
+        assert main(["validate", str(path)]) == 1
+        assert "ERROR validation" in capsys.readouterr().err
+
     def test_evidence_references_exposed(self, ct_series):
         ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series))
         doc = open_sr(ds)
