@@ -193,14 +193,14 @@ class PlanePositionSlide:
         )
 
 
-def plane_position(group: DataSet) -> PlanePositionPatient | PlanePositionSlide:
+def plane_position(group: DataSet) -> PlanePositionPatient | PlanePositionSlide | None:
     """The plane position in a per-frame functional group, of either kind;
-    a group with neither reads as the patient-frame origin."""
+    None for a group with neither."""
     for kind in (PlanePositionSlide, PlanePositionPatient):
         items = group.items_of(kind.sequence)
         if items:
             return kind.from_item(items[0])
-    return PlanePositionPatient(("0", "0", "0"))
+    return None
 
 
 def shared_geometry(ds: DataSet) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -259,13 +259,20 @@ class FrameRecord:
         return group
 
     @classmethod
-    def from_group(cls, index: int, group: DataSet) -> "FrameRecord":
-        """Inverse of :meth:`to_group`; a frame without a segment number
-        raises MalformedSegError."""
+    def from_group(cls, index: int, group: DataSet, positioned: bool) -> "FrameRecord":
+        """Inverse of :meth:`to_group`; a frame without a segment number, or
+        without a plane position when `positioned` (the SEG has a frame of
+        reference), raises MalformedSegError. An unpositioned frame reads
+        as the patient-frame origin otherwise."""
         ident = group.items_of("SegmentIdentificationSequence")
         segment = ident[0].value("ReferencedSegmentNumber") if ident else None
         if segment is None:
             raise MalformedSegError(f"frame {index + 1} lacks a segment identification")
+        position = plane_position(group)
+        if position is None:
+            if positioned:
+                raise MalformedSegError(f"frame {index + 1} lacks a plane position")
+            position = PlanePositionPatient(("0", "0", "0"))
         derivation = group.items_of("DerivationImageSequence")
         sources = derivation[0].items_of("SourceImageSequence") if derivation else ()
         source = sources[0] if sources else DataSet()
@@ -275,7 +282,7 @@ class FrameRecord:
             source_sop_class_uid=source.value("ReferencedSOPClassUID", ""),
             source_sop_instance_uid=source.value("ReferencedSOPInstanceUID", ""),
             source_frame_number=int(source.value("ReferencedFrameNumber", 1)),
-            position=plane_position(group),
+            position=position,
         )
 
 
@@ -608,8 +615,9 @@ class Segmentation:
             self.descriptions = self._parse_descriptions(dataset)
         except ValueError as exc:
             raise MalformedSegError(f"malformed segmentation: {exc}") from exc
+        positioned = bool(dataset.value("FrameOfReferenceUID"))
         self.frames = tuple(
-            FrameRecord.from_group(i, group)
+            FrameRecord.from_group(i, group, positioned)
             for i, group in enumerate(dataset.items_of("PerFrameFunctionalGroupsSequence"))
         )
         if len(self.frames) != self.number_of_frames:

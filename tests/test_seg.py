@@ -237,6 +237,9 @@ MALFORMED_CASES = [
      lambda ds: ds.put("SegmentationFractionalType", "LIKELIHOOD")),
     ("zero maximum fractional value", SegmentationType.fractional(),
      lambda ds: ds.put("MaximumFractionalValue", 0)),
+    ("frame without plane position", SegmentationType.binary(),
+     lambda ds: ds.items_of("PerFrameFunctionalGroupsSequence")[2]
+     .remove("PlanePositionSequence")),
 ]
 
 
@@ -287,6 +290,15 @@ class TestOpen:
         write_part10_file(path, ds)
         assert main(["validate", str(path)]) == 1
         assert "ERROR validation" in capsys.readouterr().err
+
+    def test_unpositioned_frame_without_frame_of_reference_reads_as_origin(self, ct_series):
+        ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
+                        [description(1)], SegmentationType.binary())
+        ds.remove("FrameOfReferenceUID")
+        ds.items_of("PerFrameFunctionalGroupsSequence")[2].remove("PlanePositionSequence")
+        seg = open_seg(ds)
+        assert [f.position.xyz for f in seg.frames] == [
+            (0.0, 0.0, 0.0), (0.0, 0.0, 2.5), (0.0, 0.0, 0.0)]
 
     def test_frame_records(self, ct_series):
         ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
