@@ -74,7 +74,11 @@ class WebClient:
         self._basic = basic
 
     def _headers(self, **extra: str) -> dict[str, str]:
-        headers = dict(extra)
+        # Each request opens its own connection and closes it after the
+        # response, so it asks the server to close too (RFC 9112 §9.3): the
+        # server's handler then ends with the response instead of waiting
+        # for a next request that never comes.
+        headers = {"Connection": "close", **extra}
         if self._token:
             headers["Authorization"] = f"Bearer {self._token}"
         return headers

@@ -25,7 +25,8 @@ def build_multipart(
         chunks.append(f"Content-Type: {content_type}".encode("ascii") + CRLF)
         chunks.append(f"Content-Length: {len(part)}".encode("ascii") + CRLF)
         chunks.append(CRLF)
-        chunks.append(part + CRLF)
+        chunks.append(part)  # joined once below, not copied per part
+        chunks.append(CRLF)
     chunks.append(delimiter + b"--" + CRLF)
     return b"".join(chunks)
 

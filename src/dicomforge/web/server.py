@@ -268,6 +268,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except DicomforgeError as exc:
             self._reply_json(400, {"error": str(exc)})
             return
+        del body  # the parts are copies; free it before they are decoded
         referenced = []
         failed = []
         for _, blob in parts:

@@ -286,6 +286,25 @@ class TestStoreRetrieve:
         assert reply.count(b"HTTP/1.1 ") == 1
         assert b"Connection: close" in reply
 
+    def test_client_asks_to_close_each_connection(self, monkeypatch, client, archive):
+        sent = []
+        send = requests.request
+
+        def spy(method, url, **kwargs):
+            sent.append(kwargs["headers"].get("Connection"))
+            response = send(method, url, **kwargs)
+            sent.append(response.headers.get("Connection"))
+            return response
+
+        monkeypatch.setattr(requests, "request", spy)
+        source = make_ct_source()
+        client.store_instances([source])
+        client.search("instances", {"SOPInstanceUID": source.value("SOPInstanceUID")})
+        client.retrieve_instance(source.value("StudyInstanceUID"),
+                                 source.value("SeriesInstanceUID"),
+                                 source.value("SOPInstanceUID"))
+        assert sent == ["close"] * 6
+
     def test_http_error_raises_transport_error(self, client, archive):
         import requests
         # search with unsupported attribute -> 400 from the stub
