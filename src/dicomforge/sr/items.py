@@ -656,12 +656,11 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
     """Inverse of :func:`item_to_dataset` (tolerant of extra attributes);
     a missing or unknown value type, a sequence the value type requires,
     when absent, and a malformed UIDREF value raise MissingContentError."""
+    raw_type = ds.value(TAGS.ValueType)
     try:
-        value_type = _member(ValueType, ds.value(TAGS.ValueType))
+        value_type = _member(ValueType, raw_type)
     except ValueError:
-        raise MissingContentError(
-            f"content item has no known ValueType: {ds.value(TAGS.ValueType)!r}"
-        ) from None
+        raise MissingContentError(f"content item has no known ValueType: {raw_type!r}") from None
     relationship = ds.value(TAGS.RelationshipType)
     name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
     name = concept_from_items(name_items[0]) if name_items else None

@@ -16,7 +16,8 @@ after offset/limit are turned into JSON.
 
 A request answered without reading its body (a POST to an unknown path, a
 bad Content-Length) closes the connection, so the unread body is never
-parsed as the next request.
+parsed as the next request. A reply that ends its connection, for that
+reason or because the request asked to close, says Connection: close.
 """
 from __future__ import annotations
 
