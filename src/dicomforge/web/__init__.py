@@ -3,7 +3,7 @@
 from .client import InstanceRef, WebClient
 from .jsonmodel import dataset_from_json, dataset_to_json
 from .multipart import build_multipart, parse_multipart, random_boundary
-from .server import StubArchive, stub_serve
+from .server import StubArchive
 
 __all__ = [
     "InstanceRef",
@@ -14,5 +14,4 @@ __all__ = [
     "parse_multipart",
     "random_boundary",
     "StubArchive",
-    "stub_serve",
 ]

@@ -1,10 +1,16 @@
-"""DICOMweb client: STOW-RS store, WADO-RS retrieve, QIDO-RS search."""
+"""DICOMweb client: STOW-RS store, WADO-RS retrieve, QIDO-RS search.
+
+Built on `http.client`: one connection per request, closed after the
+response. No redirect is followed, no proxy variable or `.netrc` is read,
+and HTTPS verifies certificates against the system CA store.
+"""
 from __future__ import annotations
 
+import json
+from base64 import b64encode
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import NamedTuple, Sequence
-from urllib.parse import urlparse
-
-import requests
+from urllib.parse import quote, urlencode, urlparse
 
 from ..dataset import DataSet
 from ..errors import (
@@ -36,11 +42,9 @@ class InstanceRef(NamedTuple):
     sop_class_uid: str
 
 
-def _status_error(method: str, url: str, response: requests.Response) -> TransportError:
-    return TransportError(
-        f"{method} {url} returned {response.status_code}: {response.text[:200]}",
-        status=response.status_code,
-    )
+def _status_error(method: str, url: str, status: int, body: bytes) -> TransportError:
+    text = body[:200].decode("utf-8", "replace")
+    return TransportError(f"{method} {url} returned {status}: {text}", status=status)
 
 
 def _failed_uids(response_ds: DataSet) -> list[str]:
@@ -55,7 +59,9 @@ class WebClient:
     """Thin HTTP client for one DICOMweb origin.
 
     Safe for concurrent requests from multiple threads; each call is an
-    isolated request/response exchange.
+    isolated request/response exchange on its own connection. A refused
+    connection, a timeout, a malformed or cut-off reply and any status
+    outside 2xx raise `TransportError` (404: `NotFoundError`).
     """
 
     def __init__(
@@ -66,10 +72,15 @@ class WebClient:
         timeout: float = 30.0,
     ):
         parsed = urlparse(base_url)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
+        if parsed.scheme not in ("http", "https") or not parsed.hostname:
             raise ValueError(f"base URL must be absolute http(s), got {base_url!r}")
+        if parsed.username is not None:
+            raise ValueError("pass credentials as basic=(user, password), not in the base URL")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._connection = HTTPSConnection if parsed.scheme == "https" else HTTPConnection
+        self._address = (parsed.hostname, parsed.port)
+        self._path = parsed.path.rstrip("/")
         self._token = token
         self._basic = basic
 
@@ -79,24 +90,38 @@ class WebClient:
         # server's handler then ends with the response instead of waiting
         # for a next request that never comes.
         headers = {"Connection": "close", **extra}
-        if self._token:
+        if self._basic:
+            credentials = ":".join(self._basic).encode("latin-1")
+            headers["Authorization"] = f"Basic {b64encode(credentials).decode('ascii')}"
+        elif self._token:
             headers["Authorization"] = f"Bearer {self._token}"
         return headers
 
-    def _request(self, method: str, url: str, allow: tuple[int, ...] = (),
-                 **kwargs) -> requests.Response:
-        """Send one request; statuses >= 400 raise unless listed in `allow`."""
+    def _request(self, method: str, path: str, headers: dict[str, str],
+                 body: bytes | None = None,
+                 allow: tuple[int, ...] = ()) -> tuple[int, str, bytes]:
+        """Send one request; returns (status, content type, body).
+
+        `headers` are added to the ones every request sends. Statuses
+        outside 2xx raise unless listed in `allow`.
+        """
+        url = self.base_url + path
+        connection = self._connection(*self._address, timeout=self.timeout)
         try:
-            response = requests.request(
-                method, url, timeout=self.timeout, auth=self._basic, **kwargs
-            )
-        except requests.RequestException as exc:
+            connection.request(method, self._path + path, body, self._headers(**headers))
+            response = connection.getresponse()
+            status = response.status
+            content_type = response.getheader("Content-Type", "")
+            reply = response.read()
+        except (OSError, HTTPException) as exc:
             raise TransportError(f"{method} {url} failed: {exc}") from exc
-        if response.status_code == 404:
+        finally:
+            connection.close()
+        if status == 404:
             raise NotFoundError(f"{url} not found")
-        if response.status_code >= 400 and response.status_code not in allow:
-            raise _status_error(method, url, response)
-        return response
+        if not 200 <= status < 300 and status not in allow:
+            raise _status_error(method, url, status, reply)
+        return status, content_type, reply
 
     # -- STOW-RS -----------------------------------------------------------
 
@@ -133,27 +158,26 @@ class WebClient:
         """
         boundary = random_boundary()
         body = build_multipart(list(parts), boundary)
-        url = f"{self.base_url}/studies"
-        response = self._request(
+        status, _, reply = self._request(
             "POST",
-            url,
-            allow=(409,),
-            data=body,
-            headers=self._headers(**{
+            "/studies",
+            {
                 "Content-Type": content_type_header(boundary),
                 "Accept": "application/dicom+json",
-            }),
+            },
+            body,
+            allow=(409,),
         )
-        if response.status_code == 409:
+        if status == 409:
             try:
-                failed = _failed_uids(dataset_from_json(response.json()))
+                failed = _failed_uids(dataset_from_json(json.loads(reply)))
             except (ValueError, ProtocolError):
                 failed = []
             if not failed:  # not a store response: a plain HTTP error
-                raise _status_error("POST", url, response)
+                raise _status_error("POST", f"{self.base_url}/studies", status, reply)
             raise PartialStoreError(failed, status=409)
         try:
-            return dataset_from_json(response.json())
+            return dataset_from_json(json.loads(reply))
         except ValueError as exc:
             raise ProtocolError(f"store response is not valid JSON: {exc}")
 
@@ -161,17 +185,11 @@ class WebClient:
 
     def retrieve_instance_bytes(self, study: str, series: str, sop: str) -> bytes:
         """The stored Part 10 stream, byte-for-byte."""
-        url = f"{self.base_url}/studies/{study}/series/{series}/instances/{sop}"
-        response = self._request(
-            "GET", url,
-            headers=self._headers(
-                Accept='multipart/related; type="application/dicom"'
-            ),
+        _, content_type, reply = self._request(
+            "GET", quote(f"/studies/{study}/series/{series}/instances/{sop}"),
+            {"Accept": 'multipart/related; type="application/dicom"'},
         )
-        boundary = boundary_from_content_type(
-            response.headers.get("Content-Type", "")
-        )
-        parts = parse_multipart(response.content, boundary)
+        parts = parse_multipart(reply, boundary_from_content_type(content_type))
         if len(parts) != 1:
             raise ProtocolError(
                 f"expected one part in instance response, got {len(parts)}"
@@ -207,16 +225,14 @@ class WebClient:
             params["limit"] = str(limit)
         if offset is not None:
             params["offset"] = str(offset)
-        response = self._request(
-            "GET",
-            f"{self.base_url}/{level}",
-            params=params,
-            headers=self._headers(Accept="application/dicom+json"),
+        path = f"/{level}?{urlencode(params)}" if params else f"/{level}"
+        status, _, reply = self._request(
+            "GET", path, {"Accept": "application/dicom+json"}
         )
-        if response.status_code == 204 or not response.content:
+        if status == 204 or not reply:
             return []
         try:
-            payload = response.json()
+            payload = json.loads(reply)
         except ValueError as exc:
             raise ProtocolError(f"search response is not valid JSON: {exc}")
         return [dataset_from_json(record) for record in payload]

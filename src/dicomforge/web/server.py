@@ -219,11 +219,6 @@ class StubArchive:
         self.stop()
 
 
-def stub_serve(port: int = 0, snapshot_dir=None) -> StubArchive:
-    """Start a stub archive; returns the running handle (stop() to end)."""
-    return StubArchive(port=port, snapshot_dir=snapshot_dir).start()
-
-
 class _RequestHandler(BaseHTTPRequestHandler):
     archive: StubArchive  # injected by StubArchive.start
     protocol_version = "HTTP/1.1"

@@ -1,5 +1,7 @@
 """End-to-end CLI tests (invoked in-process through cli.main)."""
+import functools
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -293,6 +295,19 @@ class TestWebCommands:
         ], capsys)
         assert code == 4
         assert err.startswith("ERROR network:")
+
+    def test_timeout_exit_code(self, monkeypatch, capsys):
+        import dicomforge.cli
+        from dicomforge.web import WebClient
+
+        monkeypatch.setattr(dicomforge.cli, "WebClient", functools.partial(WebClient, timeout=0.2))
+        with socket.create_server(("127.0.0.1", 0)) as silent:  # accepts, never answers
+            code, _, err = run([
+                "search", "--url", f"http://127.0.0.1:{silent.getsockname()[1]}",
+            ], capsys)
+        assert code == 4
+        assert err.startswith("ERROR network:")
+        assert "timed out" in err
 
 
 def test_token_env_var_honored(monkeypatch):
