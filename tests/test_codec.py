@@ -1,5 +1,6 @@
 """Element-stream codec tests, anchored on hand-encoded byte oracles."""
 import hashlib
+import random
 import struct
 
 import numpy as np
@@ -543,3 +544,46 @@ def test_mutated_part10_raises_only_dicomforge_errors(name, data):
         read_part10(bytes(stream))
     except DicomforgeError:
         pass
+
+
+def _decode_outcome(stream: bytes) -> str:
+    """What decoding `stream` gives: the error class, message and offset, or
+    the SHA-256 of the file meta and the re-encoded data set."""
+    try:
+        meta, ds = read_part10(stream)
+        body = encode_dataset(ds)
+    except DicomforgeError as exc:
+        return f"{type(exc).__name__} {exc} @{getattr(exc, 'offset', None)}"
+    return hashlib.sha256(repr(meta).encode() + body).hexdigest()
+
+
+def mutation_outcomes(per_stream: int = 300) -> list[str]:
+    """One outcome per seeded mutation of each FUZZ_STREAMS entry: a
+    FUZZ_WORDS word written over the stream, or a truncation."""
+    rng = random.Random(2024)
+    outcomes = []
+    for name in sorted(FUZZ_STREAMS):
+        original = FUZZ_STREAMS[name]
+        for _ in range(per_stream):
+            stream = bytearray(original)
+            at = rng.randrange(len(stream))
+            if rng.random() < 0.2:
+                del stream[at:]
+            else:
+                stream[at:at + 4] = rng.choice(FUZZ_WORDS)
+            outcomes.append(f"{name} {_decode_outcome(bytes(stream))}")
+    return outcomes
+
+
+# SHA-256 of mutation_outcomes(), taken before the decoder shared items.
+MUTATION_OUTCOMES_SHA256 = (
+    "f7f5328c34b47dd23e5c1121847c988c"
+    "6143b82ac6958bcd998ac8a26541c6b4"
+)
+
+
+def test_mutation_outcomes_pinned():
+    """Every seeded mutation decodes to the same data set or fails with the
+    same error, message and offset as when the outcomes were pinned."""
+    digest = hashlib.sha256("\n".join(mutation_outcomes()).encode()).hexdigest()
+    assert digest == MUTATION_OUTCOMES_SHA256
