@@ -160,10 +160,11 @@ def _parse_value(vr: VR, data: bytes, pos: int, end: int, offset: int):
     raise DecodeError(f"cannot parse VR {vr}", offset=offset)
 
 
-def _read_element(data: bytes, pos: int, implicit: bool,
-                  depth: int) -> tuple[DataElement, int]:
+def _read_element(data: bytes, pos: int, implicit: bool, depth: int,
+                  memo: dict) -> tuple[DataElement, int]:
     """Read the element at `pos`; returns it and the position after it.
-    `depth` counts the sequences that enclose it."""
+    `depth` counts the sequences that enclose it; `memo` holds the
+    defined-length items decoded so far in this call (see _read_items)."""
     start = pos
     if pos + 8 > len(data):
         _short_header(data, pos, implicit)
@@ -195,12 +196,12 @@ def _read_element(data: bytes, pos: int, implicit: bool,
                 offset=start,
             )
         if length == UNDEFINED_LENGTH:
-            value, pos = _read_items(data, pos, None, implicit, depth + 1)
+            value, pos = _read_items(data, pos, None, implicit, depth + 1, memo)
         else:
             end = pos + length
             if end > len(data):
                 raise DecodeError(f"sequence length overruns stream for {tag}", offset=start)
-            value, pos = _read_items(data, pos, end, implicit, depth + 1)
+            value, pos = _read_items(data, pos, end, implicit, depth + 1, memo)
             if pos != end:
                 raise DecodeError(f"sequence items overran declared length for {tag}", offset=start)
     else:
@@ -224,9 +225,14 @@ def _read_element(data: bytes, pos: int, implicit: bool,
 
 
 def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
-                depth: int) -> tuple[tuple, int]:
+                depth: int, memo: dict) -> tuple[tuple, int]:
     """Read sequence items up to `end`, or up to the sequence delimiter
-    when `end` is None."""
+    when `end` is None.
+
+    `memo` maps ``(depth, view of the item's bytes)`` to the data set
+    already decoded from a defined-length item with those bytes at that
+    depth; an item met again is that same object, and reading resumes
+    after it."""
     items = []
     while True:
         if end is not None:
@@ -250,18 +256,25 @@ def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
                 f"expected sequence item, found {_tag(group, number)}", offset=at
             )
         if length == UNDEFINED_LENGTH:
-            item, pos = _read_dataset(data, pos, None, True, implicit, depth)
+            item, pos = _read_dataset(data, pos, None, True, implicit, depth, memo)
         else:
             item_end = pos + length
             if item_end > len(data):
                 raise DecodeError("item length overruns stream", offset=at)
-            item, pos = _read_dataset(data, pos, item_end, False, implicit, depth)
+            key = (depth, memoryview(data)[pos:item_end])
+            item = memo.get(key)
+            if item is None:
+                item, pos = _read_dataset(data, pos, item_end, False, implicit,
+                                          depth, memo)
+                memo[key] = item
+            else:
+                pos = item_end
         items.append(item)
     return tuple(items), pos
 
 
 def _read_dataset(data: bytes, pos: int, end: int | None, in_item: bool,
-                  implicit: bool, depth: int) -> tuple[DataSet, int]:
+                  implicit: bool, depth: int, memo: dict) -> tuple[DataSet, int]:
     """Read elements up to `end`; with no `end`, up to the item delimiter
     (`in_item`) or the end of the stream."""
     elements = {}
@@ -281,7 +294,7 @@ def _read_dataset(data: bytes, pos: int, end: int | None, in_item: bool,
             if data.startswith(_ITEM_DELIMITER_BYTES, pos):
                 pos += 8
                 break
-        element, pos = _read_element(data, pos, implicit, depth)
+        element, pos = _read_element(data, pos, implicit, depth, memo)
         elements[element.tag] = element
     ds = DataSet.__new__(DataSet)
     ds._elements = elements
@@ -310,7 +323,7 @@ def decode_dataset(data: bytes, syntax: str = EXPLICIT_VR_LITTLE_ENDIAN) -> Data
     implicit = _is_implicit(syntax)
     if not isinstance(data, bytes):
         data = bytes(data)
-    return _read_dataset(data, 0, None, False, implicit, 0)[0]
+    return _read_dataset(data, 0, None, False, implicit, 0, {})[0]
 
 
 def decode_file_body(data: bytes, pos: int) -> tuple[DataSet, DataSet]:
@@ -320,14 +333,15 @@ def decode_file_body(data: bytes, pos: int) -> tuple[DataSet, DataSet]:
     Offsets in errors count from the start of `data`.
     """
     meta = DataSet()
+    meta_memo = {}  # the meta group is explicit VR whatever the data set is
     while pos + 2 <= len(data) and data[pos] == 0x02 and data[pos + 1] == 0x00:
-        element, pos = _read_element(data, pos, False, 0)
+        element, pos = _read_element(data, pos, False, 0, meta_memo)
         meta.add(element)
     syntax = meta.value("TransferSyntaxUID")
     if syntax is None:
         raise DecodeError("file meta lacks TransferSyntaxUID", offset=pos)
     implicit = _is_implicit(syntax)
-    return meta, _read_dataset(data, pos, None, False, implicit, 0)[0]
+    return meta, _read_dataset(data, pos, None, False, implicit, 0, {})[0]
 
 
 # -- encoding ---------------------------------------------------------------

@@ -656,6 +656,21 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
     """Inverse of :func:`item_to_dataset` (tolerant of extra attributes);
     a missing or unknown value type, a sequence the value type requires,
     when absent, and a malformed UIDREF value raise MissingContentError."""
+    return _item_from_dataset(ds, {})
+
+
+def _concept(items: DataSet, concepts: dict) -> CodedConcept:
+    """The concept of one code item, built once per item object: `concepts`
+    maps ``id(items)`` to it for the whole read, during which the caller's
+    tree keeps every item alive. (A decoded tree shares the items of
+    repeated codes, and CodedConcept is immutable.)"""
+    concept = concepts.get(id(items))
+    if concept is None:
+        concept = concepts[id(items)] = concept_from_items(items)
+    return concept
+
+
+def _item_from_dataset(ds: DataSet, concepts: dict) -> ContentItem:
     raw_type = ds.value(TAGS.ValueType)
     try:
         value_type = _member(ValueType, raw_type)
@@ -663,8 +678,9 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
         raise MissingContentError(f"content item has no known ValueType: {raw_type!r}") from None
     relationship = ds.value(TAGS.RelationshipType)
     name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
-    name = concept_from_items(name_items[0]) if name_items else None
-    children = tuple(item_from_dataset(c) for c in ds.items_of(TAGS.ContentSequence))
+    name = _concept(name_items[0], concepts) if name_items else None
+    children = tuple(_item_from_dataset(c, concepts)
+                     for c in ds.items_of(TAGS.ContentSequence))
 
     if value_type is ValueType.CONTAINER:
         template_items = ds.items_of(TAGS.ContentTemplateSequence)
@@ -678,15 +694,15 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
             template_id=template_id,
         )
     if value_type is ValueType.CODE:
-        value = concept_from_items(_first_item(ds, TAGS.ConceptCodeSequence, value_type))
+        value = _concept(_first_item(ds, TAGS.ConceptCodeSequence, value_type), concepts)
         return CodeItem(name, value, relationship, children)
     if value_type is ValueType.NUM:
         measured = _first_item(ds, TAGS.MeasuredValueSequence, value_type)
-        unit = concept_from_items(
-            _first_item(measured, TAGS.MeasurementUnitsCodeSequence, value_type)
+        unit = _concept(
+            _first_item(measured, TAGS.MeasurementUnitsCodeSequence, value_type), concepts
         )
         qualifier_items = ds.items_of(TAGS.NumericValueQualifierCodeSequence)
-        qualifier = concept_from_items(qualifier_items[0]) if qualifier_items else None
+        qualifier = _concept(qualifier_items[0], concepts) if qualifier_items else None
         return NumItem(name, measured.value(TAGS.NumericValue), unit, qualifier,
                        relationship, children)
     if value_type is ValueType.TEXT:

@@ -2,6 +2,8 @@
 import hashlib
 import random
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_ct_source
 from dicomforge.codec import MAX_NESTING, decode_dataset, encode_dataset
-from dicomforge.coding import SCT, UCUM
+from dicomforge.coding import SCT, UCUM, CodedConcept
 from dicomforge.dataset import DataElement, DataSet
 from dicomforge.errors import (
     DecodeError,
@@ -35,6 +37,7 @@ from dicomforge.sr import (
     TrackingIdentifier,
     create_sr,
     measurement_report,
+    open_sr,
     planar_roi_group,
 )
 from dicomforge.sr import document as sr_document
@@ -431,6 +434,114 @@ class TestGoldenBytes:
         assert stream != explicit
         assert encode_dataset(decode_dataset(stream, IMPLICIT_VR_LITTLE_ENDIAN)) == explicit
 
+
+
+# -- shared items on decode ---------------------------------------------------
+
+
+def defined_chain(levels: int, leaf: DataSet) -> DataSet:
+    """`leaf` inside `levels` nested ReferencedSeriesSequence items; encoded,
+    every sequence and item has a defined length."""
+    ds = leaf
+    for _ in range(levels):
+        outer = DataSet()
+        outer.put("ReferencedSeriesSequence", (ds,))
+        ds = outer
+    return ds
+
+
+def concepts_of(doc) -> list:
+    """Every concept of an SR tree: names, code values, units, qualifiers."""
+    out = []
+    for item in doc.tree.iter():
+        out += [getattr(item, a, None) for a in ("name", "unit", "qualifier")]
+        if isinstance(getattr(item, "value", None), CodedConcept):
+            out.append(item.value)
+    return [c for c in out if c is not None]
+
+
+class TestSharedDecode:
+    """The decoder builds one data set per distinct defined-length item
+    (same bytes, same depth) and reuses it for every repeat."""
+
+    def test_equal_code_items_decode_to_one_object(self):
+        blob = encode_dataset(golden_sr())
+        ds = decode_dataset(blob)
+        assert encode_dataset(ds) == blob
+        ids_by_bytes = {}
+        for item in item_occurrences(ds):
+            if "CodingSchemeDesignator" in item:
+                ids_by_bytes.setdefault(encode_dataset(item), set()).add(id(item))
+        assert all(len(ids) == 1 for ids in ids_by_bytes.values())
+        occurrences = sum(1 for i in item_occurrences(ds) if "CodingSchemeDesignator" in i)
+        assert occurrences > 10 * len(ids_by_bytes)
+
+    def test_open_sr_builds_one_concept_per_code_item(self):
+        doc = open_sr(decode_dataset(encode_dataset(golden_sr())))
+        ids_by_code = {}
+        for concept in concepts_of(doc):
+            key = (concept.value, concept.scheme, concept.meaning, concept.version)
+            ids_by_code.setdefault(key, set()).add(id(concept))
+        assert all(len(ids) == 1 for ids in ids_by_code.values())
+        assert len(concepts_of(doc)) > 10 * len(ids_by_code)
+
+    def test_item_met_again_past_the_nesting_limit_still_raises(self):
+        leaf = DataSet([lo_element("ID1")])
+        shared = defined_chain(40, leaf)  # 40 sequences deep inside
+        root = DataSet()
+        root.put("ReferencedSeriesSequence", (shared,))  # first at depth 1
+        depth = 30  # of the second copy's item
+        root.put("ContentSequence", (defined_chain(depth - 1, shared),))
+        blob = encode_dataset(root)
+        shallow_only = DataSet()
+        shallow_only.put("ReferencedSeriesSequence", (shared,))
+        decode_dataset(encode_dataset(shallow_only))  # decodes at depth 1
+        with pytest.raises(DecodeError) as excinfo:
+            decode_dataset(blob)
+        # the copy's sequences start 20 bytes apart (sequence and item
+        # headers), its first at `depth`; the one at MAX_NESTING is rejected
+        start = blob.rindex(encode_dataset(shared))
+        assert excinfo.value.offset == start + 20 * (MAX_NESTING - depth)
+        assert f"deeper than {MAX_NESTING}" in str(excinfo.value)
+
+    def test_deep_large_value_is_not_copied_per_level(self):
+        value = bytes(1 << 20)
+        leaf = DataSet([DataElement(Tag(0x7FE0, 0x0010), VR.OB, value)])
+        blob = encode_dataset(defined_chain(60, leaf))
+        tracemalloc.start()
+        try:
+            ds = decode_dataset(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for _ in range(60):
+            [ds] = ds.items_of("ReferencedSeriesSequence")
+        assert ds.value(Tag(0x7FE0, 0x0010)) == value
+        assert peak < 3 << 20
+
+    def test_decoded_data_set_holds_no_reference_to_the_input(self):
+        ds = golden_sr(8)
+        blob = write_part10(file_meta_for(ds), ds)
+        before = sys.getrefcount(blob)
+        meta, decoded = read_part10(blob)
+        assert sys.getrefcount(blob) == before
+        assert decoded == ds
+
+    def test_undefined_length_items_are_decoded_one_by_one(self):
+        leaf = bytes.fromhex("1000200004000000") + b"ID1 "  # implicit VR
+        undefined = bytes.fromhex("FEFF00E0FFFFFFFF") + leaf + bytes.fromhex("FEFF0DE000000000")
+        defined = bytes.fromhex("FEFF00E0") + struct.pack("<I", len(leaf)) + leaf
+        stream = (bytes.fromhex("08001511FFFFFFFF") + undefined * 2 + defined * 2
+                  + bytes.fromhex("FEFFDDE000000000"))
+        items = decode_dataset(stream, IMPLICIT_VR_LITTLE_ENDIAN).items_of(
+            "ReferencedSeriesSequence")
+        assert [item.value("PatientID") for item in items] == ["ID1"] * 4
+        assert items[0] is not items[1]
+        assert items[2] is items[3]
+        assert items[0] is not items[2]
+        ds = golden_sr(8)
+        stream = implicit_stream(ds)  # undefined-length items at depth 1
+        assert decode_dataset(stream, IMPLICIT_VR_LITTLE_ENDIAN) == ds
 
 # -- hostile input ------------------------------------------------------------
 
