@@ -2,6 +2,7 @@
 import functools
 import json
 import socket
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ class TestWebCommands:
                 "-o", str(out_path),
             ], capsys)
             assert code == 0
-            assert out_path.read_bytes() == open(paths[0], "rb").read()
+            assert out_path.read_bytes() == Path(paths[0]).read_bytes()
 
     def test_network_error_exit_code(self, capsys):
         code, _, err = run([
