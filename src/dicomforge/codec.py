@@ -12,10 +12,29 @@ field read is bounds-checked first, so a short or overrunning stream
 raises :class:`DecodeError` with the byte offset where reading failed,
 never a ``struct`` or index error. Sequences nested deeper than
 ``MAX_NESTING`` levels also raise :class:`DecodeError`, well before the
-interpreter's recursion limit. Encoding appends to one ``bytearray`` and
-back-patches sequence and item lengths once their contents are written; a
-sequence item object that occurs more than once in the data set (shared
-code items, for one) is encoded once and its bytes copied for each repeat.
+interpreter's recursion limit.
+
+Each decode call keeps a memo of the defined-length sequence items it has
+decoded, keyed by ``(depth, memoryview of the item's bytes)``; a Part 10
+meta group, always explicit VR, shares none with its data set. An item
+whose bytes and depth are already in the memo is the data set built for
+them, and reading skips to its end; so a repeated item (a code item, for
+one, repeats in every SR content item that names the same concept) is
+decoded once and shared. This keeps every check: a defined-length item
+that decodes without error has read only its own bytes, and its decoding
+depends otherwise only on its depth (``MAX_NESTING``) and the transfer
+syntax, fixed for one memo; an item that fails is never stored, so errors
+and offsets are unchanged. The keys are views, so a large value nested
+deep is not copied once per enclosing item; they are dropped when the call
+returns, and decoded values are copies, so the result holds no reference
+to the input. Items of undefined length end where their delimiter is
+found, not at a known offset, and are decoded one by one.
+
+Encoding appends to one ``bytearray`` and back-patches sequence and item
+lengths once their contents are written; a sequence item object that
+occurs more than once in the data set (shared code items, for one) is
+encoded once and its bytes copied for each repeat, decoded data sets
+included.
 """
 from __future__ import annotations
 
@@ -332,10 +351,11 @@ def decode_file_body(data: bytes, pos: int) -> tuple[DataSet, DataSet]:
 
     Offsets in errors count from the start of `data`.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)
     meta = DataSet()
-    meta_memo = {}  # the meta group is explicit VR whatever the data set is
     while pos + 2 <= len(data) and data[pos] == 0x02 and data[pos + 1] == 0x00:
-        element, pos = _read_element(data, pos, False, 0, meta_memo)
+        element, pos = _read_element(data, pos, False, 0, {})
         meta.add(element)
     syntax = meta.value("TransferSyntaxUID")
     if syntax is None:

@@ -77,8 +77,6 @@ def read_part10(data: bytes) -> tuple[FileMeta, DataSet]:
     UnsupportedTransferSyntaxError when the declared syntax is outside the
     supported read set (the message names the UID).
     """
-    if not isinstance(data, bytes):
-        data = bytes(data)
     if len(data) < 132 or data[128:132] != MAGIC:
         raise NotADicomFileError("missing 'DICM' magic at offset 128")
     meta_ds, ds = decode_file_body(data, 132)

@@ -468,13 +468,12 @@ class TestSharedDecode:
         blob = encode_dataset(golden_sr())
         ds = decode_dataset(blob)
         assert encode_dataset(ds) == blob
+        code_items = [i for i in item_occurrences(ds) if "CodingSchemeDesignator" in i]
         ids_by_bytes = {}
-        for item in item_occurrences(ds):
-            if "CodingSchemeDesignator" in item:
-                ids_by_bytes.setdefault(encode_dataset(item), set()).add(id(item))
+        for item in code_items:
+            ids_by_bytes.setdefault(encode_dataset(item), set()).add(id(item))
         assert all(len(ids) == 1 for ids in ids_by_bytes.values())
-        occurrences = sum(1 for i in item_occurrences(ds) if "CodingSchemeDesignator" in i)
-        assert occurrences > 10 * len(ids_by_bytes)
+        assert len(code_items) > 10 * len(ids_by_bytes)
 
     def test_open_sr_builds_one_concept_per_code_item(self):
         doc = open_sr(decode_dataset(encode_dataset(golden_sr())))
@@ -527,6 +526,14 @@ class TestSharedDecode:
         assert sys.getrefcount(blob) == before
         assert decoded == ds
 
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_buffers_decode_like_bytes(self, kind):
+        ds = golden_sr(2)
+        blob = write_part10(file_meta_for(ds), ds)
+        assert read_part10(kind(blob)) == read_part10(blob)
+        stream = encode_dataset(ds)
+        assert decode_dataset(kind(stream)) == ds
+
     def test_undefined_length_items_are_decoded_one_by_one(self):
         leaf = bytes.fromhex("1000200004000000") + b"ID1 "  # implicit VR
         undefined = bytes.fromhex("FEFF00E0FFFFFFFF") + leaf + bytes.fromhex("FEFF0DE000000000")
@@ -539,9 +546,7 @@ class TestSharedDecode:
         assert items[0] is not items[1]
         assert items[2] is items[3]
         assert items[0] is not items[2]
-        ds = golden_sr(8)
-        stream = implicit_stream(ds)  # undefined-length items at depth 1
-        assert decode_dataset(stream, IMPLICIT_VR_LITTLE_ENDIAN) == ds
+
 
 # -- hostile input ------------------------------------------------------------
 
