@@ -14,21 +14,23 @@ never a ``struct`` or index error. Sequences nested deeper than
 ``MAX_NESTING`` levels also raise :class:`DecodeError`, well before the
 interpreter's recursion limit.
 
-Each decode call keeps a memo of the defined-length sequence items it has
-decoded, keyed by ``(depth, memoryview of the item's bytes)``; a Part 10
-meta group, always explicit VR, shares none with its data set. An item
-whose bytes and depth are already in the memo is the data set built for
-them, and reading skips to its end; so a repeated item (a code item, for
-one, repeats in every SR content item that names the same concept) is
-decoded once and shared. This keeps every check: a defined-length item
-that decodes without error has read only its own bytes, and its decoding
-depends otherwise only on its depth (``MAX_NESTING``) and the transfer
-syntax, fixed for one memo; an item that fails is never stored, so errors
-and offsets are unchanged. The keys are views, so a large value nested
-deep is not copied once per enclosing item; they are dropped when the call
-returns, and decoded values are copies, so the result holds no reference
-to the input. Items of undefined length end where their delimiter is
-found, not at a known offset, and are decoded one by one.
+Each decode call keeps a memo of the defined-length sequence items of at
+most ``MEMO_MAX_ITEM`` bytes it has decoded, keyed by ``(depth,
+memoryview of the item's bytes)``; a Part 10 meta group, always explicit
+VR, shares none with its data set. An item whose bytes and depth are
+already in the memo is the data set built for them, and reading skips to
+its end; so a repeated item (a code item, for one, repeats in every SR
+content item that names the same concept) is decoded once and shared.
+This keeps every check: a defined-length item that decodes without error
+has read only its own bytes, and its decoding depends otherwise only on
+its depth (``MAX_NESTING``) and the transfer syntax, fixed for one memo;
+an item that fails is never stored, so errors and offsets are unchanged.
+The keys are views, so a large value nested deep is not copied once per
+enclosing item, and the size cap keeps it from being hashed once per
+enclosing item; the keys are dropped when the call returns, and decoded
+values are copies, so the result holds no reference to the input. Items
+of undefined length end where their delimiter is found, not at a known
+offset, and are decoded one by one.
 
 Encoding appends to one ``bytearray`` and back-patches sequence and item
 lengths once their contents are written; a sequence item object that
@@ -66,6 +68,12 @@ UNDEFINED_LENGTH = 0xFFFFFFFF
 # Sequences deeper than this are rejected: each level costs the decoder
 # three stack frames, so 64 levels stay far below the recursion limit.
 MAX_NESTING = 64
+
+# Only items of at most this many bytes enter the decoder's memo. A code
+# item is at most about 150 bytes and an SR CODE content item with two of
+# them about 380, so every repeated item of an SR is shared; a large value
+# nested n items deep is not hashed n times.
+MEMO_MAX_ITEM = 512
 
 _EXPLICIT_HEADER = struct.Struct("<HH2sH")  # tag, VR, 16-bit length
 _TAG_AND_U32 = struct.Struct("<HHI")        # implicit header, item header
@@ -249,9 +257,9 @@ def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
     when `end` is None.
 
     `memo` maps ``(depth, view of the item's bytes)`` to the data set
-    already decoded from a defined-length item with those bytes at that
-    depth; an item met again is that same object, and reading resumes
-    after it."""
+    already decoded from a defined-length item of at most ``MEMO_MAX_ITEM``
+    bytes with those bytes at that depth; an item met again is that same
+    object, and reading resumes after it."""
     items = []
     while True:
         if end is not None:
@@ -280,12 +288,14 @@ def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
             item_end = pos + length
             if item_end > len(data):
                 raise DecodeError("item length overruns stream", offset=at)
-            key = (depth, memoryview(data)[pos:item_end])
+            key = (depth, memoryview(data)[pos:item_end]) if (
+                length <= MEMO_MAX_ITEM) else None  # None is never stored
             item = memo.get(key)
             if item is None:
                 item, pos = _read_dataset(data, pos, item_end, False, implicit,
                                           depth, memo)
-                memo[key] = item
+                if key is not None:
+                    memo[key] = item
             else:
                 pos = item_end
         items.append(item)

@@ -362,6 +362,18 @@ def _project_group(container: ContainerItem) -> MeasurementGroupView:
     )
 
 
+def _flag(dataset: DataSet, keyword: str, default: enum.Enum) -> enum.Enum:
+    """The document flag `keyword`, a member of `default`'s enum; a value
+    outside it raises MissingContentError."""
+    flags = type(default)
+    value = dataset.value(keyword, default.value)
+    try:
+        return flags(value)
+    except ValueError:
+        raise MissingContentError(f"{keyword} {value!r} is not one of "
+                                  f"{', '.join(f.value for f in flags)}") from None
+
+
 class StructuredReport:
     """Read-only view over an SR dataset."""
 
@@ -389,10 +401,8 @@ class StructuredReport:
         if not isinstance(root, ContainerItem):
             raise MissingContentError("SR root content item is not a CONTAINER")
         self.tree: ContainerItem = root
-        self.completion = CompletionFlag(dataset.value("CompletionFlag", "COMPLETE"))
-        self.verification = VerificationFlag(
-            dataset.value("VerificationFlag", "UNVERIFIED")
-        )
+        self.completion = _flag(dataset, "CompletionFlag", CompletionFlag.COMPLETE)
+        self.verification = _flag(dataset, "VerificationFlag", VerificationFlag.UNVERIFIED)
         self.sop_instance_uid = dataset.value("SOPInstanceUID", "")
         self.series_instance_uid = dataset.value("SeriesInstanceUID", "")
         self.predecessors = tuple(

@@ -80,6 +80,42 @@ def _member(cls: type[enum.Enum], value):
         return cls(value)
 
 
+# -- data-set helpers of the item classes' writers and readers ---------------
+
+
+def _member_elements(keyword: str, *enums: type[enum.Enum]) -> dict:
+    """One element per enum member, valued by the member, for `keyword`."""
+    tag, vr = KEYWORD_TO_TAG_VR[keyword]
+    return {m: DataElement(tag, vr, m.value) for cls in enums for m in cls}
+
+
+# Elements valued by an enum member recur in every item, so items share one
+# element object per member.
+_RELATIONSHIP_ELEMENTS = _member_elements("RelationshipType", RelationshipType)
+_VALUE_TYPE_ELEMENTS = _member_elements("ValueType", ValueType)
+_CONTINUITY_ELEMENTS = _member_elements("ContinuityOfContent", ContinuityOfContent)
+_GRAPHIC_TYPE_ELEMENTS = _member_elements("GraphicType", GraphicType2D, GraphicType3D)
+
+
+def _first_item(ds: DataSet, tag, value_type: ValueType) -> DataSet:
+    """First item of a sequence that a `value_type` item must carry."""
+    items = ds.items_of(tag)
+    if not items:
+        raise MissingContentError(f"{value_type.value} item lacks {keyword_of(tag)}")
+    return items[0]
+
+
+def _concept(items: DataSet, concepts: dict) -> CodedConcept:
+    """The concept of one code item, built once per item object: `concepts`
+    maps ``id(items)`` to it for the whole read, during which the caller's
+    tree keeps every item alive. (A decoded tree shares the items of
+    repeated codes, and CodedConcept is immutable.)"""
+    concept = concepts.get(id(items))
+    if concept is None:
+        concept = concepts[id(items)] = concept_from_items(items)
+    return concept
+
+
 @dataclass(frozen=True)
 class TrackingIdentifier:
     """Stable identity for an ROI: a UID plus an optional readable label."""
@@ -111,7 +147,12 @@ class AlgorithmIdentification:
 
 
 class ContentItem:
-    """Abstract base for all content item variants."""
+    """Abstract base for all content item variants.
+
+    Each variant writes and reads the attributes of its value type
+    (`_put_value`, `_read`); :func:`item_to_dataset` and
+    :func:`item_from_dataset` handle the attributes all items share.
+    """
 
     value_type: ValueType  # set on subclasses
 
@@ -145,6 +186,18 @@ class ContentItem:
     # payload fields participating in equality/repr, defined per subclass
     def _payload(self) -> tuple:
         return ()
+
+    def _put_value(self, ds: DataSet) -> None:
+        """Write the attributes of this item's value type into `ds`."""
+        raise NotImplementedError
+
+    @classmethod
+    def _read(cls, ds: DataSet, concepts: dict, name, relationship,
+              children) -> "ContentItem":
+        """An item of this class valued by the attributes of `ds`; the
+        constructor validates them. `concepts` is the read's concept memo
+        (see `_concept`)."""
+        raise NotImplementedError
 
     def with_relationship(self, relationship) -> "ContentItem":
         clone = copy.copy(self)
@@ -230,6 +283,22 @@ class ContainerItem(ContentItem):
     def _payload(self):
         return (self.continuity, self.template_id)
 
+    def _put_value(self, ds):
+        ds.add(_CONTINUITY_ELEMENTS[self.continuity])
+        if self.template_id:
+            template = DataSet()
+            template.put("MappingResource", "DCMR")
+            template.put("TemplateIdentifier", self.template_id)
+            ds.put("ContentTemplateSequence", (template,))
+
+    @classmethod
+    def _read(cls, ds, concepts, name, relationship, children):
+        template_items = ds.items_of(TAGS.ContentTemplateSequence)
+        template_id = (template_items[0].value(TAGS.TemplateIdentifier)
+                       if template_items else None)
+        return cls(name, children, ds.value(TAGS.ContinuityOfContent, "SEPARATE"),
+                   relationship, template_id)
+
 
 class CodeItem(ContentItem):
     value_type = ValueType.CODE
@@ -243,6 +312,14 @@ class CodeItem(ContentItem):
 
     def _payload(self):
         return (self.value, self.value.meaning)
+
+    def _put_value(self, ds):
+        ds.put("ConceptCodeSequence", (concept_to_items(self.value),))
+
+    @classmethod
+    def _read(cls, ds, concepts, name, relationship, children):
+        value = _first_item(ds, TAGS.ConceptCodeSequence, cls.value_type)
+        return cls(name, _concept(value, concepts), relationship, children)
 
 
 class NumItem(ContentItem):
@@ -279,8 +356,29 @@ class NumItem(ContentItem):
     def _payload(self):
         return (self.value, self.unit, self.qualifier)
 
+    def _put_value(self, ds):
+        measured = DataSet()
+        measured.put("NumericValue", self.value)
+        measured.put("MeasurementUnitsCodeSequence", (concept_to_items(self.unit),))
+        ds.put("MeasuredValueSequence", (measured,))
+        if self.qualifier is not None:
+            ds.put("NumericValueQualifierCodeSequence",
+                   (concept_to_items(self.qualifier),))
+
+    @classmethod
+    def _read(cls, ds, concepts, name, relationship, children):
+        measured = _first_item(ds, TAGS.MeasuredValueSequence, cls.value_type)
+        unit = _first_item(measured, TAGS.MeasurementUnitsCodeSequence, cls.value_type)
+        qualifier = ds.items_of(TAGS.NumericValueQualifierCodeSequence)
+        return cls(name, measured.value(TAGS.NumericValue, ""), _concept(unit, concepts),
+                   _concept(qualifier[0], concepts) if qualifier else None,
+                   relationship, children)
+
 
 class _StringItem(ContentItem):
+    """An item valued by one string, held by the attribute `_keyword`."""
+
+    _keyword: str  # set on subclasses
     __slots__ = ("value",)
 
     def __init__(self, name, value: str, relationship=None, children=()):
@@ -292,14 +390,23 @@ class _StringItem(ContentItem):
     def _payload(self):
         return (self.value,)
 
+    def _put_value(self, ds):
+        ds.put(self._keyword, self.value)
+
+    @classmethod
+    def _read(cls, ds, concepts, name, relationship, children):
+        return cls(name, ds.value(cls._keyword, ""), relationship, children)
+
 
 class TextItem(_StringItem):
     value_type = ValueType.TEXT
+    _keyword = "TextValue"
     __slots__ = ()
 
 
 class UIDRefItem(_StringItem):
     value_type = ValueType.UIDREF
+    _keyword = "UID"
     __slots__ = ()
 
     def __init__(self, name, value, relationship=None, children=()):
@@ -310,11 +417,13 @@ class UIDRefItem(_StringItem):
 
 class PNameItem(_StringItem):
     value_type = ValueType.PNAME
+    _keyword = "PersonName"
     __slots__ = ()
 
 
 class DateTimeItem(_StringItem):
     value_type = ValueType.DATETIME
+    _keyword = "DateTime"
     __slots__ = ()
 
 
@@ -331,6 +440,24 @@ class _ReferenceItem(ContentItem):
 
     def _payload(self):
         return (self.sop_class_uid, self.sop_instance_uid)
+
+    def _put_value(self, ds, **attributes):
+        ds.put("ReferencedSOPSequence", (sop_reference(
+            self.sop_class_uid, self.sop_instance_uid, **attributes),))
+
+    @classmethod
+    def _read(cls, ds, concepts, name, relationship, children):
+        ref = _first_item(ds, TAGS.ReferencedSOPSequence, cls.value_type)
+        return cls(name, ref.value(TAGS.ReferencedSOPClassUID),
+                   ref.value(TAGS.ReferencedSOPInstanceUID),
+                   relationship=relationship, children=children,
+                   **cls._read_reference(ref))
+
+    @staticmethod
+    def _read_reference(ref: DataSet) -> dict:
+        """Constructor arguments read from the SOP reference item besides
+        its two UIDs."""
+        return {}
 
 
 class ImageItem(_ReferenceItem):
@@ -351,6 +478,15 @@ class ImageItem(_ReferenceItem):
 
     def _payload(self):
         return (*super()._payload(), self.segment_number, self.frame_numbers)
+
+    def _put_value(self, ds):
+        super()._put_value(ds, ReferencedSegmentNumber=self.segment_number,
+                           ReferencedFrameNumber=self.frame_numbers)
+
+    @staticmethod
+    def _read_reference(ref):
+        return {"segment_number": ref.value(TAGS.ReferencedSegmentNumber),
+                "frame_numbers": ref.values(TAGS.ReferencedFrameNumber) or None}
 
 
 class CompositeItem(_ReferenceItem):
@@ -400,11 +536,30 @@ def _check_arity(graphic_type, count: int, table) -> None:
         )
 
 
-class ScoordItem(ContentItem):
+class _GraphicItem(ContentItem):
+    """Spatial coordinates: a graphic type and its points."""
+
+    __slots__ = ("graphic_type", "points")
+
+    def _payload(self):
+        return (self.graphic_type, self.points)
+
+    def _put_value(self, ds):
+        ds.put("GraphicData", self.points.ravel().tolist())
+        ds.add(_GRAPHIC_TYPE_ELEMENTS[self.graphic_type])
+
+    @classmethod
+    def _read(cls, ds, concepts, name, relationship, children, **arguments):
+        return cls(name, ds.value(TAGS.GraphicType),
+                   np.asarray(ds.values(TAGS.GraphicData)),
+                   relationship=relationship, children=children, **arguments)
+
+
+class ScoordItem(_GraphicItem):
     """2D spatial coordinates in image pixel-matrix units (column, row)."""
 
     value_type = ValueType.SCOORD
-    __slots__ = ("graphic_type", "points")
+    __slots__ = ()
 
     def __init__(self, name, graphic_type: GraphicType2D | str, points,
                  relationship=None, children=()):
@@ -422,15 +577,12 @@ class ScoordItem(ContentItem):
                 return child
         return None
 
-    def _payload(self):
-        return (self.graphic_type, self.points)
 
-
-class Scoord3DItem(ContentItem):
+class Scoord3DItem(_GraphicItem):
     """3D spatial coordinates in frame-of-reference millimeters."""
 
     value_type = ValueType.SCOORD3D
-    __slots__ = ("graphic_type", "points", "frame_of_reference_uid")
+    __slots__ = ("frame_of_reference_uid",)
 
     def __init__(self, name, graphic_type: GraphicType3D | str, points,
                  frame_of_reference_uid: str,
@@ -444,11 +596,22 @@ class Scoord3DItem(ContentItem):
         ):
             raise InvalidGraphicError("3D POLYGON must be closed (first point == last)")
         if not is_valid_uid(frame_of_reference_uid):
-            raise ValueError("SCOORD3D needs a well-formed frame-of-reference UID")
+            raise ValueError("SCOORD3D needs a well-formed frame-of-reference UID, "
+                             f"got {frame_of_reference_uid!r}")
         self.frame_of_reference_uid = frame_of_reference_uid
 
     def _payload(self):
-        return (self.graphic_type, self.points, self.frame_of_reference_uid)
+        return (*super()._payload(), self.frame_of_reference_uid)
+
+    def _put_value(self, ds):
+        super()._put_value(ds)
+        ds.put("ReferencedFrameOfReferenceUID", self.frame_of_reference_uid)
+
+    @classmethod
+    def _read(cls, ds, concepts, name, relationship, children):
+        for_uid = ds.value(TAGS.ReferencedFrameOfReferenceUID)
+        return super()._read(ds, concepts, name, relationship, children,
+                             frame_of_reference_uid=for_uid)
 
 
 _ITEM_CLASSES: dict[ValueType, type] = {
@@ -571,23 +734,6 @@ class ObserverContext:
         return items
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def _member_elements(keyword: str, *enums: type[enum.Enum]) -> dict:
-    """One element per enum member, valued by the member, for `keyword`."""
-    tag, vr = KEYWORD_TO_TAG_VR[keyword]
-    return {m: DataElement(tag, vr, m.value) for cls in enums for m in cls}
-
-
-# Elements valued by an enum member recur in every item, so items share one
-# element object per member.
-_RELATIONSHIP_ELEMENTS = _member_elements("RelationshipType", RelationshipType)
-_VALUE_TYPE_ELEMENTS = _member_elements("ValueType", ValueType)
-_CONTINUITY_ELEMENTS = _member_elements("ContinuityOfContent", ContinuityOfContent)
-_GRAPHIC_TYPE_ELEMENTS = _member_elements("GraphicType", GraphicType2D, GraphicType3D)
-
-
 def item_to_dataset(item: ContentItem) -> DataSet:
     """Serialize one content item (and its subtree) to data elements."""
     ds = DataSet()
@@ -596,155 +742,35 @@ def item_to_dataset(item: ContentItem) -> DataSet:
     ds.add(_VALUE_TYPE_ELEMENTS[item.value_type])
     if item.name is not None:
         ds.put("ConceptNameCodeSequence", (concept_to_items(item.name),))
-    if isinstance(item, ContainerItem):
-        ds.add(_CONTINUITY_ELEMENTS[item.continuity])
-        if item.template_id:
-            template = DataSet()
-            template.put("MappingResource", "DCMR")
-            template.put("TemplateIdentifier", item.template_id)
-            ds.put("ContentTemplateSequence", (template,))
-    elif isinstance(item, CodeItem):
-        ds.put("ConceptCodeSequence", (concept_to_items(item.value),))
-    elif isinstance(item, NumItem):
-        measured = DataSet()
-        measured.put("NumericValue", item.value)
-        measured.put("MeasurementUnitsCodeSequence", (concept_to_items(item.unit),))
-        ds.put("MeasuredValueSequence", (measured,))
-        if item.qualifier is not None:
-            ds.put(
-                "NumericValueQualifierCodeSequence",
-                (concept_to_items(item.qualifier),),
-            )
-    elif isinstance(item, TextItem):
-        ds.put("TextValue", item.value)
-    elif isinstance(item, UIDRefItem):
-        ds.put("UID", item.value)
-    elif isinstance(item, PNameItem):
-        ds.put("PersonName", item.value)
-    elif isinstance(item, DateTimeItem):
-        ds.put("DateTime", item.value)
-    elif isinstance(item, _ReferenceItem):
-        ds.put("ReferencedSOPSequence", (sop_reference(
-            item.sop_class_uid,
-            item.sop_instance_uid,
-            ReferencedSegmentNumber=getattr(item, "segment_number", None),
-            ReferencedFrameNumber=getattr(item, "frame_numbers", None),
-        ),))
-    elif isinstance(item, ScoordItem):
-        ds.put("GraphicData", item.points.ravel().tolist())
-        ds.add(_GRAPHIC_TYPE_ELEMENTS[item.graphic_type])
-    elif isinstance(item, Scoord3DItem):
-        ds.put("GraphicData", item.points.ravel().tolist())
-        ds.add(_GRAPHIC_TYPE_ELEMENTS[item.graphic_type])
-        ds.put("ReferencedFrameOfReferenceUID", item.frame_of_reference_uid)
-    else:  # pragma: no cover - the class map is closed
-        raise TypeError(f"cannot serialize {type(item).__name__}")
+    item._put_value(ds)
     if item.children:
         ds.put("ContentSequence", tuple(item_to_dataset(c) for c in item.children))
     return ds
 
 
-def _first_item(ds: DataSet, tag, value_type: ValueType) -> DataSet:
-    """First item of a sequence that a `value_type` item must carry."""
-    items = ds.items_of(tag)
-    if not items:
-        raise MissingContentError(f"{value_type.value} item lacks {keyword_of(tag)}")
-    return items[0]
-
-
 def item_from_dataset(ds: DataSet) -> ContentItem:
-    """Inverse of :func:`item_to_dataset` (tolerant of extra attributes);
-    a missing or unknown value type, a sequence the value type requires,
-    when absent, and a malformed UIDREF value raise MissingContentError."""
+    """Inverse of :func:`item_to_dataset` (tolerant of extra attributes).
+
+    Raises MissingContentError for a missing or unknown value type, for a
+    sequence the value type requires when absent, and for any value the
+    item classes reject (a malformed UID, graphic type, relationship or
+    continuity, a missing numeric value, a child without a relationship,
+    ...); the message carries the rejected value.
+    """
     return _item_from_dataset(ds, {})
-
-
-def _concept(items: DataSet, concepts: dict) -> CodedConcept:
-    """The concept of one code item, built once per item object: `concepts`
-    maps ``id(items)`` to it for the whole read, during which the caller's
-    tree keeps every item alive. (A decoded tree shares the items of
-    repeated codes, and CodedConcept is immutable.)"""
-    concept = concepts.get(id(items))
-    if concept is None:
-        concept = concepts[id(items)] = concept_from_items(items)
-    return concept
 
 
 def _item_from_dataset(ds: DataSet, concepts: dict) -> ContentItem:
     raw_type = ds.value(TAGS.ValueType)
     try:
-        value_type = _member(ValueType, raw_type)
+        cls = _ITEM_CLASSES[_member(ValueType, raw_type)]
     except ValueError:
         raise MissingContentError(f"content item has no known ValueType: {raw_type!r}") from None
-    relationship = ds.value(TAGS.RelationshipType)
     name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
     name = _concept(name_items[0], concepts) if name_items else None
     children = tuple(_item_from_dataset(c, concepts)
                      for c in ds.items_of(TAGS.ContentSequence))
-
-    if value_type is ValueType.CONTAINER:
-        template_items = ds.items_of(TAGS.ContentTemplateSequence)
-        template_id = (template_items[0].value(TAGS.TemplateIdentifier)
-                       if template_items else None)
-        return ContainerItem(
-            name,
-            children=children,
-            continuity=ds.value(TAGS.ContinuityOfContent, "SEPARATE"),
-            relationship=relationship,
-            template_id=template_id,
-        )
-    if value_type is ValueType.CODE:
-        value = _concept(_first_item(ds, TAGS.ConceptCodeSequence, value_type), concepts)
-        return CodeItem(name, value, relationship, children)
-    if value_type is ValueType.NUM:
-        measured = _first_item(ds, TAGS.MeasuredValueSequence, value_type)
-        unit = _concept(
-            _first_item(measured, TAGS.MeasurementUnitsCodeSequence, value_type), concepts
-        )
-        qualifier_items = ds.items_of(TAGS.NumericValueQualifierCodeSequence)
-        qualifier = _concept(qualifier_items[0], concepts) if qualifier_items else None
-        return NumItem(name, measured.value(TAGS.NumericValue), unit, qualifier,
-                       relationship, children)
-    if value_type is ValueType.TEXT:
-        return TextItem(name, ds.value(TAGS.TextValue, ""), relationship, children)
-    if value_type is ValueType.UIDREF:
-        uid = ds.value(TAGS.UID)
-        if not is_valid_uid(uid):
-            raise MissingContentError(f"UIDREF item lacks a well-formed UID: {uid!r}")
-        return UIDRefItem(name, uid, relationship, children)
-    if value_type is ValueType.PNAME:
-        return PNameItem(name, ds.value(TAGS.PersonName, ""), relationship, children)
-    if value_type is ValueType.DATETIME:
-        return DateTimeItem(name, ds.value(TAGS.DateTime, ""), relationship, children)
-    if value_type in (ValueType.IMAGE, ValueType.COMPOSITE):
-        ref = _first_item(ds, TAGS.ReferencedSOPSequence, value_type)
-        uids = (ref.value(TAGS.ReferencedSOPClassUID),
-                ref.value(TAGS.ReferencedSOPInstanceUID))
-        if value_type is ValueType.COMPOSITE:
-            return CompositeItem(name, *uids, relationship, children)
-        return ImageItem(
-            name,
-            *uids,
-            segment_number=ref.value(TAGS.ReferencedSegmentNumber),
-            frame_numbers=ref.values(TAGS.ReferencedFrameNumber) or None,
-            relationship=relationship,
-            children=children,
-        )
-    if value_type is ValueType.SCOORD:
-        return ScoordItem(
-            name,
-            ds.value(TAGS.GraphicType),
-            np.asarray(ds.values(TAGS.GraphicData)),
-            relationship,
-            children,
-        )
-    if value_type is ValueType.SCOORD3D:
-        return Scoord3DItem(
-            name,
-            ds.value(TAGS.GraphicType),
-            np.asarray(ds.values(TAGS.GraphicData)),
-            ds.value(TAGS.ReferencedFrameOfReferenceUID),
-            relationship,
-            children,
-        )
-    raise TypeError(f"unhandled value type {value_type}")  # pragma: no cover
+    try:
+        return cls._read(ds, concepts, name, ds.value(TAGS.RelationshipType), children)
+    except (ValueError, TypeError) as exc:
+        raise MissingContentError(f"{cls.value_type.value} item rejected: {exc}") from None

@@ -1,12 +1,16 @@
 """SR document creation/parsing: evidence, metadata copy, group filtering."""
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_ct_series, make_ct_source
 from dicomforge.codec import decode_dataset, encode_dataset
 from dicomforge.coding import DCM, SCT, UCUM, CodedConcept
 from dicomforge.dataset import DataSet
 from dicomforge.errors import (
+    DicomforgeError,
     EvidenceError,
     MissingContentError,
     NoGeometryError,
@@ -39,6 +43,8 @@ from dicomforge.sr import (
     volumetric_roi_group,
 )
 from dicomforge.uid import COMPREHENSIVE_3D_SR_STORAGE, new_uid
+from dicomforge.valuerep import VR
+from test_codec import golden_sr
 
 OBSERVER = ObserverContext.device(name="detector", version="1.0")
 
@@ -74,6 +80,34 @@ def first_item(ds, value_type):
         if found is not None:
             return found
     return None
+
+
+@functools.cache
+def golden_sr_bytes() -> bytes:
+    return encode_dataset(golden_sr(2))
+
+
+def content_items(ds):
+    """Every content item under `ds`, in document order."""
+    for item in ds.items_of("ContentSequence"):
+        yield item
+        yield from content_items(item)
+
+
+# Values a foreign SR might hold in place of one attribute, by VR: items that
+# are empty, a code item or a leaf content item; any 32-bit floats; any
+# integers; any text (the one VR of the SR attributes left).
+FOREIGN_ITEMS = [
+    DataSet(),
+    DataSet.of(CodeValue="1", CodingSchemeDesignator="99X", CodeMeaning="x"),
+    DataSet.of(RelationshipType="CONTAINS", ValueType="TEXT", TextValue="x"),
+]
+FOREIGN_TEXT = st.text(st.characters(blacklist_characters="\\"), max_size=24)
+FOREIGN_VALUES = {
+    VR.SQ: st.lists(st.sampled_from(FOREIGN_ITEMS), max_size=2),
+    VR.FL: st.lists(st.floats(width=32), max_size=13),
+    VR.IS: st.lists(st.integers(-(2 ** 31), 2 ** 31 - 1), max_size=2),
+}
 
 
 class TestCreate:
@@ -196,20 +230,54 @@ class TestOpen:
         ("CODE", lambda item: item.put("ValueType", "SOUND"), "SOUND"),
         ("UIDREF", lambda item: item.put("UID", "1.2.abc"), "1.2.abc"),
         ("UIDREF", lambda item: item.remove("UID"), "UID"),
-    ], ids=["no value type", "unknown value type", "malformed uid", "no uid"])
+        ("SCOORD3D", lambda item: item.put("ReferencedFrameOfReferenceUID", "1.2.abc"),
+         "1.2.abc"),
+        ("SCOORD3D", lambda item: item.put("GraphicType", "CIRCLE"), "CIRCLE"),
+        ("CODE", lambda item: item.put("RelationshipType", "LIKES"), "LIKES"),
+        ("CONTAINER", lambda item: item.put("ContinuityOfContent", "SOMETIMES"),
+         "SOMETIMES"),
+        ("NUM", lambda item: item.items_of("MeasuredValueSequence")[0].remove(
+            "NumericValue"), "NUM item .*decimal string"),
+        ("CODE", lambda item: item.remove("RelationshipType"), "relationship"),
+        # None: the document root
+        (None, lambda root: root.put("CompletionFlag", "MAYBE"), "CompletionFlag 'MAYBE'"),
+        (None, lambda root: root.put("VerificationFlag", "MAYBE"),
+         "VerificationFlag 'MAYBE'"),
+    ], ids=["no value type", "unknown value type", "malformed uid", "no uid",
+            "malformed frame of reference uid", "2d graphic type in 3d",
+            "unknown relationship", "unknown continuity", "no numeric value",
+            "child without relationship", "unknown completion flag",
+            "unknown verification flag"])
     def test_malformed_item(self, ct_series, tmp_path, capsys,
                             value_type, corrupt, message):
         from dicomforge.cli import main
         from dicomforge.part10 import write_part10_file
 
         ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series))
-        corrupt(first_item(ds, value_type))
+        corrupt(ds if value_type is None else first_item(ds, value_type))
         with pytest.raises(MissingContentError, match=message):
             open_sr(ds)
         path = tmp_path / "sr.dcm"
         write_part10_file(path, ds)
         assert main(["validate", str(path)]) == 1
         assert "ERROR validation" in capsys.readouterr().err
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_one_foreign_attribute_opens_or_raises_a_dicomforge_error(self, data):
+        ds = decode_dataset(golden_sr_bytes())
+        target = data.draw(st.sampled_from([ds, *content_items(ds)]), "target")
+        element = target.element(data.draw(st.sampled_from(target.tags()), "tag"))
+        value = data.draw(st.none() | FOREIGN_VALUES.get(element.vr, FOREIGN_TEXT),
+                          "value (None: removed)")
+        if value is None:
+            target.remove(element.tag)
+        else:
+            target.put(element.tag, value, vr=element.vr)
+        try:
+            open_sr(ds)
+        except DicomforgeError:
+            pass
 
     def test_evidence_references_exposed(self, ct_series):
         ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series))
