@@ -288,8 +288,8 @@ def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
             item_end = pos + length
             if item_end > len(data):
                 raise DecodeError("item length overruns stream", offset=at)
-            key = (depth, memoryview(data)[pos:item_end]) if (
-                length <= MEMO_MAX_ITEM) else None  # None is never stored
+            key = ((depth, memoryview(data)[pos:item_end])
+                   if length <= MEMO_MAX_ITEM else None)  # None is never stored
             item = memo.get(key)
             if item is None:
                 item, pos = _read_dataset(data, pos, item_end, False, implicit,

@@ -376,7 +376,7 @@ class NumItem(ContentItem):
 
 
 class _StringItem(ContentItem):
-    """An item valued by one string, held by the attribute `_keyword`."""
+    """An item valued by one string, in the attribute that `_keyword` names."""
 
     _keyword: str  # set on subclasses
     __slots__ = ("value",)
@@ -755,7 +755,8 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
     sequence the value type requires when absent, and for any value the
     item classes reject (a malformed UID, graphic type, relationship or
     continuity, a missing numeric value, a child without a relationship,
-    ...); the message carries the rejected value.
+    a sequence attribute written with another VR, ...); the message
+    carries the rejected value.
     """
     return _item_from_dataset(ds, {})
 
@@ -766,11 +767,11 @@ def _item_from_dataset(ds: DataSet, concepts: dict) -> ContentItem:
         cls = _ITEM_CLASSES[_member(ValueType, raw_type)]
     except ValueError:
         raise MissingContentError(f"content item has no known ValueType: {raw_type!r}") from None
-    name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
-    name = _concept(name_items[0], concepts) if name_items else None
-    children = tuple(_item_from_dataset(c, concepts)
-                     for c in ds.items_of(TAGS.ContentSequence))
     try:
+        name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
+        name = _concept(name_items[0], concepts) if name_items else None
+        children = tuple(_item_from_dataset(c, concepts)
+                         for c in ds.items_of(TAGS.ContentSequence))
         return cls._read(ds, concepts, name, ds.value(TAGS.RelationshipType), children)
     except (ValueError, TypeError) as exc:
         raise MissingContentError(f"{cls.value_type.value} item rejected: {exc}") from None

@@ -94,9 +94,9 @@ def content_items(ds):
         yield from content_items(item)
 
 
-# Values a foreign SR might hold in place of one attribute, by VR: items that
-# are empty, a code item or a leaf content item; any 32-bit floats; any
-# integers; any text (the one VR of the SR attributes left).
+# Values a foreign SR might hold in place of one attribute, by VR: sequences
+# of empty items, a code item or a leaf content item; any 32-bit floats; any
+# integers; and any text for the text VRs, the other VRs an SR holds.
 FOREIGN_ITEMS = [
     DataSet(),
     DataSet.of(CodeValue="1", CodingSchemeDesignator="99X", CodeMeaning="x"),
@@ -239,6 +239,8 @@ class TestOpen:
         ("NUM", lambda item: item.items_of("MeasuredValueSequence")[0].remove(
             "NumericValue"), "NUM item .*decimal string"),
         ("CODE", lambda item: item.remove("RelationshipType"), "relationship"),
+        ("CODE", lambda item: item.put("ConceptNameCodeSequence", "x", vr="UT"),
+         "is UT, not a sequence"),
         # None: the document root
         (None, lambda root: root.put("CompletionFlag", "MAYBE"), "CompletionFlag 'MAYBE'"),
         (None, lambda root: root.put("VerificationFlag", "MAYBE"),
@@ -246,8 +248,8 @@ class TestOpen:
     ], ids=["no value type", "unknown value type", "malformed uid", "no uid",
             "malformed frame of reference uid", "2d graphic type in 3d",
             "unknown relationship", "unknown continuity", "no numeric value",
-            "child without relationship", "unknown completion flag",
-            "unknown verification flag"])
+            "child without relationship", "name sequence with another vr",
+            "unknown completion flag", "unknown verification flag"])
     def test_malformed_item(self, ct_series, tmp_path, capsys,
                             value_type, corrupt, message):
         from dicomforge.cli import main
