@@ -24,7 +24,6 @@ from .errors import (
 )
 from .part10 import read_part10_file, write_part10_file
 from .pgm import read_pgm, write_pgm
-from .roi import bounding_boxes, connected_components
 from .seg import (
     AlgorithmType,
     SegmentDescription,
@@ -51,6 +50,7 @@ from .sr import (
     measurement_report,
     open_sr,
     planar_roi_group,
+    report_from_segmentation,
     volumetric_roi_group,
 )
 from .sr.items import AlgorithmIdentification
@@ -334,50 +334,10 @@ def _mk_sr_from_spec(args) -> int:
 
 
 def _mk_sr_from_seg(args) -> int:
-    """Bounding-box SR from a SEG: threshold, components, boxes, 3D corners."""
     _, seg_ds = read_part10_file(args.from_seg)
-    seg = open_seg(seg_ds)
-    frame_uid = seg_ds.value("FrameOfReferenceUID")
-    if not frame_uid:
-        raise DicomforgeError("segmentation lacks a frame of reference UID")
-    by_number = {d.number: d for d in seg.descriptions}
-    groups = []
-    for record in seg.frames:
-        frame = seg.stored_frame(record.index)
-        if seg.seg_type.is_binary:
-            mask = (frame > 0).astype(np.uint8)
-        else:
-            mask = (
-                frame / seg.seg_type.max_fractional_value >= args.threshold
-            ).astype(np.uint8)
-        components = connected_components(mask)
-        if not components.count:
-            continue
-        mapper = mapper_from_geometry(seg.plane_geometry(record))
-        description = by_number[record.segment_number]
-        for box in bounding_boxes(components):
-            corners = box.corner_points()
-            closed = np.vstack([corners, corners[:1]])
-            points_3d = mapper.pixel_to_reference(closed)
-            region = Scoord3DItem(None, "POLYGON", points_3d, frame_uid)
-            tracking = TrackingIdentifier.generate(
-                f"{description.label} frame {record.index + 1} region {box.label}"
-            )
-            groups.append(planar_roi_group(
-                tracking, region, description.property_type,
-                finding_sites=[description.anatomic_site] if description.anatomic_site else (),
-            ))
-    if not groups:
-        raise DicomforgeError(
-            f"no regions found at threshold {args.threshold}; nothing to report"
-        )
-    observer = ObserverContext.device(
-        name="dicomforge-from-seg", version=__version__
-    )
-    tree = measurement_report(observer, SCT.ImagingProcedure, groups)
-    ds = create_sr(SRKind.COMPREHENSIVE_3D, [seg_ds], tree)
+    ds = report_from_segmentation(open_seg(seg_ds), args.threshold)
     write_part10_file(args.output, ds)
-    print(f"wrote {args.output}: {len(groups)} group(s)")
+    print(f"wrote {args.output}: {len(open_sr(ds).measurement_groups())} group(s)")
     return 0
 
 

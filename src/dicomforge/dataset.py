@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import Any
 
+from .errors import NotASequenceError
 from .tags import KEYWORD_TO_TAG_VR, Tag, TagKey, keyword_of, resolve_key, vr_of
 from .valuerep import (
     BYTES_VRS,
@@ -270,12 +271,15 @@ class DataSet:
         return tuple(float(v) for v in self.values(key))
 
     def items_of(self, key: TagKey) -> tuple["DataSet", ...]:
-        """Items of a sequence element; empty tuple when absent."""
+        """Items of a sequence element; empty tuple when absent.
+
+        Raises NotASequenceError when the element has another VR.
+        """
         element = self.element(key)
         if element is None:
             return ()
         if element.vr is not VR.SQ:
-            raise TypeError(f"{element.tag} is {element.vr}, not a sequence")
+            raise NotASequenceError(f"{element.tag} is {element.vr}, not a sequence")
         return element._value
 
     # -- iteration / comparison --------------------------------------------

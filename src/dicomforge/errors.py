@@ -22,6 +22,11 @@ class DecodeError(DicomforgeError):
         self.offset = offset
 
 
+class NotASequenceError(DicomforgeError, TypeError):
+    """An attribute read as a sequence was written with another VR. Also a
+    TypeError, which readers that wrap bad values already catch."""
+
+
 class EncodeError(DicomforgeError):
     """A value cannot be encoded under its VR rules."""
 

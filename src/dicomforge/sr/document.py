@@ -2,17 +2,20 @@
 
 Creation copies patient/study/specimen context from the evidence images,
 records the evidence hierarchically, and serializes a measurement-report
-content tree. Opening exposes the document meta, the evidence references,
-the parsed tree, and measurement-group views with filtering.
+content tree. :func:`report_from_segmentation` builds such a document from
+an opened Segmentation: one planar bounding-box group per connected region
+of each stored frame. Opening exposes the document meta, the evidence
+references, the parsed tree, and measurement-group views with filtering.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from .. import __version__, roi
 from ..coding import DCM, SCT, CodedConcept, concept_from_items
 from ..dataset import DataSet
 from ..derived import (
@@ -25,6 +28,7 @@ from ..derived import (
     reference_sequence,
 )
 from ..errors import (
+    DicomforgeError,
     EvidenceError,
     MissingContentError,
     NoGeometryError,
@@ -32,6 +36,7 @@ from ..errors import (
     ValueTypeForbiddenError,
     WrongSopClassError,
 )
+from ..spatial import mapper_from_geometry
 from ..uid import (
     COMPREHENSIVE_3D_SR_STORAGE,
     COMPREHENSIVE_SR_STORAGE,
@@ -41,6 +46,7 @@ from .items import (
     ContainerItem,
     ContentItem,
     ImageItem,
+    ObserverContext,
     ScoordItem,
     Scoord3DItem,
     TrackingIdentifier,
@@ -53,7 +59,12 @@ from .templates import (
     PLANAR_GROUP_TID,
     VOLUMETRIC_GROUP_TID,
     ImageReference,
+    measurement_report,
+    planar_roi_group,
 )
+
+if TYPE_CHECKING:
+    from ..seg import Segmentation
 
 
 class SRKind(enum.Enum):
@@ -204,6 +215,56 @@ def create_sr(
     for element in root:
         ds.add(element)
     return ds
+
+
+def report_from_segmentation(segmentation: Segmentation, threshold: float = 0.5) -> DataSet:
+    """Comprehensive 3D SR with one planar ROI group per connected region of
+    each stored SEG frame.
+
+    Fractional frames are scaled to [0, 1] and kept where they reach
+    `threshold` (:func:`~dicomforge.roi.threshold`). Binary frames are used
+    as stored, every nonzero pixel in the foreground; `threshold` must still
+    lie in [0, 1]. Each region's bounding box becomes a closed SCOORD3D
+    polygon in the SEG's frame of reference, reported under the segment's
+    property type and anatomic site, with a generated tracking identifier,
+    by a ``dicomforge-from-seg`` device observer; the SEG is the evidence.
+
+    Raises ValueError for a threshold outside [0, 1], and DicomforgeError
+    for a SEG without a frame of reference or when no region is found.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+    frame_uid = segmentation.dataset.value("FrameOfReferenceUID")
+    if not frame_uid:
+        raise DicomforgeError("segmentation lacks a frame of reference UID")
+    seg_type = segmentation.seg_type
+    by_number = {d.number: d for d in segmentation.descriptions}
+    groups = []
+    for record in segmentation.frames:
+        mask = segmentation.stored_frame(record.index)
+        if not seg_type.is_binary:
+            mask = roi.threshold(mask / seg_type.max_fractional_value, threshold)
+        components = roi.connected_components(mask)
+        if not components.count:
+            continue
+        mapper = mapper_from_geometry(segmentation.plane_geometry(record))
+        description = by_number[record.segment_number]
+        for box in roi.bounding_boxes(components):
+            corners = box.corner_points()
+            points_3d = mapper.pixel_to_reference(np.vstack([corners, corners[:1]]))
+            tracking = TrackingIdentifier.generate(
+                f"{description.label} frame {record.index + 1} region {box.label}"
+            )
+            groups.append(planar_roi_group(
+                tracking, Scoord3DItem(None, "POLYGON", points_3d, frame_uid),
+                description.property_type,
+                finding_sites=[description.anatomic_site] if description.anatomic_site else (),
+            ))
+    if not groups:
+        raise DicomforgeError(f"no regions found at threshold {threshold}; nothing to report")
+    observer = ObserverContext.device(name="dicomforge-from-seg", version=__version__)
+    tree = measurement_report(observer, SCT.ImagingProcedure, groups)
+    return create_sr(SRKind.COMPREHENSIVE_3D, [segmentation.dataset], tree)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -386,18 +447,7 @@ class StructuredReport:
                 "carries no content items to iterate over"
             )
         self.dataset = dataset
-        root_ds = DataSet()
-        for key in (
-            "ValueType",
-            "ConceptNameCodeSequence",
-            "ContinuityOfContent",
-            "ContentTemplateSequence",
-            "ContentSequence",
-        ):
-            element = dataset.element(key)
-            if element is not None:
-                root_ds.add(element)
-        root = item_from_dataset(root_ds)
+        root = item_from_dataset(dataset)
         if not isinstance(root, ContainerItem):
             raise MissingContentError("SR root content item is not a CONTAINER")
         self.tree: ContainerItem = root

@@ -33,11 +33,6 @@ class Tag(_TagBase):
     __str__ = __repr__
 
 
-# Delimiters used by the sequence encoding (never part of a data set).
-ITEM_TAG = Tag(0xFFFE, 0xE000)
-ITEM_DELIMITER_TAG = Tag(0xFFFE, 0xE00D)
-SEQUENCE_DELIMITER_TAG = Tag(0xFFFE, 0xE0DD)
-
 # (group, element, VR, keyword) for every attribute this package reads or
 # writes. Implicit-VR decoding of tags outside this table falls back to UN.
 _ENTRIES = [

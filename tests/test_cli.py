@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import make_ct_series, make_ct_source
+from test_codec import golden_sr
+from test_from_seg import build_seg
 from dicomforge.cli import main
 from dicomforge.coding import SCT
+from dicomforge.dataset import DataSet
 from dicomforge.part10 import read_part10_file, write_part10_file
 from dicomforge.pgm import read_pgm, write_pgm
 from dicomforge.seg import SegmentationType, SegmentDescription, create_seg, open_seg
@@ -343,3 +346,31 @@ class TestErrors:
         code, _, err = run(["validate", "/does/not/exist.dcm"], capsys)
         assert code == 3
         assert err.startswith("ERROR io:")
+
+    @pytest.mark.parametrize("build, path", [
+        (golden_sr, ("CurrentRequestedProcedureEvidenceSequence",)),
+        (golden_sr, ("PredecessorDocumentsSequence",)),
+        (build_seg, ("ReferencedSeriesSequence",)),
+        (build_seg, ("SegmentSequence",)),
+        (build_seg, ("PerFrameFunctionalGroupsSequence",)),
+        (build_seg, ("SegmentSequence", "SegmentedPropertyCategoryCodeSequence")),
+    ], ids=lambda v: v[-1] if isinstance(v, tuple) else v.__name__)
+    def test_sequence_written_with_another_vr(self, build, path, tmp_path, capsys):
+        def as_text(ds, keyword, *rest):
+            """Copy of `ds` with the attribute at the end of the path (through
+            the first item of each sequence on the way) written as UT."""
+            out = DataSet(ds)
+            if rest:
+                items = ds.items_of(keyword)
+                out.put(keyword, (as_text(items[0], *rest),) + items[1:])
+            else:
+                out.put(keyword, "not a sequence", vr="UT")
+            return out
+
+        ds = build(2) if build is golden_sr else build("binary")
+        file = tmp_path / "bad.dcm"
+        write_part10_file(file, as_text(ds, *path))
+        code, _, err = run(["validate", str(file)], capsys)
+        assert code == 1, err
+        assert err.startswith("ERROR validation:")
+        assert "UT, not a sequence" in err

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dicomforge.codec import decode_dataset, encode_dataset
 from dicomforge.dataset import DataElement, DataSet, copy_attributes
+from dicomforge.errors import DicomforgeError, NotASequenceError
 from dicomforge.tags import Tag, resolve_key
 from dicomforge.valuerep import VR, format_ds, is_valid_ds
 
@@ -51,6 +52,14 @@ class TestDataSet:
         ds.put("SOPInstanceUID", "1.2")
         ds.put("Modality", "CT")
         assert [e.tag for e in ds] == sorted(e.tag for e in ds)
+
+    def test_items_of_another_vr_raises(self):
+        ds = DataSet()
+        ds.put("ContentSequence", "text", vr="UT")
+        with pytest.raises(NotASequenceError, match="UT, not a sequence") as info:
+            ds.items_of("ContentSequence")
+        assert isinstance(info.value, DicomforgeError)
+        assert isinstance(info.value, TypeError)
 
     def test_one_element_per_tag(self):
         ds = DataSet()

@@ -9,8 +9,16 @@ from conftest import make_ct_series
 from dicomforge.cli import main
 from dicomforge.coding import SCT
 from dicomforge.dataset import DataElement, DataSet
-from dicomforge.part10 import read_part10, write_part10, write_part10_file
-from dicomforge.seg import SegmentDescription, SegmentationType, create_seg
+from dicomforge.errors import DicomforgeError
+from dicomforge.part10 import (
+    file_meta_for,
+    read_part10,
+    read_part10_file,
+    write_part10,
+    write_part10_file,
+)
+from dicomforge.seg import SegmentDescription, SegmentationType, create_seg, open_seg
+from dicomforge.sr import report_from_segmentation
 from dicomforge.sr.items import AlgorithmIdentification
 from dicomforge.tags import keyword_of
 from dicomforge.valuerep import VR
@@ -115,3 +123,39 @@ def test_cli_output_is_pinned(case, tmp_path, capsys):
     assert code == 0, captured.err
     assert captured.out == f"wrote {out}: {groups} group(s)\n"
     assert normalized_sha256(out.read_bytes()) == digest
+
+
+def test_library_output_is_the_cli_pin(case):
+    seg_path, threshold, (_, digest) = case
+    segmentation = open_seg(read_part10_file(seg_path)[1])
+    ds = report_from_segmentation(segmentation, float(threshold))
+    assert normalized_sha256(write_part10(file_meta_for(ds), ds)) == digest
+
+
+def test_seg_without_frame_of_reference():
+    seg = build_seg("binary")
+    seg.remove("FrameOfReferenceUID")
+    with pytest.raises(DicomforgeError, match="lacks a frame of reference"):
+        report_from_segmentation(open_seg(seg))
+
+
+def test_threshold_that_leaves_no_region():
+    with pytest.raises(DicomforgeError, match="no regions found at threshold 0.95"):
+        report_from_segmentation(open_seg(build_seg("fractional")), 0.95)
+
+
+@pytest.mark.parametrize("threshold", ["-0.5", "1.5", "nan"])
+@pytest.mark.parametrize("kind", ["fractional", "binary"])
+def test_threshold_outside_unit_interval(kind, threshold, tmp_path, capsys):
+    seg = build_seg(kind)
+    with pytest.raises(ValueError, match=r"threshold must be within \[0, 1\]"):
+        report_from_segmentation(open_seg(seg), float(threshold))
+    seg_path = tmp_path / "seg.dcm"
+    write_part10_file(seg_path, seg)
+    code = main(["mk-sr", "--from-seg", str(seg_path), "--threshold", threshold,
+                 "-o", str(tmp_path / "sr.dcm")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"ERROR usage: threshold must be within [0, 1], got {float(threshold)}\n"
+    )
+    assert not (tmp_path / "sr.dcm").exists()
