@@ -96,14 +96,19 @@ class BoundingBox:
         return f"BoundingBox(label={self.label}, {self.as_tuple()})"
 
 
+def check_threshold(t: float) -> None:
+    """Raise ValueError unless `t` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"threshold must be within [0, 1], got {t}")
+
+
 def threshold(probabilities: np.ndarray, t: float) -> np.ndarray:
     """Binary mask: 1 where probability >= t (inclusive), else 0.
 
     `t` must lie in [0, 1]; the inclusive comparison makes behaviour at the
     usual 0.5 operating point deterministic.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {t}")
+    check_threshold(t)
     prob = np.asarray(probabilities)
     if prob.ndim != 2:
         raise ValueError("probability map must be 2D")

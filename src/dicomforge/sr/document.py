@@ -232,8 +232,7 @@ def report_from_segmentation(segmentation: Segmentation, threshold: float = 0.5)
     Raises ValueError for a threshold outside [0, 1], and DicomforgeError
     for a SEG without a frame of reference or when no region is found.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+    roi.check_threshold(threshold)
     frame_uid = segmentation.dataset.value("FrameOfReferenceUID")
     if not frame_uid:
         raise DicomforgeError("segmentation lacks a frame of reference UID")
