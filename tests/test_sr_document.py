@@ -245,11 +245,13 @@ class TestOpen:
         (None, lambda root: root.put("CompletionFlag", "MAYBE"), "CompletionFlag 'MAYBE'"),
         (None, lambda root: root.put("VerificationFlag", "MAYBE"),
          "VerificationFlag 'MAYBE'"),
+        (None, lambda root: root.put("RelationshipType", "LIKES"), "LIKES"),
     ], ids=["no value type", "unknown value type", "malformed uid", "no uid",
             "malformed frame of reference uid", "2d graphic type in 3d",
             "unknown relationship", "unknown continuity", "no numeric value",
             "child without relationship", "name sequence with another vr",
-            "unknown completion flag", "unknown verification flag"])
+            "unknown completion flag", "unknown verification flag",
+            "unknown root relationship"])
     def test_malformed_item(self, ct_series, tmp_path, capsys,
                             value_type, corrupt, message):
         from dicomforge.cli import main
