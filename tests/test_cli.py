@@ -9,15 +9,32 @@ import pytest
 
 from conftest import make_ct_series, make_ct_source
 from test_codec import golden_sr
-from test_from_seg import build_seg
+from test_from_seg import build_seg, normalized_sha256
 from dicomforge.cli import main
-from dicomforge.coding import SCT
+from dicomforge.coding import DCM, SCT, UCUM, CodedConcept
 from dicomforge.dataset import DataSet
 from dicomforge.part10 import read_part10_file, write_part10_file
 from dicomforge.pgm import read_pgm, write_pgm
 from dicomforge.seg import SegmentationType, SegmentDescription, create_seg, open_seg
-from dicomforge.sr import open_sr
-from dicomforge.sr.items import AlgorithmIdentification
+from dicomforge.sr import (
+    CodeItem,
+    CompositeItem,
+    ContainerItem,
+    DateTimeItem,
+    ImageItem,
+    NumItem,
+    PNameItem,
+    RelationshipType,
+    ScoordItem,
+    Scoord3DItem,
+    SRKind,
+    TextItem,
+    UIDRefItem,
+    create_sr,
+    open_sr,
+)
+from dicomforge.sr.items import AlgorithmIdentification, ContinuityOfContent
+from dicomforge.uid import CT_IMAGE_STORAGE, SEGMENTATION_STORAGE
 from dicomforge.web import StubArchive
 
 
@@ -374,3 +391,164 @@ class TestErrors:
         assert code == 1, err
         assert err.startswith("ERROR validation:")
         assert "UT, not a sequence" in err
+
+
+# -- pins: the dump-sr text of every value type, the mk-sr --spec bytes ------
+
+PIN_STUDY, PIN_FRAME_OF_REFERENCE = "1.2.826.0.1.7806.1", "1.2.826.0.1.7806.2"
+PIN_CT = [f"1.2.826.0.1.7806.3{i}" for i in range(2)]
+PIN_SEG = "1.2.826.0.1.7806.4"
+
+
+def pin_evidence():
+    """Two CT sources and a SEG over them, every UID fixed."""
+    series = [
+        make_ct_source(study_uid=PIN_STUDY, series_uid="1.2.826.0.1.7806.5",
+                       sop_uid=uid, frame_of_reference_uid=PIN_FRAME_OF_REFERENCE,
+                       position=(0.0, 0.0, 2.5 * i), instance_number=i + 1)
+        for i, uid in enumerate(PIN_CT)
+    ]
+    seg = create_seg(
+        series, [np.ones((2, 16, 16), np.uint8), np.eye(16, dtype=np.uint8)[None].repeat(2, 0)],
+        [SegmentDescription(
+            number=n, label=f"segment {n}",
+            category=SCT.MorphologicallyAbnormalStructure, property_type=SCT.Nodule,
+            algorithm=AlgorithmIdentification("detector", "1.0"),
+        ) for n in (1, 2)],
+        SegmentationType.binary(),
+        series_instance_uid="1.2.826.0.1.7806.6", sop_instance_uid=PIN_SEG,
+    )
+    return series, seg
+
+
+def every_value_type_report() -> DataSet:
+    """A report holding one item of every value type."""
+    obs, contains = RelationshipType.HAS_OBS_CONTEXT, RelationshipType.CONTAINS
+    series, seg = pin_evidence()
+    source = ImageItem(DCM.SourceOfMeasurement, CT_IMAGE_STORAGE, PIN_CT[1],
+                       relationship=RelationshipType.SELECTED_FROM)
+    measurements = [
+        TextItem(DCM.TrackingIdentifier, "Nodule 1", relationship=obs),
+        UIDRefItem(DCM.TrackingUniqueIdentifier, "1.2.826.0.1.7806.7", relationship=obs),
+        ImageItem(DCM.ReferencedSegment, SEGMENTATION_STORAGE, PIN_SEG,
+                  segment_number=2, relationship=contains),
+        ScoordItem(DCM.ImageRegion, "POLYLINE", [(1, 1), (4, 1), (4, 3)],
+                   relationship=contains, children=[source]),
+        Scoord3DItem(DCM.ImageRegion, "POLYGON",
+                     [(0, 0, 0), (5, 0, 0), (5, 5, 0), (0, 0, 0)],
+                     PIN_FRAME_OF_REFERENCE, relationship=contains),
+        CodeItem(DCM.Finding, SCT.Nodule, relationship=contains),
+        NumItem(SCT.Diameter, "7.5", UCUM.mm, relationship=contains),
+        DateTimeItem(CodedConcept("111526", "DCM", "DateTime Started"),
+                     "20240102101500", relationship=contains),
+    ]
+    library = [CompositeItem(DCM.SourceOfMeasurement, SEGMENTATION_STORAGE, PIN_SEG,
+                             relationship=contains)]
+    group = ContainerItem(DCM.MeasurementGroup, measurements, relationship=contains,
+                          template_id="1410")
+    tree = ContainerItem(DCM.ImagingMeasurementReport, template_id="1500", children=[
+        CodeItem(DCM.ObserverType, DCM.Person, relationship=obs),
+        PNameItem(DCM.PersonObserverName, "Doe^Jane", relationship=obs),
+        ContainerItem(DCM.ImageLibrary, library, ContinuityOfContent.CONTINUOUS, contains),
+        ContainerItem(DCM.ImagingMeasurements, [group], relationship=contains),
+    ])
+    return create_sr(SRKind.COMPREHENSIVE_3D, [*series, seg], tree)
+
+
+DUMP_SR_PIN = """\
+CONTAINER Imaging Measurement Report: (SEPARATE) [TID 1500]
+  HAS OBS CONTEXT CODE Observer Type: = Person (DCM 121006)
+  HAS OBS CONTEXT PNAME Person Observer Name: = Doe^Jane
+  CONTAINS CONTAINER Image Library: (CONTINUOUS)
+    CONTAINS COMPOSITE Source of measurement: -> 1.2.826.0.1.7806.4
+  CONTAINS CONTAINER Imaging Measurements: (SEPARATE)
+    CONTAINS CONTAINER Measurement Group: (SEPARATE) [TID 1410]
+      HAS OBS CONTEXT TEXT Tracking Identifier: = Nodule 1
+      HAS OBS CONTEXT UIDREF Tracking Unique Identifier: = 1.2.826.0.1.7806.7
+      CONTAINS IMAGE Referenced Segment: -> 1.2.826.0.1.7806.4 segment 2
+      CONTAINS SCOORD Image Region: POLYLINE (3 point(s))
+        SELECTED FROM IMAGE Source of measurement: -> 1.2.826.0.1.7806.31
+      CONTAINS SCOORD3D Image Region: POLYGON (4 point(s))
+      CONTAINS CODE Finding: = Nodule (SCT 27925004)
+      CONTAINS NUM Diameter: = 7.5 mm
+      CONTAINS DATETIME DateTime Started: = 20240102101500
+"""
+
+
+class TestPins:
+    """Output of `dump-sr` and `mk-sr --spec`, pinned over fixed inputs."""
+
+    def test_dump_sr_of_every_value_type(self, tmp_path, capsys):
+        path = tmp_path / "report.dcm"
+        write_part10_file(path, every_value_type_report())
+        code, stdout, err = run(["dump-sr", str(path)], capsys)
+        assert code == 0, err
+        assert stdout == DUMP_SR_PIN
+
+    def spec(self, evidence_paths):
+        """Every documented region type, in all three group kinds."""
+        ct = {"sop_class_uid": CT_IMAGE_STORAGE,
+              "sop_instance_uid": PIN_CT[0]}
+        regions = {
+            "segment": {"type": "segment", "sop_instance_uid": PIN_SEG,
+                        "segment_number": 1},
+            "point3d": {"type": "point3d", "points": [[1, 2, 0]]},
+            "polyline3d": {"type": "polyline3d", "points": [[0, 0, 0], [3, 4, 0]],
+                           "frame_of_reference": "1.2.826.0.1.7806.8"},
+            "polygon3d": {"type": "polygon3d",
+                          "points": [[0, 0, 0], [5, 0, 0], [5, 5, 0], [0, 0, 0]]},
+            "multipoint3d": {"type": "multipoint3d", "points": [[1, 1, 0], [2, 2, 2.5]]},
+            "point2d": {"type": "point2d", "points": [[3, 4]], "image": ct},
+            "polyline2d": {"type": "polyline2d", "points": [[0, 0], [7, 7]], "image": ct},
+            "circle2d": {"type": "circle2d", "points": [[8, 8], [8, 11]], "image": ct},
+            "ellipse2d": {"type": "ellipse2d",
+                          "points": [[2, 8], [14, 8], [8, 5], [8, 11]], "image": ct},
+            "multipoint2d": {"type": "multipoint2d", "points": [[1, 2], [3, 4], [5, 6]],
+                             "image": dict(ct, frame_numbers=[1])},
+        }
+        groups = [
+            {"kind": "planar", "finding": "SCT:27925004", "region": region,
+             "tracking_id": f"planar {name}"}
+            for name, region in regions.items()
+        ]
+        groups += [
+            {"kind": "volumetric", "finding": "SCT:108369006", "tracking_id": "seg",
+             "tracking_uid": "1.2.826.0.1.7806.9", "finding_sites": ["SCT:39607008"],
+             "region": regions["segment"],
+             "measurements": [{"code": "SCT:118565006", "value": "12.5", "unit": "mm3"}]},
+            {"kind": "volumetric", "finding": "SCT:27925004", "tracking_id": "stack",
+             "region": [regions["polygon3d"],
+                        {"type": "polygon3d",
+                         "points": [[0, 0, 2.5], [4, 0, 2.5], [4, 4, 2.5], [0, 0, 2.5]]}]},
+            {"kind": "volumetric", "finding": "SCT:27925004",
+             "region": [regions["polyline2d"], regions["circle2d"]]},
+            {"kind": "image", "finding": "SCT:108369006",
+             "measurements": [{"code": "caDSR:5432686:Percent tumor cells",
+                               "value": "85", "unit": "%"}],
+             "evaluations": [{"code": "SCT:116676008", "value": "ICD-O-3:8140/3"}]},
+        ]
+        return {"observer": {"type": "device", "name": "detector", "version": "1.0",
+                             "manufacturer": "acme"},
+                "procedure": "SCT:363679005", "evidence": evidence_paths,
+                "groups": groups}
+
+    def test_mk_sr_spec_output(self, tmp_path, capsys):
+        series, seg = pin_evidence()
+        paths = []
+        for i, ds in enumerate([*series, seg]):
+            paths.append(str(tmp_path / f"evidence{i}.dcm"))
+            write_part10_file(paths[-1], ds)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.spec(paths)))
+        out = tmp_path / "report.dcm"
+        code, stdout, err = run(["mk-sr", "--spec", str(spec_path), "-o", str(out)], capsys)
+        assert code == 0, err
+        assert stdout == f"wrote {out}: 14 group(s)\n"
+        assert normalized_sha256(out.read_bytes()) == MK_SR_SPEC_SHA256
+
+
+# normalized_sha256 (see test_from_seg) of the mk-sr --spec report above
+MK_SR_SPEC_SHA256 = (
+    "f3bbe70d27081ea7821343e1c3c3fc59"
+    "6ab22f11eb561805ef4b22c1ce11e3aa"
+)
