@@ -18,6 +18,7 @@ from .coding import REGISTRIES, SCT, UCUM, CodedConcept
 from .dataset import DataSet
 from .errors import (
     DicomforgeError,
+    PartialStoreError,
     ProtocolError,
     ServerStartupError,
     TransportError,
@@ -44,7 +45,6 @@ from .sr import (
     SegmentReference,
     SRKind,
     TrackingIdentifier,
-    ValueType,
     create_sr,
     measurement_group,
     measurement_report,
@@ -56,6 +56,7 @@ from .sr import (
 from .sr.items import AlgorithmIdentification
 from .uid import COMPREHENSIVE_3D_SR_STORAGE, COMPREHENSIVE_SR_STORAGE, SEGMENTATION_STORAGE
 from .web import StubArchive, WebClient
+from .web.client import _failed_uids
 from .web.jsonmodel import dataset_to_json
 
 TOKEN_ENV_VAR = "DICOMFORGE_TOKEN"
@@ -108,30 +109,11 @@ def cmd_validate(args) -> int:
 # -- dump-sr -------------------------------------------------------------------
 
 
-def _item_summary(item) -> str:
-    if item.value_type is ValueType.CONTAINER:
-        suffix = f" [TID {item.template_id}]" if item.template_id else ""
-        return f"({item.continuity.value}){suffix}"
-    if item.value_type is ValueType.CODE:
-        return f"= {item.value.meaning} ({item.value.scheme} {item.value.value})"
-    if item.value_type is ValueType.NUM:
-        return f"= {item.value} {item.unit.value}"
-    if item.value_type in (ValueType.TEXT, ValueType.UIDREF, ValueType.PNAME,
-                           ValueType.DATETIME):
-        return f"= {item.value}"
-    if item.value_type is ValueType.IMAGE:
-        segment = f" segment {item.segment_number}" if item.segment_number else ""
-        return f"-> {item.sop_instance_uid}{segment}"
-    if item.value_type is ValueType.COMPOSITE:
-        return f"-> {item.sop_instance_uid}"
-    return f"{item.graphic_type.value} ({len(item.points)} point(s))"
-
-
 def _dump_item(item, depth: int) -> None:
     indent = "  " * depth
     rel = f"{item.relationship.value} " if item.relationship else ""
     name = item.name.meaning if item.name else "(unnamed)"
-    print(f"{indent}{rel}{item.value_type.value} {name}: {_item_summary(item)}")
+    print(f"{indent}{rel}{item.value_type.value} {name}: {item.summary()}")
     for child in item.children:
         _dump_item(child, depth + 1)
 
@@ -396,14 +378,11 @@ def cmd_store(args) -> int:
         with open(path, "rb") as handle:
             blobs.append(handle.read())
     response = client.store_parts(blobs)
-    failed = [
-        item.value("ReferencedSOPInstanceUID", "?")
-        for item in response.items_of("FailedSOPSequence")
-    ]
     for item in response.items_of("ReferencedSOPSequence"):
         print(f"stored {item.value('ReferencedSOPInstanceUID')}")
+    failed = _failed_uids(response)
     if failed:
-        raise TransportError(f"store failed for: {', '.join(failed)}", status=409)
+        raise PartialStoreError(failed, status=202)
     return 0
 
 

@@ -52,8 +52,7 @@ from .uid import (
 )
 from .valuerep import (
     BYTES_VRS,
-    FLOAT_FORMATS,
-    INT_FORMATS,
+    INT_VRS,
     LONG_FORM_VRS,
     MAX_VALUE_LENGTH,
     TEXT_MULTI_VRS,
@@ -437,7 +436,7 @@ _ENCODERS = {
     **dict.fromkeys(TEXT_MULTI_VRS, _encode_multi_text),
     **dict.fromkeys(TEXT_SINGLE_VRS, _encode_single_text),
     **dict.fromkeys(BYTES_VRS, _encode_bytes),
-    **dict.fromkeys((*INT_FORMATS, *FLOAT_FORMATS), _encode_numbers),
+    **dict.fromkeys((*INT_VRS, VR.FL, VR.FD), _encode_numbers),
     VR.IS: _encode_integer_strings,
     VR.AT: _encode_tags,
 }

@@ -27,7 +27,7 @@ from .errors import NotASequenceError
 from .tags import KEYWORD_TO_TAG_VR, Tag, TagKey, keyword_of, resolve_key, vr_of
 from .valuerep import (
     BYTES_VRS,
-    INT_FORMATS,
+    INT_VRS,
     TEXT_MULTI_VRS,
     TEXT_SINGLE_VRS,
     VR,
@@ -129,7 +129,7 @@ _NORMALIZERS = {
     **dict.fromkeys(TEXT_MULTI_VRS, _multi_text),
     **dict.fromkeys(TEXT_SINGLE_VRS, _single_text),
     **dict.fromkeys(BYTES_VRS, _bytes),
-    **dict.fromkeys((VR.IS, *INT_FORMATS), _integers),
+    **dict.fromkeys((VR.IS, *INT_VRS), _integers),
     VR.DS: _decimals,
     VR.FD: _doubles,
     VR.FL: _singles,
@@ -306,18 +306,6 @@ class DataSet:
 
     def __repr__(self) -> str:
         return f"DataSet({len(self)} elements)"
-
-    def format(self, indent: int = 0) -> str:
-        """Multi-line human-readable dump, nested sequences indented."""
-        lines = []
-        pad = "  " * indent
-        for element in self:
-            lines.append(pad + repr(element))
-            if element.vr is VR.SQ:
-                for i, item in enumerate(element.values):
-                    lines.append(f"{pad}  item {i + 1}:")
-                    lines.append(item.format(indent + 2))
-        return "\n".join(lines)
 
 
 def copy_attributes(source: DataSet, target: DataSet, keys: Iterable[TagKey]) -> None:

@@ -4,11 +4,15 @@ Derived objects never ask the caller for patient/study context: it is
 copied verbatim from the source instances supplied as evidence, and the
 sources are recorded in reference sequences grouped by study and series.
 
-This module owns the SOP reference formats: :func:`sop_reference` builds
-every SOP reference item (SEG and SR references, STOW responses),
-:func:`reference_sequence` every study/series hierarchy (SR evidence and
-predecessors, the SEG root ReferencedSeriesSequence), and
-:func:`read_references` reads each hierarchy back.
+This module owns the attributes every derived instance shares:
+:func:`derived_instance` writes the identity header of a new SEG or SR
+(SOP class and instance, the patient/study copy, modality, series,
+instance number, manufacturer). It also owns the SOP reference formats:
+:func:`sop_reference` builds every SOP reference item (SEG and SR
+references, STOW responses), :func:`reference_sequence` every study/series
+hierarchy (SR evidence and predecessors, the SEG root
+ReferencedSeriesSequence), and :func:`read_references` reads each
+hierarchy back.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from typing import NamedTuple
 
 from .dataset import DataSet, copy_attributes
 from .errors import EvidenceError
+from .uid import new_uid
 
 # Patient/study (and specimen, when present) attributes copied verbatim
 # from evidence into every derived object.
@@ -66,8 +71,25 @@ def check_evidence(evidence) -> list[DataSet]:
     return evidence
 
 
-def copy_patient_study(source: DataSet, target: DataSet) -> None:
-    copy_attributes(source, target, PATIENT_STUDY_KEYS)
+def derived_instance(source: DataSet, sop_class_uid: str, modality: str, *,
+                     sop_instance_uid: str | None, series_instance_uid: str | None,
+                     series_number: int, instance_number: int, manufacturer: str,
+                     series_description: str | None) -> DataSet:
+    """A new data set holding the header every derived instance shares, with
+    the patient/study attributes of `source`; UIDs not given are generated."""
+    ds = DataSet()
+    ds.put("SpecificCharacterSet", "ISO_IR 192")
+    ds.put("SOPClassUID", sop_class_uid)
+    ds.put("SOPInstanceUID", sop_instance_uid or new_uid())
+    copy_attributes(source, ds, PATIENT_STUDY_KEYS)
+    ds.put("Modality", modality)
+    ds.put("SeriesInstanceUID", series_instance_uid or new_uid())
+    ds.put("SeriesNumber", series_number)
+    ds.put("InstanceNumber", instance_number)
+    ds.put("Manufacturer", manufacturer)
+    if series_description:
+        ds.put("SeriesDescription", series_description)
+    return ds
 
 
 def instance_reference(ds: DataSet) -> EvidenceReference:

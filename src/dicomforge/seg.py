@@ -39,7 +39,7 @@ from .dataset import DataSet
 from .derived import (
     check_evidence,
     content_timestamp,
-    copy_patient_study,
+    derived_instance,
     instance_reference,
     read_references,
     reference_sequence,
@@ -131,6 +131,17 @@ class SegmentDescription:
             )
 
 
+def _coordinates(values) -> tuple[str, str, str] | None:
+    """`values` as the three DS strings of a position; None unless they are
+    three finite numbers."""
+    try:
+        if len(values) == 3 and all(math.isfinite(float(v)) for v in values):
+            return tuple(values)
+    except (TypeError, ValueError):
+        pass
+    return None
+
+
 @dataclass(frozen=True)
 class PlanePositionPatient:
     """Patient-frame position of a frame's top-left pixel center (DS strings)."""
@@ -150,9 +161,10 @@ class PlanePositionPatient:
         return DataSet.of(ImagePositionPatient=list(self.coordinates))
 
     @classmethod
-    def from_item(cls, item: DataSet) -> "PlanePositionPatient":
-        coords = item.values("ImagePositionPatient")
-        return cls(tuple(coords) if len(coords) == 3 else ("0", "0", "0"))
+    def from_item(cls, item: DataSet) -> "PlanePositionPatient | None":
+        """The position in `item`; None unless it holds three numbers."""
+        coordinates = _coordinates(item.values("ImagePositionPatient"))
+        return None if coordinates is None else cls(coordinates)
 
 
 @dataclass(frozen=True)
@@ -181,13 +193,16 @@ class PlanePositionSlide:
         )
 
     @classmethod
-    def from_item(cls, item: DataSet) -> "PlanePositionSlide":
+    def from_item(cls, item: DataSet) -> "PlanePositionSlide | None":
+        """The position in `item`, absent offsets read as 0; None unless
+        the offsets are numbers."""
+        coordinates = _coordinates([
+            item.value(f"{axis}OffsetInSlideCoordinateSystem", "0") for axis in "XYZ"
+        ])
+        if coordinates is None:
+            return None
         return cls(
-            coordinates=(
-                item.value("XOffsetInSlideCoordinateSystem", "0"),
-                item.value("YOffsetInSlideCoordinateSystem", "0"),
-                item.value("ZOffsetInSlideCoordinateSystem", "0"),
-            ),
+            coordinates=coordinates,
             matrix_row=int(item.value("RowPositionInTotalImagePixelMatrix", 1)),
             matrix_column=int(item.value("ColumnPositionInTotalImagePixelMatrix", 1)),
         )
@@ -195,7 +210,8 @@ class PlanePositionSlide:
 
 def plane_position(group: DataSet) -> PlanePositionPatient | PlanePositionSlide | None:
     """The plane position in a per-frame functional group, of either kind;
-    None for a group with neither."""
+    None for a group with neither or with a position that is not three
+    numbers."""
     for kind in (PlanePositionSlide, PlanePositionPatient):
         items = group.items_of(kind.sequence)
         if items:
@@ -261,9 +277,9 @@ class FrameRecord:
     @classmethod
     def from_group(cls, index: int, group: DataSet, positioned: bool) -> "FrameRecord":
         """Inverse of :meth:`to_group`; a frame without a segment number, or
-        without a plane position when `positioned` (the SEG has a frame of
-        reference), raises MalformedSegError. An unpositioned frame reads
-        as the patient-frame origin otherwise."""
+        without a plane position of three numbers when `positioned` (the SEG
+        has a frame of reference), raises MalformedSegError. An unpositioned
+        frame reads as the patient-frame origin otherwise."""
         ident = group.items_of("SegmentIdentificationSequence")
         segment = ident[0].value("ReferencedSegmentNumber") if ident else None
         if segment is None:
@@ -271,7 +287,8 @@ class FrameRecord:
         position = plane_position(group)
         if position is None:
             if positioned:
-                raise MalformedSegError(f"frame {index + 1} lacks a plane position")
+                raise MalformedSegError(
+                    f"frame {index + 1} lacks a plane position of three numbers")
             position = PlanePositionPatient(("0", "0", "0"))
         derivation = group.items_of("DerivationImageSequence")
         sources = derivation[0].items_of("SourceImageSequence") if derivation else ()
@@ -487,19 +504,13 @@ def create_seg(
         pixel_data = stored.tobytes()
         bits_allocated = 8
 
-    ds = DataSet()
-    ds.put("SpecificCharacterSet", "ISO_IR 192")
-    ds.put("SOPClassUID", SEGMENTATION_STORAGE)
-    ds.put("SOPInstanceUID", sop_instance_uid or new_uid())
+    ds = derived_instance(
+        sources[0], SEGMENTATION_STORAGE, "SEG", sop_instance_uid=sop_instance_uid,
+        series_instance_uid=series_instance_uid, series_number=series_number,
+        instance_number=instance_number, manufacturer=manufacturer,
+        series_description=series_description,
+    )
     ds.put("ImageType", ["DERIVED", "PRIMARY"])
-    copy_patient_study(sources[0], ds)
-    ds.put("Modality", "SEG")
-    ds.put("SeriesInstanceUID", series_instance_uid or new_uid())
-    ds.put("SeriesNumber", series_number)
-    ds.put("InstanceNumber", instance_number)
-    ds.put("Manufacturer", manufacturer)
-    if series_description:
-        ds.put("SeriesDescription", series_description)
     content_timestamp(ds)
     ds.put("ContentLabel", "SEGMENTATION")
     frame_of_reference = sources[0].value("FrameOfReferenceUID")
@@ -615,6 +626,7 @@ class Segmentation:
             self.descriptions = self._parse_descriptions(dataset)
         except ValueError as exc:
             raise MalformedSegError(f"malformed segmentation: {exc}") from exc
+        self._described = frozenset(d.number for d in self.descriptions)
         positioned = bool(dataset.value("FrameOfReferenceUID"))
         self.frames = tuple(
             FrameRecord.from_group(i, group, positioned)
@@ -628,10 +640,17 @@ class Segmentation:
         element = dataset.element("PixelData")
         self._pixel_data = element.raw if element is not None else b""
         self._check_pixel_length()
-        self._frame_index = {
-            (r.segment_number, r.source_sop_instance_uid, r.source_frame_number): r
-            for r in self.frames
-        }
+        # (segment, source instance, source frame) -> stored frame index
+        self._frame_index = {}
+        for r in self.frames:
+            if r.segment_number not in self._described:
+                raise MalformedSegError(
+                    f"frame {r.index + 1} names segment {r.segment_number}, "
+                    "which no segment item describes"
+                )
+            self._frame_index[
+                (r.segment_number, r.source_sop_instance_uid, r.source_frame_number)
+            ] = r.index
         self._source_uids = [
             ref.sop_instance_uid for ref in read_references(
                 dataset.items_of("ReferencedSeriesSequence"),
@@ -639,6 +658,7 @@ class Segmentation:
             )
         ]
         self._referenced_instances = set(self._source_uids)
+        self._orientation, self._spacing = shared_geometry(dataset)
 
     @staticmethod
     def _parse_descriptions(dataset: DataSet) -> tuple[SegmentDescription, ...]:
@@ -731,31 +751,24 @@ class Segmentation:
             out.append(d.number)
         return sorted(out)
 
-    def _segment_numbers(self) -> list[int]:
-        return [d.number for d in self.descriptions]
-
-    @staticmethod
-    def _frame_key(source_frame) -> tuple[str, int]:
-        if isinstance(source_frame, tuple):
-            uid, number = source_frame
-            return str(uid), int(number)
-        return str(source_frame), 1
-
-    def _check_segment(self, segment: int) -> None:
-        if segment not in self._segment_numbers():
+    def _stored_indices(self, segment: int, source_frames: Sequence) -> list[int | None]:
+        """Index of the frame stored for `segment` on each source frame, None
+        where it was omitted as empty. An undescribed segment or an
+        unreferenced instance raises UnmappedFrameError."""
+        if segment not in self._described:
             raise UnmappedFrameError(f"no segment number {segment}")
-
-    def _record(self, segment: int, source_frame) -> FrameRecord | None:
-        """The frame stored for `segment` on one source frame, or None when
-        it was omitted as empty."""
-        uid, number = self._frame_key(source_frame)
-        record = self._frame_index.get((segment, uid, number))
-        if record is None and uid not in self._referenced_instances:
-            raise UnmappedFrameError(
-                f"source frame ({uid}, {number}) is not referenced by "
-                "this segmentation"
-            )
-        return record
+        indices = []
+        for source_frame in source_frames:
+            uid, number = source_frame if isinstance(source_frame, tuple) else (source_frame, 1)
+            uid, number = str(uid), int(number)
+            index = self._frame_index.get((segment, uid, number))
+            if index is None and uid not in self._referenced_instances:
+                raise UnmappedFrameError(
+                    f"source frame ({uid}, {number}) is not referenced by "
+                    "this segmentation"
+                )
+            indices.append(index)
+        return indices
 
     def segment_pixels(self, segment: int, source_frames: Sequence) -> np.ndarray:
         """Masks of one segment aligned to the requested source frames.
@@ -766,12 +779,11 @@ class Segmentation:
         Binary values are 0/1 (uint8); fractional values are rescaled to
         [0, 1] (float64).
         """
-        self._check_segment(segment)
-        out = np.zeros((len(source_frames), self.rows, self.columns), dtype=np.uint8)
-        for i, requested in enumerate(source_frames):
-            record = self._record(segment, requested)
-            if record is not None:
-                out[i] = self.stored_frame(record.index)
+        indices = self._stored_indices(segment, source_frames)
+        out = np.zeros((len(indices), self.rows, self.columns), dtype=np.uint8)
+        for i, index in enumerate(indices):
+            if index is not None:
+                out[i] = self.stored_frame(index)
         if self.seg_type.is_binary:
             return out
         return out / self.seg_type.max_fractional_value
@@ -787,13 +799,11 @@ class Segmentation:
                 "label maps require a BINARY segmentation; threshold the "
                 "fractional frames into binary masks first"
             )
-        numbers = sorted(segments) if segments is not None else self._segment_numbers()
         out = np.zeros((self.rows, self.columns), dtype=np.int32)
-        for number in numbers:
-            self._check_segment(number)
-            record = self._record(number, source_frame)
-            if record is not None:
-                np.copyto(out, number, where=self.stored_frame(record.index).view(bool))
+        for number in sorted(self._described if segments is None else segments):
+            [index] = self._stored_indices(number, (source_frame,))
+            if index is not None:
+                np.copyto(out, number, where=self.stored_frame(index).view(bool))
         return out
 
     def source_frame_keys(self) -> list[tuple[str, int]]:
@@ -809,12 +819,10 @@ class Segmentation:
 
     def plane_geometry(self, record: FrameRecord) -> PlaneGeometry:
         """Plane geometry of one frame (for pixel <-> mm conversion)."""
-        orientation, spacing = shared_geometry(self.dataset)
-        if len(orientation) != 6 or len(spacing) != 2:
+        if len(self._orientation) != 6 or len(self._spacing) != 2:
             raise MalformedSegError("segmentation lacks orientation/spacing")
-        return PlaneGeometry(
-            position=record.position.xyz, orientation=orientation, spacing=spacing
-        )
+        return PlaneGeometry(position=record.position.xyz,
+                             orientation=self._orientation, spacing=self._spacing)
 
 
 def open_seg(dataset: DataSet) -> Segmentation:

@@ -22,7 +22,7 @@ from ..derived import (
     EvidenceReference,
     check_evidence,
     content_timestamp,
-    copy_patient_study,
+    derived_instance,
     instance_reference,
     read_references,
     reference_sequence,
@@ -37,11 +37,7 @@ from ..errors import (
     WrongSopClassError,
 )
 from ..spatial import mapper_from_geometry
-from ..uid import (
-    COMPREHENSIVE_3D_SR_STORAGE,
-    COMPREHENSIVE_SR_STORAGE,
-    new_uid,
-)
+from ..uid import COMPREHENSIVE_3D_SR_STORAGE, COMPREHENSIVE_SR_STORAGE
 from .items import (
     ContainerItem,
     ContentItem,
@@ -59,6 +55,7 @@ from .templates import (
     PLANAR_GROUP_TID,
     VOLUMETRIC_GROUP_TID,
     ImageReference,
+    SegmentReference,
     measurement_report,
     planar_roi_group,
 )
@@ -176,20 +173,14 @@ def create_sr(
             + ", ".join(sorted(missing))
         )
 
-    ds = DataSet()
-    ds.put("SpecificCharacterSet", "ISO_IR 192")
-    ds.put("SOPClassUID", kind.sop_class_uid)
-    ds.put("SOPInstanceUID", meta.sop_instance_uid or new_uid())
-    copy_patient_study(evidence[0], ds)
-    ds.put("Modality", "SR")
-    ds.put("SeriesInstanceUID", meta.series_instance_uid or new_uid())
-    ds.put("SeriesNumber", meta.series_number)
-    ds.put("InstanceNumber", meta.instance_number)
-    ds.put("Manufacturer", meta.manufacturer)
+    ds = derived_instance(
+        evidence[0], kind.sop_class_uid, "SR", sop_instance_uid=meta.sop_instance_uid,
+        series_instance_uid=meta.series_instance_uid, series_number=meta.series_number,
+        instance_number=meta.instance_number, manufacturer=meta.manufacturer,
+        series_description=meta.series_description,
+    )
     if meta.institution:
         ds.put("InstitutionName", meta.institution)
-    if meta.series_description:
-        ds.put("SeriesDescription", meta.series_description)
     content_timestamp(ds)
     ds.put("CompletionFlag", meta.completion.value)
     ds.put("VerificationFlag", meta.verification.value)
@@ -282,13 +273,9 @@ _TEMPLATE_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class SegmentRegion:
-    """Region by reference: one segment of a segmentation instance."""
-
-    sop_instance_uid: str
-    segment_number: int
-    sop_class_uid: str | None = None
+# Another name for SegmentReference: geometry() returns the type that the
+# group builders take.
+SegmentRegion = SegmentReference
 
 
 @dataclass(frozen=True)
@@ -326,24 +313,17 @@ class MeasurementGroupView:
     _scoord_items: tuple[ScoordItem, ...] = field(repr=False)
     _scoord3d_items: tuple[Scoord3DItem, ...] = field(repr=False)
 
-    @property
-    def has_region(self) -> bool:
-        return bool(self._segment_items or self._scoord_items or self._scoord3d_items)
-
     def geometry(self):
         """The group's region geometry.
 
-        Returns a SegmentRegion, a WorldRegion (3D), a PixelRegion (2D), or
+        Returns a SegmentReference, a WorldRegion (3D), a PixelRegion (2D), or
         a tuple of PixelRegion for per-frame 2D contours. Image-level
         groups have no geometry and raise NoGeometryError.
         """
         if self._segment_items:
             item = self._segment_items[0]
-            return SegmentRegion(
-                sop_instance_uid=item.sop_instance_uid,
-                segment_number=item.segment_number,
-                sop_class_uid=item.sop_class_uid,
-            )
+            return SegmentReference(item.sop_instance_uid, item.segment_number,
+                                    item.sop_class_uid)
         if self._scoord3d_items:
             return WorldRegion(
                 polygons=tuple(i.points for i in self._scoord3d_items),

@@ -150,8 +150,9 @@ class ContentItem:
     """Abstract base for all content item variants.
 
     Each variant writes and reads the attributes of its value type
-    (`_put_value`, `_read`); :func:`item_to_dataset` and
-    :func:`item_from_dataset` handle the attributes all items share.
+    (`_put_value`, `_read`) and renders its value as text (`summary`);
+    :func:`item_to_dataset` and :func:`item_from_dataset` handle the
+    attributes all items share.
     """
 
     value_type: ValueType  # set on subclasses
@@ -189,6 +190,10 @@ class ContentItem:
 
     def _put_value(self, ds: DataSet) -> None:
         """Write the attributes of this item's value type into `ds`."""
+        raise NotImplementedError
+
+    def summary(self) -> str:
+        """This item's value on one line, as ``dicomforge dump-sr`` prints it."""
         raise NotImplementedError
 
     @classmethod
@@ -283,6 +288,10 @@ class ContainerItem(ContentItem):
     def _payload(self):
         return (self.continuity, self.template_id)
 
+    def summary(self):
+        template = f" [TID {self.template_id}]" if self.template_id else ""
+        return f"({self.continuity.value}){template}"
+
     def _put_value(self, ds):
         ds.add(_CONTINUITY_ELEMENTS[self.continuity])
         if self.template_id:
@@ -312,6 +321,9 @@ class CodeItem(ContentItem):
 
     def _payload(self):
         return (self.value, self.value.meaning)
+
+    def summary(self):
+        return f"= {self.value.meaning} ({self.value.scheme} {self.value.value})"
 
     def _put_value(self, ds):
         ds.put("ConceptCodeSequence", (concept_to_items(self.value),))
@@ -356,6 +368,9 @@ class NumItem(ContentItem):
     def _payload(self):
         return (self.value, self.unit, self.qualifier)
 
+    def summary(self):
+        return f"= {self.value} {self.unit.value}"
+
     def _put_value(self, ds):
         measured = DataSet()
         measured.put("NumericValue", self.value)
@@ -389,6 +404,9 @@ class _StringItem(ContentItem):
 
     def _payload(self):
         return (self.value,)
+
+    def summary(self):
+        return f"= {self.value}"
 
     def _put_value(self, ds):
         ds.put(self._keyword, self.value)
@@ -441,6 +459,9 @@ class _ReferenceItem(ContentItem):
     def _payload(self):
         return (self.sop_class_uid, self.sop_instance_uid)
 
+    def summary(self):
+        return f"-> {self.sop_instance_uid}"
+
     def _put_value(self, ds, **attributes):
         ds.put("ReferencedSOPSequence", (sop_reference(
             self.sop_class_uid, self.sop_instance_uid, **attributes),))
@@ -478,6 +499,10 @@ class ImageItem(_ReferenceItem):
 
     def _payload(self):
         return (*super()._payload(), self.segment_number, self.frame_numbers)
+
+    def summary(self):
+        segment = f" segment {self.segment_number}" if self.segment_number else ""
+        return super().summary() + segment
 
     def _put_value(self, ds):
         super()._put_value(ds, ReferencedSegmentNumber=self.segment_number,
@@ -543,6 +568,9 @@ class _GraphicItem(ContentItem):
 
     def _payload(self):
         return (self.graphic_type, self.points)
+
+    def summary(self):
+        return f"{self.graphic_type.value} ({len(self.points)} point(s))"
 
     def _put_value(self, ds):
         ds.put("GraphicData", self.points.ravel().tolist())
@@ -694,17 +722,6 @@ class ObserverContext:
             device_name=name,
             device_manufacturer=manufacturer,
             device_version=version,
-        )
-
-    @classmethod
-    def for_algorithm(cls, algorithm: AlgorithmIdentification,
-                      uid: str | None = None,
-                      manufacturer: str | None = None) -> "ObserverContext":
-        return cls.device(
-            name=algorithm.name,
-            uid=uid,
-            manufacturer=manufacturer,
-            version=algorithm.version,
         )
 
     def to_items(self) -> list[ContentItem]:

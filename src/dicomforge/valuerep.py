@@ -59,8 +59,8 @@ TEXT_VRS = TEXT_MULTI_VRS | TEXT_SINGLE_VRS
 
 BYTES_VRS = frozenset({VR.OB, VR.OD, VR.OF, VR.OW, VR.UN})
 
-INT_FORMATS = {VR.US: "<H", VR.SS: "<h", VR.UL: "<I", VR.SL: "<i"}
-FLOAT_FORMATS = {VR.FL: "<f", VR.FD: "<d"}
+# Binary integer VRs (the codec's `_NUMERIC` holds their formats).
+INT_VRS = frozenset({VR.US, VR.SS, VR.UL, VR.SL})
 
 # Maximum encoded length of a single value, in bytes. None = unrestricted.
 MAX_VALUE_LENGTH: dict[VR, int | None] = {

@@ -13,16 +13,13 @@ def random_boundary() -> str:
     return secrets.token_hex(16)
 
 
-def build_multipart(
-    parts: list[bytes],
-    boundary: str,
-    content_type: str = "application/dicom",
-) -> bytes:
+def build_multipart(parts: list[bytes], boundary: str) -> bytes:
+    """multipart/related payload of application/dicom parts."""
     delimiter = b"--" + boundary.encode("ascii")
     chunks = []
     for part in parts:
         chunks.append(delimiter + CRLF)
-        chunks.append(f"Content-Type: {content_type}".encode("ascii") + CRLF)
+        chunks.append(b"Content-Type: application/dicom" + CRLF)
         chunks.append(f"Content-Length: {len(part)}".encode("ascii") + CRLF)
         chunks.append(CRLF)
         chunks.append(part)  # joined once below, not copied per part
@@ -31,8 +28,8 @@ def build_multipart(
     return b"".join(chunks)
 
 
-def content_type_header(boundary: str, part_type: str = "application/dicom") -> str:
-    return f'multipart/related; type="{part_type}"; boundary={boundary}'
+def content_type_header(boundary: str) -> str:
+    return f'multipart/related; type="application/dicom"; boundary={boundary}'
 
 
 def boundary_from_content_type(value: str) -> str:

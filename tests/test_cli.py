@@ -10,7 +10,8 @@ import pytest
 from conftest import make_ct_series, make_ct_source
 from test_codec import golden_sr
 from test_from_seg import build_seg, normalized_sha256
-from dicomforge.cli import main
+from dicomforge.cli import build_parser, main
+from dicomforge.errors import PartialStoreError
 from dicomforge.coding import DCM, SCT, UCUM, CodedConcept
 from dicomforge.dataset import DataSet
 from dicomforge.part10 import read_part10_file, write_part10_file
@@ -308,6 +309,22 @@ class TestWebCommands:
             ], capsys)
             assert code == 0
             assert out_path.read_bytes() == Path(paths[0]).read_bytes()
+
+    def test_partial_store(self, tmp_path, source_files, capsys):
+        paths, series = source_files
+        bad_path = tmp_path / "bad.dcm"
+        write_part10_file(bad_path, make_ct_source(sop_uid="1.2.901", study_uid="../escaped"))
+        with StubArchive() as archive:
+            argv = ["store", "--url", archive.base_url, paths[0], str(bad_path)]
+            code, out, err = run(argv, capsys)
+            assert code == 4
+            assert out == f"stored {series[0].value('SOPInstanceUID')}\n"
+            assert err == "ERROR network: store failed for instances: 1.2.901\n"
+            args = build_parser().parse_args(argv)
+            with pytest.raises(PartialStoreError) as excinfo:
+                args.func(args)
+        assert excinfo.value.status == 202
+        assert excinfo.value.failed_sop_instance_uids == ["1.2.901"]
 
     def test_network_error_exit_code(self, capsys):
         code, _, err = run([

@@ -22,6 +22,7 @@ from dicomforge.sr import report_from_segmentation
 from dicomforge.sr.items import AlgorithmIdentification
 from dicomforge.tags import keyword_of
 from dicomforge.valuerep import VR
+from test_seg import non_numeric_position
 
 
 def probability_maps() -> np.ndarray:
@@ -158,4 +159,29 @@ def test_threshold_outside_unit_interval(kind, threshold, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"ERROR usage: threshold must be within [0, 1], got {float(threshold)}\n"
     )
+    assert not (tmp_path / "sr.dcm").exists()
+
+
+def _frame_with_segment_9(seg):
+    seg.items_of("PerFrameFunctionalGroupsSequence")[1].put(
+        "SegmentIdentificationSequence", (DataSet.of(ReferencedSegmentNumber=9),))
+
+
+def _frame_with_non_numeric_position(seg):
+    seg.items_of("PerFrameFunctionalGroupsSequence")[1].put(
+        "PlanePositionSequence", (non_numeric_position(),))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_frame_with_segment_9, "frame 2 names segment 9, which no segment item describes"),
+    (_frame_with_non_numeric_position, "frame 2 lacks a plane position of three numbers"),
+], ids=["undescribed segment", "non-numeric position"])
+def test_malformed_frame_is_a_validation_error(corrupt, message, tmp_path, capsys):
+    seg = build_seg("binary")
+    corrupt(seg)
+    seg_path = tmp_path / "seg.dcm"
+    write_part10_file(seg_path, seg)
+    code = main(["mk-sr", "--from-seg", str(seg_path), "-o", str(tmp_path / "sr.dcm")])
+    assert code == 1
+    assert capsys.readouterr().err == f"ERROR validation: {message}\n"
     assert not (tmp_path / "sr.dcm").exists()

@@ -11,6 +11,7 @@ from conftest import make_ct_series, make_ct_source
 from dicomforge import seg as seg_module
 from dicomforge.codec import decode_dataset, encode_dataset
 from dicomforge.coding import SCT, CodedConcept
+from dicomforge.dataset import DataSet
 from dicomforge.errors import (
     MalformedSegError,
     MaskShapeError,
@@ -224,6 +225,18 @@ def _first_group(ds, keyword):
     return ds.items_of("PerFrameFunctionalGroupsSequence")[0].items_of(keyword)[0]
 
 
+def _set_position(ds, item):
+    """Give the third frame the plane position item `item`."""
+    ds.items_of("PerFrameFunctionalGroupsSequence")[2].put("PlanePositionSequence", (item,))
+
+
+def non_numeric_position() -> DataSet:
+    """A plane position item holding a\\b\\c, which DataSet.put refuses but
+    the decoder reads as written."""
+    stream = encode_dataset(DataSet.of(ImagePositionPatient=["1", "2", "3"]))
+    return decode_dataset(stream.replace(b"1\\2\\3", b"a\\b\\c"))
+
+
 # (case, segmentation type, change to a freshly built SEG)
 MALFORMED_CASES = [
     ("frame without segment number", SegmentationType.binary(),
@@ -240,6 +253,13 @@ MALFORMED_CASES = [
     ("frame without plane position", SegmentationType.binary(),
      lambda ds: ds.items_of("PerFrameFunctionalGroupsSequence")[2]
      .remove("PlanePositionSequence")),
+    ("frame position with two coordinates", SegmentationType.binary(),
+     lambda ds: _set_position(ds, DataSet.of(ImagePositionPatient=["0", "0"]))),
+    ("frame position that is not numbers", SegmentationType.binary(),
+     lambda ds: _set_position(ds, non_numeric_position())),
+    ("frame naming an undescribed segment", SegmentationType.binary(),
+     lambda ds: _first_group(ds, "SegmentIdentificationSequence")
+     .put("ReferencedSegmentNumber", 9)),
 ]
 
 
@@ -299,6 +319,17 @@ class TestOpen:
         seg = open_seg(ds)
         assert [f.position.xyz for f in seg.frames] == [
             (0.0, 0.0, 0.0), (0.0, 0.0, 2.5), (0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("item", [
+        DataSet.of(ImagePositionPatient=["0", "0"]), non_numeric_position(),
+    ], ids=["two coordinates", "not numbers"])
+    def test_malformed_position_without_frame_of_reference_reads_as_origin(
+            self, ct_series, item):
+        ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
+                        [description(1)], SegmentationType.binary())
+        ds.remove("FrameOfReferenceUID")
+        _set_position(ds, item)
+        assert open_seg(ds).frames[2].position.xyz == (0.0, 0.0, 0.0)
 
     def test_frame_records(self, ct_series):
         ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
