@@ -117,6 +117,55 @@ class TestMkSegParseSeg:
         assert err.startswith("ERROR validation:")
 
 
+DROP = object()
+
+
+def spec_edit(group=False, **changes):
+    """Set each key of the spec (or of its one group) to its value; DROP
+    removes the key."""
+    def edit(spec):
+        target = spec["groups"][0] if group else spec
+        for key, value in changes.items():
+            if value is DROP:
+                del target[key]
+            else:
+                target[key] = value
+    return edit
+
+
+SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in [
+    ("invalid JSON", None, "ERROR validation: annotation spec is not valid JSON: "
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("person without name", spec_edit(observer={"type": "person"}),
+     "ERROR validation: observer.name is required for a person observer"),
+    ("device without name", spec_edit(observer={"type": "device"}),
+     "ERROR validation: observer.name is required for a device observer"),
+    ("unknown observer type", spec_edit(observer={"type": "robot", "name": "r2"}),
+     "ERROR validation: observer.type must be person or device, got 'robot'"),
+    ("unknown region type", spec_edit(True, region={"type": "blob", "points": [[0, 0]]}),
+     "ERROR validation: unknown region type 'blob'"),
+    ("3D region without frame of reference", spec_edit(evidence=[]),
+     "ERROR validation: region needs a frame_of_reference (none found in evidence)"),
+    ("2D region without image", spec_edit(True, region={"type": "point2d", "points": [[3, 4]]}),
+     "ERROR validation: a 2D region needs an image reference"),
+    ("group without kind", spec_edit(True, kind=DROP),
+     "ERROR validation: group is missing required key 'kind'"),
+    ("group without finding", spec_edit(True, finding=DROP),
+     "ERROR validation: group is missing required key 'finding'"),
+    ("group without region", spec_edit(True, region=DROP),
+     "ERROR validation: a planar group needs a region"),
+    ("unknown group kind", spec_edit(True, kind="blob"),
+     "ERROR validation: group.kind must be planar|volumetric|image, got 'blob'"),
+    ("code without scheme", spec_edit(True, finding="27925004"),
+     "ERROR validation: code must be SCHEME:VALUE[:MEANING], got '27925004'"),
+    ("code outside the registry", spec_edit(True, finding="SCT:99999"),
+     "CONTAINS CODE Finding: = 99999 (SCT 99999)"),
+    ("unit outside the registry", spec_edit(True, measurements=[
+        {"code": "SCT:81827009", "value": "7.5", "unit": "cm"}]),
+     "CONTAINS NUM Diameter: = 7.5 cm"),
+]]
+
+
 class TestMkSr:
     def spec_document(self, tmp_path, source_paths, evidence):
         return {
@@ -181,6 +230,34 @@ class TestMkSr:
         ], capsys)
         assert code == 1
         assert "observer" in err
+
+    @pytest.mark.parametrize("edit, expected", SPEC_CASES)
+    def test_spec_reader(self, edit, expected, tmp_path, source_files, capsys):
+        """Each row edits a one-group spec; an ERROR row is the whole stderr
+        of a failed mk-sr, any other row a line that dump-sr prints of the
+        report mk-sr wrote."""
+        paths, _ = source_files
+        spec = {"observer": {"name": "detector"}, "evidence": paths, "groups": [{
+            "kind": "planar", "finding": "SCT:27925004",
+            "region": {"type": "polygon3d",
+                       "points": [[0, 0, 0], [5, 0, 0], [5, 5, 0], [0, 0, 0]]},
+            "measurements": [{"code": "SCT:81827009", "value": "7.5", "unit": "mm"}],
+        }]}
+        spec_path = tmp_path / "spec.json"
+        if edit is None:
+            spec_path.write_text("{")
+        else:
+            edit(spec)
+            spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "report.dcm"
+        code, stdout, err = run(["mk-sr", "--spec", str(spec_path), "-o", str(out)], capsys)
+        if expected.startswith("ERROR"):
+            assert (code, stdout, err) == (1, "", expected + "\n")
+            return
+        assert code == 0, err
+        code, stdout, err = run(["dump-sr", str(out)], capsys)
+        assert code == 0, err
+        assert expected in [line.strip() for line in stdout.splitlines()]
 
 
 class TestFromSeg:
