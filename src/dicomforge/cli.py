@@ -1,5 +1,10 @@
 """Command-line surface: validate, inspect, create, convert, exchange.
 
+Each command only parses its arguments, hands them to the library and
+prints the outcome: `mk-sr` reads the annotation spec with
+:func:`dicomforge.sr.report_from_spec` or boxes a SEG's regions with
+:func:`dicomforge.sr.report_from_segmentation`.
+
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error,
 4 network error. Failures print one machine-parsable line to stderr:
 ``ERROR <category>: <detail>``.
@@ -14,8 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coding import REGISTRIES, SCT, UCUM, CodedConcept
-from .dataset import DataSet
+from .coding import parse_code
 from .errors import (
     DicomforgeError,
     PartialStoreError,
@@ -32,27 +36,8 @@ from .seg import (
     create_seg,
     open_seg,
 )
-from .spatial import PlaneGeometry, mapper_from_geometry
-from .sr import (
-    CodeItem,
-    ContainerItem,
-    ImageItem,
-    NumItem,
-    ObserverContext,
-    RelationshipType,
-    ScoordItem,
-    Scoord3DItem,
-    SegmentReference,
-    SRKind,
-    TrackingIdentifier,
-    create_sr,
-    measurement_group,
-    measurement_report,
-    open_sr,
-    planar_roi_group,
-    report_from_segmentation,
-    volumetric_roi_group,
-)
+from .spatial import DEFAULT_TOLERANCE_MM, PlaneGeometry, mapper_from_geometry
+from .sr import SRKind, open_sr, report_from_segmentation, report_from_spec
 from .sr.items import AlgorithmIdentification
 from .uid import COMPREHENSIVE_3D_SR_STORAGE, COMPREHENSIVE_SR_STORAGE, SEGMENTATION_STORAGE
 from .web import StubArchive, WebClient
@@ -60,30 +45,7 @@ from .web.client import _failed_uids
 from .web.jsonmodel import dataset_to_json
 
 TOKEN_ENV_VAR = "DICOMFORGE_TOKEN"
-
-
-def _parse_code(text: str) -> CodedConcept:
-    """SCHEME:VALUE[:MEANING]; registry supplies the meaning when omitted."""
-    parts = text.split(":", 2)
-    if len(parts) < 2 or not parts[0] or not parts[1]:
-        raise DicomforgeError(f"code must be SCHEME:VALUE[:MEANING], got {text!r}")
-    scheme, value = parts[0], parts[1]
-    if len(parts) == 3:
-        return CodedConcept(value, scheme, parts[2])
-    registry = REGISTRIES.get(scheme)
-    if registry is not None:
-        try:
-            return registry.get(value)
-        except DicomforgeError:
-            pass
-    return CodedConcept(value, scheme, value)
-
-
-def _parse_unit(text: str) -> CodedConcept:
-    try:
-        return UCUM.get(text)
-    except DicomforgeError:
-        return CodedConcept(text, "UCUM", text)
+SR_KINDS = {"comprehensive": SRKind.COMPREHENSIVE, "comprehensive3d": SRKind.COMPREHENSIVE_3D}
 
 
 # -- validate ------------------------------------------------------------------
@@ -148,8 +110,8 @@ def cmd_mk_seg(args) -> int:
     description = SegmentDescription(
         number=1,
         label=args.label,
-        category=_parse_code(args.category),
-        property_type=_parse_code(args.type),
+        category=parse_code(args.category),
+        property_type=parse_code(args.type),
         algorithm_type=AlgorithmType.AUTOMATIC,
         algorithm=AlgorithmIdentification(name, version or "unknown"),
     )
@@ -185,139 +147,19 @@ def cmd_parse_seg(args) -> int:
 # -- mk-sr ---------------------------------------------------------------------
 
 
-def _observer_from_spec(spec: dict) -> ObserverContext:
-    kind = spec.get("type", "device")
-    if kind == "person":
-        if "name" not in spec:
-            raise DicomforgeError("observer.name is required for a person observer")
-        return ObserverContext.person(spec["name"])
-    if kind == "device":
-        if "name" not in spec:
-            raise DicomforgeError("observer.name is required for a device observer")
-        return ObserverContext.device(
-            name=spec["name"],
-            uid=spec.get("uid"),
-            manufacturer=spec.get("manufacturer"),
-            version=spec.get("version"),
-        )
-    raise DicomforgeError(f"observer.type must be person or device, got {kind!r}")
-
-
-_REGION_3D_TYPES = {"point3d": "POINT", "polyline3d": "POLYLINE",
-                    "polygon3d": "POLYGON", "multipoint3d": "MULTIPOINT"}
-_REGION_2D_TYPES = {"point2d": "POINT", "polyline2d": "POLYLINE",
-                    "circle2d": "CIRCLE", "ellipse2d": "ELLIPSE",
-                    "multipoint2d": "MULTIPOINT"}
-
-
-def _region_from_spec(region: dict, default_frame_uid: str | None):
-    rtype = region.get("type")
-    if rtype == "segment":
-        return SegmentReference(
-            sop_instance_uid=region["sop_instance_uid"],
-            segment_number=int(region["segment_number"]),
-        )
-    if rtype in _REGION_3D_TYPES:
-        frame_uid = region.get("frame_of_reference") or default_frame_uid
-        if not frame_uid:
-            raise DicomforgeError(
-                "region needs a frame_of_reference (none found in evidence)"
-            )
-        return Scoord3DItem(None, _REGION_3D_TYPES[rtype], region["points"], frame_uid)
-    if rtype in _REGION_2D_TYPES:
-        image = region.get("image")
-        if not image:
-            raise DicomforgeError("a 2D region needs an image reference")
-        source = ImageItem(
-            None, image["sop_class_uid"], image["sop_instance_uid"],
-            frame_numbers=image.get("frame_numbers"),
-            relationship=RelationshipType.SELECTED_FROM,
-        )
-        return ScoordItem(None, _REGION_2D_TYPES[rtype], region["points"],
-                          children=[source])
-    raise DicomforgeError(f"unknown region type {rtype!r}")
-
-
-def _group_from_spec(spec: dict, default_frame_uid: str | None) -> ContainerItem:
-    for key in ("kind", "finding"):
-        if key not in spec:
-            raise DicomforgeError(f"group is missing required key {key!r}")
-    tracking = TrackingIdentifier(
-        uid=spec.get("tracking_uid") or TrackingIdentifier.generate().uid,
-        identifier=spec.get("tracking_id"),
-    )
-    finding = _parse_code(spec["finding"])
-    sites = [_parse_code(s) for s in spec.get("finding_sites", [])]
-    measurements = [
-        NumItem(_parse_code(m["code"]), str(m["value"]), _parse_unit(m["unit"]))
-        for m in spec.get("measurements", [])
-    ]
-    evaluations = [
-        CodeItem(_parse_code(e["code"]), _parse_code(e["value"]))
-        for e in spec.get("evaluations", [])
-    ]
-    kind = spec["kind"]
-    if kind == "image":
-        return measurement_group(tracking, finding, measurements, evaluations)
-    region_spec = spec.get("region")
-    if region_spec is None:
-        raise DicomforgeError(f"a {kind} group needs a region")
-    if kind == "planar":
-        region = _region_from_spec(region_spec, default_frame_uid)
-        return planar_roi_group(tracking, region, finding, sites,
-                                measurements, evaluations)
-    if kind == "volumetric":
-        if isinstance(region_spec, list):
-            region = [_region_from_spec(r, default_frame_uid) for r in region_spec]
-        else:
-            region = _region_from_spec(region_spec, default_frame_uid)
-        return volumetric_roi_group(tracking, region, finding, sites,
-                                    measurements, evaluations)
-    raise DicomforgeError(f"group.kind must be planar|volumetric|image, got {kind!r}")
-
-
-def _sr_kind(text: str) -> SRKind:
-    return {
-        "comprehensive": SRKind.COMPREHENSIVE,
-        "comprehensive3d": SRKind.COMPREHENSIVE_3D,
-    }[text]
-
-
 def cmd_mk_sr(args) -> int:
     if bool(args.spec) == bool(args.from_seg):
         raise DicomforgeError("exactly one of --spec and --from-seg is required")
     if args.spec:
-        return _mk_sr_from_spec(args)
-    return _mk_sr_from_seg(args)
-
-
-def _mk_sr_from_spec(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DicomforgeError(f"annotation spec is not valid JSON: {exc}")
-    for key in ("observer", "evidence", "groups"):
-        if key not in spec:
-            raise DicomforgeError(f"annotation spec is missing {key!r}")
-    evidence = [read_part10_file(path)[1] for path in spec["evidence"]]
-    default_frame_uid = evidence[0].value("FrameOfReferenceUID") if evidence else None
-    observer = _observer_from_spec(spec["observer"])
-    procedure = (
-        _parse_code(spec["procedure"]) if "procedure" in spec
-        else SCT.ImagingProcedure
-    )
-    groups = [_group_from_spec(g, default_frame_uid) for g in spec["groups"]]
-    tree = measurement_report(observer, procedure, groups)
-    ds = create_sr(_sr_kind(args.kind), evidence, tree)
-    write_part10_file(args.output, ds)
-    print(f"wrote {args.output}: {len(groups)} group(s)")
-    return 0
-
-
-def _mk_sr_from_seg(args) -> int:
-    _, seg_ds = read_part10_file(args.from_seg)
-    ds = report_from_segmentation(open_seg(seg_ds), args.threshold)
+        try:
+            with open(args.spec, "r", encoding="utf-8") as handle:
+                spec = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DicomforgeError(f"annotation spec is not valid JSON: {exc}")
+        ds = report_from_spec(spec, SR_KINDS[args.kind])
+    else:
+        ds = report_from_segmentation(open_seg(read_part10_file(args.from_seg)[1]),
+                                      args.threshold)
     write_part10_file(args.output, ds)
     print(f"wrote {args.output}: {len(open_sr(ds).measurement_groups())} group(s)")
     return 0
@@ -471,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-seg", help="derive bounding-box SR from a SEG file")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="probability threshold for fractional SEGs")
-    p.add_argument("--kind", choices=["comprehensive", "comprehensive3d"],
-                   default="comprehensive3d")
+    p.add_argument("--kind", choices=SR_KINDS, default="comprehensive3d")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_mk_sr)
 
@@ -481,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="text file: position=..., orientation=..., spacing=...")
     p.add_argument("--to-ref", metavar="COL,ROW")
     p.add_argument("--to-pixel", metavar="X,Y,Z")
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE_MM)
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("store", help="STOW-RS store files")

@@ -240,3 +240,22 @@ def lookup(scheme: str, key: str) -> CodedConcept:
             f"known schemes: {', '.join(sorted(REGISTRIES))}"
         )
     return registry.get(key)
+
+
+def parse_code(text: str) -> CodedConcept:
+    """The concept written as ``SCHEME:VALUE[:MEANING]``.
+
+    Without a meaning, a registered code (by keyword or value) brings its
+    own and any other code means its value. Raises MalformedCodeError
+    unless both scheme and value are present.
+    """
+    scheme, _, rest = text.partition(":")
+    value, colon, meaning = rest.partition(":")
+    if not scheme or not value:
+        raise MalformedCodeError(f"code must be SCHEME:VALUE[:MEANING], got {text!r}")
+    if colon:
+        return CodedConcept(value, scheme, meaning)
+    try:
+        return lookup(scheme, value)
+    except (UnknownSchemeError, UnknownCodeError):
+        return CodedConcept(value, scheme, value)

@@ -380,10 +380,10 @@ def _resolve_sources(sources: Sequence[DataSet]):
                 raise GeometryMismatchError("sources disagree on orientation")
             if ds.values("PixelSpacing") != spacing:
                 raise GeometryMismatchError("sources disagree on pixel spacing")
-            coords = ds.values("ImagePositionPatient")
-            if len(coords) != 3:
-                raise GeometryMismatchError("source lacks ImagePositionPatient")
-            positions.append(PlanePositionPatient(coordinates=tuple(coords)))
+            position = PlanePositionPatient.from_item(ds)
+            if position is None:
+                raise GeometryMismatchError("source lacks a numeric ImagePositionPatient")
+            positions.append(position)
     frames = [
         FrameRecord(
             index=i,

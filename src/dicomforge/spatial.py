@@ -67,7 +67,6 @@ class AffineMapper:
     """3x4 homogeneous mapping of (column, row, 1) onto (x, y, z) mm."""
 
     matrix: np.ndarray = field(repr=False)
-    tolerance: float = DEFAULT_TOLERANCE_MM
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
@@ -75,18 +74,6 @@ class AffineMapper:
             raise GeometryError(f"mapper matrix must be 3x4, got {matrix.shape}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def from_geometry(cls, geometry: PlaneGeometry,
-                      tolerance: float = DEFAULT_TOLERANCE_MM) -> "AffineMapper":
-        """Mapper sending pixel (0, 0) exactly onto the declared position."""
-        row_spacing, column_spacing = geometry.spacing
-        matrix = np.empty((3, 4))
-        matrix[:, 0] = geometry.column_direction * column_spacing
-        matrix[:, 1] = geometry.row_direction * row_spacing
-        matrix[:, 2] = geometry.normal
-        matrix[:, 3] = np.asarray(geometry.position)
-        return cls(matrix=matrix, tolerance=tolerance)
 
     def pixel_to_reference(self, pixel: Sequence[float]) -> np.ndarray:
         """Map (column, row) pixels (possibly sub-pixel, possibly an (N, 2)
@@ -98,7 +85,7 @@ class AffineMapper:
         return out[0] if np.ndim(pixel) == 1 else out
 
     def reference_to_pixel(
-        self, point: Sequence[float], tolerance: float | None = None
+        self, point: Sequence[float], tolerance: float = DEFAULT_TOLERANCE_MM
     ) -> np.ndarray:
         """Map (x, y, z) mm back to (column, row) pixels.
 
@@ -106,8 +93,6 @@ class AffineMapper:
         along the normal); otherwise an OffPlaneError reporting the
         distance is raised. The result is the in-plane projection.
         """
-        if tolerance is None:
-            tolerance = self.tolerance
         points = np.atleast_2d(np.asarray(point, dtype=float))
         if points.shape[-1] != 3:
             raise ValueError("reference coordinates must be (x, y, z) triplets")
@@ -125,14 +110,21 @@ class AffineMapper:
         return out[0] if np.ndim(point) == 1 else out
 
 
-def mapper_from_geometry(geometry: PlaneGeometry,
-                         tolerance: float = DEFAULT_TOLERANCE_MM) -> AffineMapper:
-    return AffineMapper.from_geometry(geometry, tolerance)
+def mapper_from_geometry(geometry: PlaneGeometry) -> AffineMapper:
+    """Mapper sending pixel (0, 0) exactly onto the declared position."""
+    row_spacing, column_spacing = geometry.spacing
+    matrix = np.empty((3, 4))
+    matrix[:, 0] = geometry.column_direction * column_spacing
+    matrix[:, 1] = geometry.row_direction * row_spacing
+    matrix[:, 2] = geometry.normal
+    matrix[:, 3] = np.asarray(geometry.position)
+    return AffineMapper(matrix)
 
 
 def pixel_to_reference(mapper: AffineMapper, pixel) -> np.ndarray:
     return mapper.pixel_to_reference(pixel)
 
 
-def reference_to_pixel(mapper: AffineMapper, point, tolerance=None) -> np.ndarray:
+def reference_to_pixel(mapper: AffineMapper, point,
+                       tolerance: float = DEFAULT_TOLERANCE_MM) -> np.ndarray:
     return mapper.reference_to_pixel(point, tolerance)

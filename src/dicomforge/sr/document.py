@@ -2,9 +2,11 @@
 
 Creation copies patient/study/specimen context from the evidence images,
 records the evidence hierarchically, and serializes a measurement-report
-content tree. :func:`report_from_segmentation` builds such a document from
-an opened Segmentation: one planar bounding-box group per connected region
-of each stored frame. Opening exposes the document meta, the evidence
+content tree. Two readers build such a document from other input:
+:func:`report_from_segmentation` from an opened Segmentation (one planar
+bounding-box group per connected region of each stored frame), and
+:func:`report_from_spec` from an annotation spec, the JSON document the
+README describes. Opening exposes the document meta, the evidence
 references, the parsed tree, and measurement-group views with filtering.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .. import __version__, roi
-from ..coding import DCM, SCT, CodedConcept, concept_from_items
+from ..coding import DCM, SCT, UCUM, CodedConcept, concept_from_items, parse_code
 from ..dataset import DataSet
 from ..derived import (
     EvidenceReference,
@@ -36,13 +38,17 @@ from ..errors import (
     ValueTypeForbiddenError,
     WrongSopClassError,
 )
+from ..part10 import read_part10_file
 from ..spatial import mapper_from_geometry
 from ..uid import COMPREHENSIVE_3D_SR_STORAGE, COMPREHENSIVE_SR_STORAGE
 from .items import (
+    CodeItem,
     ContainerItem,
     ContentItem,
     ImageItem,
+    NumItem,
     ObserverContext,
+    RelationshipType,
     ScoordItem,
     Scoord3DItem,
     TrackingIdentifier,
@@ -56,8 +62,10 @@ from .templates import (
     VOLUMETRIC_GROUP_TID,
     ImageReference,
     SegmentReference,
+    measurement_group,
     measurement_report,
     planar_roi_group,
+    volumetric_roi_group,
 )
 
 if TYPE_CHECKING:
@@ -255,6 +263,141 @@ def report_from_segmentation(segmentation: Segmentation, threshold: float = 0.5)
     observer = ObserverContext.device(name="dicomforge-from-seg", version=__version__)
     tree = measurement_report(observer, SCT.ImagingProcedure, groups)
     return create_sr(SRKind.COMPREHENSIVE_3D, [segmentation.dataset], tree)
+
+
+def report_from_spec(spec: dict, kind: SRKind = SRKind.COMPREHENSIVE_3D) -> DataSet:
+    """SR of the given kind built from an annotation spec: the parsed JSON
+    document with an observer, an optional procedure, the Part 10 evidence
+    files (read here), and one measurement group per entry of ``groups``.
+
+    Codes are ``SCHEME:VALUE[:MEANING]`` strings, read by
+    :func:`~dicomforge.coding.parse_code`. A 3D region without a frame of
+    reference takes the first evidence instance's. A spec object or code of
+    the wrong JSON type raises DicomforgeError naming its key, as do a
+    missing top-level or group key and an unknown observer, group or
+    region type.
+    """
+    _spec_value(spec, "annotation spec", dict)
+    for key in ("observer", "evidence", "groups"):
+        if key not in spec:
+            raise DicomforgeError(f"annotation spec is missing {key!r}")
+    evidence = [read_part10_file(path)[1] for path in spec["evidence"]]
+    frame_uid = evidence[0].value("FrameOfReferenceUID") if evidence else None
+    observer = _observer_from_spec(spec["observer"])
+    procedure = (
+        _code(spec["procedure"], "procedure") if "procedure" in spec
+        else SCT.ImagingProcedure
+    )
+    groups = [_group_from_spec(g, frame_uid) for g in spec["groups"]]
+    return create_sr(kind, evidence, measurement_report(observer, procedure, groups))
+
+
+def _spec_value(value, key: str, kind: type):
+    """`value`, read from `key` of an annotation spec, if it is a `kind`
+    (dict for an object, str for a code); DicomforgeError otherwise."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a string"
+        raise DicomforgeError(f"{key} must be {noun}, got {value!r}")
+    return value
+
+
+def _code(value, key: str) -> CodedConcept:
+    return parse_code(_spec_value(value, key, str))
+
+
+def _parse_unit(value) -> CodedConcept:
+    text = _spec_value(value, "unit", str)
+    try:
+        return UCUM.get(text)
+    except DicomforgeError:
+        return CodedConcept(text, "UCUM", text)
+
+
+def _observer_from_spec(spec) -> ObserverContext:
+    kind = _spec_value(spec, "observer", dict).get("type", "device")
+    if kind not in ("person", "device"):
+        raise DicomforgeError(f"observer.type must be person or device, got {kind!r}")
+    if "name" not in spec:
+        raise DicomforgeError(f"observer.name is required for a {kind} observer")
+    if kind == "person":
+        return ObserverContext.person(spec["name"])
+    return ObserverContext.device(
+        name=spec["name"], uid=spec.get("uid"),
+        manufacturer=spec.get("manufacturer"), version=spec.get("version"),
+    )
+
+
+_REGION_3D_TYPES = {"point3d": "POINT", "polyline3d": "POLYLINE",
+                    "polygon3d": "POLYGON", "multipoint3d": "MULTIPOINT"}
+_REGION_2D_TYPES = {"point2d": "POINT", "polyline2d": "POLYLINE",
+                    "circle2d": "CIRCLE", "ellipse2d": "ELLIPSE",
+                    "multipoint2d": "MULTIPOINT"}
+
+
+def _region_from_spec(region, frame_uid: str | None):
+    rtype = _spec_value(region, "region", dict).get("type")
+    if rtype == "segment":
+        return SegmentReference(
+            sop_instance_uid=region["sop_instance_uid"],
+            segment_number=int(region["segment_number"]),
+        )
+    if rtype in _REGION_3D_TYPES:
+        frame_uid = region.get("frame_of_reference") or frame_uid
+        if not frame_uid:
+            raise DicomforgeError(
+                "region needs a frame_of_reference (none found in evidence)"
+            )
+        return Scoord3DItem(None, _REGION_3D_TYPES[rtype], region["points"], frame_uid)
+    if rtype in _REGION_2D_TYPES:
+        image = region.get("image")
+        if not image:
+            raise DicomforgeError("a 2D region needs an image reference")
+        _spec_value(image, "image", dict)
+        source = ImageItem(
+            None, image["sop_class_uid"], image["sop_instance_uid"],
+            frame_numbers=image.get("frame_numbers"),
+            relationship=RelationshipType.SELECTED_FROM,
+        )
+        return ScoordItem(None, _REGION_2D_TYPES[rtype], region["points"],
+                          children=[source])
+    raise DicomforgeError(f"unknown region type {rtype!r}")
+
+
+def _group_from_spec(spec, frame_uid: str | None) -> ContainerItem:
+    _spec_value(spec, "group", dict)
+    for key in ("kind", "finding"):
+        if key not in spec:
+            raise DicomforgeError(f"group is missing required key {key!r}")
+    tracking = TrackingIdentifier(
+        uid=spec.get("tracking_uid") or TrackingIdentifier.generate().uid,
+        identifier=spec.get("tracking_id"),
+    )
+    finding = _code(spec["finding"], "finding")
+    sites = [_code(s, "finding_sites") for s in spec.get("finding_sites", [])]
+    # a number goes to NumItem as a number, which formats it to fit a DS
+    measurements = [
+        NumItem(_code(m["code"], "code"), m["value"], _parse_unit(m["unit"]))
+        for m in spec.get("measurements", [])
+    ]
+    evaluations = [
+        CodeItem(_code(e["code"], "code"), _code(e["value"], "value"))
+        for e in spec.get("evaluations", [])
+    ]
+    kind = spec["kind"]
+    if kind == "image":
+        return measurement_group(tracking, finding, measurements, evaluations)
+    region = spec.get("region")
+    if region is None:
+        raise DicomforgeError(f"a {kind} group needs a region")
+    if kind == "planar":
+        return planar_roi_group(tracking, _region_from_spec(region, frame_uid),
+                                finding, sites, measurements, evaluations)
+    if kind == "volumetric":
+        regions = region if isinstance(region, list) else [region]
+        regions = [_region_from_spec(r, frame_uid) for r in regions]
+        return volumetric_roi_group(tracking, regions, finding, sites,
+                                    measurements, evaluations)
+    raise DicomforgeError(f"group.kind must be planar|volumetric|image, got {kind!r}")
 
 
 # -- parsing ------------------------------------------------------------------

@@ -174,9 +174,7 @@ def volumetric_roi_group(
     (Scoord3DItem), or a sequence of per-frame 2D regions (ScoordItem, each
     with its source-image reference).
     """
-    if isinstance(region, SegmentReference):
-        region_items = [region.to_item()]
-    elif isinstance(region, (ScoordItem, Scoord3DItem)):
+    if isinstance(region, (SegmentReference, ScoordItem, Scoord3DItem)):
         region_items = [_planar_region_item(region)]
     else:
         region_items = [_planar_region_item(r) for r in region]

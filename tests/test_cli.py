@@ -163,6 +163,28 @@ SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in 
     ("unit outside the registry", spec_edit(True, measurements=[
         {"code": "SCT:81827009", "value": "7.5", "unit": "cm"}]),
      "CONTAINS NUM Diameter: = 7.5 cm"),
+    ("measurement as a long number", spec_edit(True, measurements=[
+        {"code": "SCT:81827009", "value": 0.6666666666666666, "unit": "mm"}]),
+     "CONTAINS NUM Diameter: = 0.66666666666667 mm"),
+    ("spec that is not an object", lambda spec: 5,
+     "ERROR validation: annotation spec must be an object, got 5"),
+    ("observer that is not an object", spec_edit(observer="net"),
+     "ERROR validation: observer must be an object, got 'net'"),
+    ("group that is not an object", spec_edit(groups=[5]),
+     "ERROR validation: group must be an object, got 5"),
+    ("planar region that is not an object", spec_edit(True, region="x"),
+     "ERROR validation: region must be an object, got 'x'"),
+    ("volumetric region that is not an object", spec_edit(True, kind="volumetric",
+                                                          region=["x"]),
+     "ERROR validation: region must be an object, got 'x'"),
+    ("image that is not an object", spec_edit(True, region={
+        "type": "point2d", "points": [[3, 4]], "image": "ct0.dcm"}),
+     "ERROR validation: image must be an object, got 'ct0.dcm'"),
+    ("finding that is not a string", spec_edit(True, finding=5),
+     "ERROR validation: finding must be a string, got 5"),
+    ("unit that is not a string", spec_edit(True, measurements=[
+        {"code": "SCT:81827009", "value": "7.5", "unit": None}]),
+     "ERROR validation: unit must be a string, got None"),
 ]]
 
 
@@ -233,7 +255,8 @@ class TestMkSr:
 
     @pytest.mark.parametrize("edit, expected", SPEC_CASES)
     def test_spec_reader(self, edit, expected, tmp_path, source_files, capsys):
-        """Each row edits a one-group spec; an ERROR row is the whole stderr
+        """Each row edits a one-group spec in place (or returns the JSON
+        value to write instead); an ERROR row is the whole stderr
         of a failed mk-sr, any other row a line that dump-sr prints of the
         report mk-sr wrote."""
         paths, _ = source_files
@@ -247,8 +270,8 @@ class TestMkSr:
         if edit is None:
             spec_path.write_text("{")
         else:
-            edit(spec)
-            spec_path.write_text(json.dumps(spec))
+            edited = edit(spec)
+            spec_path.write_text(json.dumps(spec if edited is None else edited))
         out = tmp_path / "report.dcm"
         code, stdout, err = run(["mk-sr", "--spec", str(spec_path), "-o", str(out)], capsys)
         if expected.startswith("ERROR"):

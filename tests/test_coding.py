@@ -13,6 +13,7 @@ from dicomforge.coding import (
     concept_from_items,
     concept_to_items,
     lookup,
+    parse_code,
 )
 from dicomforge.dataset import DataSet
 from dicomforge.errors import (
@@ -103,6 +104,22 @@ class TestRegistry:
         for scheme, registry in REGISTRIES.items():
             for keyword in registry.keywords():
                 assert lookup(scheme, keyword).scheme == scheme
+
+    @pytest.mark.parametrize("text, expected", [
+        ("SCT:Nodule", ("27925004", "SCT", "Nodule")),
+        ("SCT:27925004", ("27925004", "SCT", "Nodule")),
+        ("SCT:27925004:Lump", ("27925004", "SCT", "Lump")),
+        ("LOINC:1234-5", ("1234-5", "LOINC", "1234-5")),
+        ("99:a:b:c", ("a", "99", "b:c")),
+    ])
+    def test_parse_code(self, text, expected):
+        concept = parse_code(text)
+        assert (concept.value, concept.scheme, concept.meaning) == expected
+
+    @pytest.mark.parametrize("text", ["", "SCT", "SCT:", ":27925004"])
+    def test_parse_code_needs_scheme_and_value(self, text):
+        with pytest.raises(MalformedCodeError, match="SCHEME:VALUE"):
+            parse_code(text)
 
 
 class TestSerialization:

@@ -220,6 +220,18 @@ class TestCreate:
             create_seg([*series, odd], [np.ones((3, 16, 16), np.uint8)],
                        [description(1)], SegmentationType.binary())
 
+    @pytest.mark.parametrize("position", [b"0.0\\0.0", b"a\\b\\c"],
+                             ids=["two coordinates", "not numbers"])
+    def test_unreadable_source_position_rejected(self, ct_series, position):
+        from dicomforge.errors import GeometryMismatchError
+        written = b"0.0\\0.0\\5.0 "
+        stream = encode_dataset(ct_series[2])
+        assert stream.count(written) == 1
+        source = decode_dataset(stream.replace(written, position.ljust(len(written))))
+        with pytest.raises(GeometryMismatchError, match="ImagePositionPatient"):
+            create_seg([*ct_series[:2], source], [np.ones((3, 16, 16), np.uint8)],
+                       [description(1)], SegmentationType.binary())
+
 
 def _first_group(ds, keyword):
     return ds.items_of("PerFrameFunctionalGroupsSequence")[0].items_of(keyword)[0]
