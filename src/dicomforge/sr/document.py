@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .. import __version__, roi
-from ..coding import DCM, SCT, UCUM, CodedConcept, concept_from_items, parse_code
+from ..coding import DCM, SCT, UCUM, CodedConcept, parse_code
 from ..dataset import DataSet
 from ..derived import (
     EvidenceReference,
@@ -272,33 +272,43 @@ def report_from_spec(spec: dict, kind: SRKind = SRKind.COMPREHENSIVE_3D) -> Data
 
     Codes are ``SCHEME:VALUE[:MEANING]`` strings, read by
     :func:`~dicomforge.coding.parse_code`. A 3D region without a frame of
-    reference takes the first evidence instance's. A spec object or code of
-    the wrong JSON type raises DicomforgeError naming its key, as do a
-    missing top-level or group key and an unknown observer, group or
-    region type.
+    reference takes the first evidence instance's. A spec object, list,
+    path or code of the wrong JSON type raises DicomforgeError naming its
+    key, as do a missing top-level or group key and an unknown observer,
+    group or region type.
     """
     _spec_value(spec, "annotation spec", dict)
     for key in ("observer", "evidence", "groups"):
         if key not in spec:
             raise DicomforgeError(f"annotation spec is missing {key!r}")
-    evidence = [read_part10_file(path)[1] for path in spec["evidence"]]
+    evidence = [read_part10_file(path)[1] for path in _entries(spec, "evidence", str)]
     frame_uid = evidence[0].value("FrameOfReferenceUID") if evidence else None
     observer = _observer_from_spec(spec["observer"])
     procedure = (
         _code(spec["procedure"], "procedure") if "procedure" in spec
         else SCT.ImagingProcedure
     )
-    groups = [_group_from_spec(g, frame_uid) for g in spec["groups"]]
+    groups = [_group_from_spec(g, frame_uid) for g in _entries(spec, "groups", dict)]
     return create_sr(kind, evidence, measurement_report(observer, procedure, groups))
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _spec_value(value, key: str, kind: type):
     """`value`, read from `key` of an annotation spec, if it is a `kind`
-    (dict for an object, str for a code); DicomforgeError otherwise."""
+    (dict for an object, list, or str for a path or code); DicomforgeError
+    otherwise."""
     if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a string"
-        raise DicomforgeError(f"{key} must be {noun}, got {value!r}")
+        raise DicomforgeError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def _entries(spec: dict, key: str, kind: type) -> list:
+    """The list under `key` of a spec object (empty when absent), each entry
+    checked to be a `kind`."""
+    entries = _spec_value(spec.get(key, []), key, list)
+    return [_spec_value(entry, f"{key}[{i}]", kind) for i, entry in enumerate(entries)]
 
 
 def _code(value, key: str) -> CodedConcept:
@@ -363,8 +373,7 @@ def _region_from_spec(region, frame_uid: str | None):
     raise DicomforgeError(f"unknown region type {rtype!r}")
 
 
-def _group_from_spec(spec, frame_uid: str | None) -> ContainerItem:
-    _spec_value(spec, "group", dict)
+def _group_from_spec(spec: dict, frame_uid: str | None) -> ContainerItem:
     for key in ("kind", "finding"):
         if key not in spec:
             raise DicomforgeError(f"group is missing required key {key!r}")
@@ -373,15 +382,15 @@ def _group_from_spec(spec, frame_uid: str | None) -> ContainerItem:
         identifier=spec.get("tracking_id"),
     )
     finding = _code(spec["finding"], "finding")
-    sites = [_code(s, "finding_sites") for s in spec.get("finding_sites", [])]
+    sites = [parse_code(s) for s in _entries(spec, "finding_sites", str)]
     # a number goes to NumItem as a number, which formats it to fit a DS
     measurements = [
         NumItem(_code(m["code"], "code"), m["value"], _parse_unit(m["unit"]))
-        for m in spec.get("measurements", [])
+        for m in _entries(spec, "measurements", dict)
     ]
     evaluations = [
         CodeItem(_code(e["code"], "code"), _code(e["value"], "value"))
-        for e in spec.get("evaluations", [])
+        for e in _entries(spec, "evaluations", dict)
     ]
     kind = spec["kind"]
     if kind == "image":

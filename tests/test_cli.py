@@ -170,8 +170,16 @@ SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in 
      "ERROR validation: annotation spec must be an object, got 5"),
     ("observer that is not an object", spec_edit(observer="net"),
      "ERROR validation: observer must be an object, got 'net'"),
+    ("evidence that is not a list", spec_edit(evidence="ct0.dcm"),
+     "ERROR validation: evidence must be a list, got 'ct0.dcm'"),
+    ("evidence path that is not a string", spec_edit(evidence=[None]),
+     "ERROR validation: evidence[0] must be a string, got None"),
     ("group that is not an object", spec_edit(groups=[5]),
-     "ERROR validation: group must be an object, got 5"),
+     "ERROR validation: groups[0] must be an object, got 5"),
+    ("finding sites that are not a list", spec_edit(True, finding_sites="SCT:39607008"),
+     "ERROR validation: finding_sites must be a list, got 'SCT:39607008'"),
+    ("measurement that is not an object", spec_edit(True, measurements=["x"]),
+     "ERROR validation: measurements[0] must be an object, got 'x'"),
     ("planar region that is not an object", spec_edit(True, region="x"),
      "ERROR validation: region must be an object, got 'x'"),
     ("volumetric region that is not an object", spec_edit(True, kind="volumetric",
