@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
 from conftest import make_ct_series, make_ct_source
@@ -667,3 +668,105 @@ class TestMaskDtypes:
         reference = create_seg(ct_series, [mask.astype(np.float64)],
                                [description(1)], seg_type, omit_empty=False)
         assert ds.element("PixelData").raw == reference.element("PixelData").raw
+
+
+BINARY_TEXT = "segment 1: binary masks may only contain 0 and 1"
+FRACTIONAL_TEXT = "segment 1: fractional masks must lie within [0, 1]"
+
+# (case, dtype, value put in the last frame, BINARY outcome, FRACTIONAL
+# outcome); an outcome is the MaskValueError text, the first stored byte of
+# the one frame kept, or None for no frame kept
+LAST_FRAME_CASES = [
+    ("uint16 holding 2", np.uint16, 2, BINARY_TEXT, FRACTIONAL_TEXT),
+    ("int16 holding -1", np.int16, -1, BINARY_TEXT, FRACTIONAL_TEXT),
+    ("float32 NaN", np.float32, math.nan, BINARY_TEXT, FRACTIONAL_TEXT),
+    ("float64 1e-9", np.float64, 1e-9, BINARY_TEXT, 0),
+    ("float64 -0.0", np.float64, -0.0, None, None),
+    ("float64 0.5", np.float64, 0.5, BINARY_TEXT, 128),
+    ("int8 1", np.int8, 1, 0x01, 255),
+]
+
+
+class TestLastFrameValues:
+    """One value in the last of three frames: rejected with its message, or
+    the frames kept and their stored bytes."""
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "fractional"])
+    @pytest.mark.parametrize("case, dtype, value, binary_outcome, fractional_outcome",
+                             LAST_FRAME_CASES, ids=[c[0] for c in LAST_FRAME_CASES])
+    def test_outcome(self, ct_series, case, dtype, value, binary_outcome,
+                     fractional_outcome, binary):
+        mask = np.zeros((3, 16, 16), dtype=dtype)
+        mask[2, 0, 0] = value
+        seg_type = SegmentationType.binary() if binary else SegmentationType.fractional()
+        outcome = binary_outcome if binary else fractional_outcome
+        if isinstance(outcome, str):
+            with pytest.raises(MaskValueError) as info:
+                create_seg(ct_series, [mask], [description(1)], seg_type)
+            assert str(info.value) == outcome
+            return
+        ds = create_seg(ct_series, [mask], [description(1)], seg_type)
+        if outcome is None:
+            assert ds.value("NumberOfFrames") == 0
+            assert ds.element("PixelData").raw == b""
+            return
+        frame_bytes = 16 * 16 // 8 if binary else 16 * 16
+        assert ds.value("NumberOfFrames") == 1
+        assert ds.element("PixelData").raw == bytes([outcome]) + bytes(frame_bytes - 1)
+
+
+MASK_DTYPES = {
+    np.bool_: [False, True],
+    np.uint8: [0, 1, 2],
+    np.uint16: [0, 1, 2, 300],
+    np.int8: [0, 1, -1, 2],
+    np.int16: [0, 1, -1, -300],
+    np.float32: [0.0, -0.0, 1.0, 0.5, 1e-9, -1e-9, 2.0, math.nan],
+    np.float64: [0.0, -0.0, 1.0, 0.5, 1e-9, -1e-9, 2.0, math.nan, math.inf],
+}
+
+
+@st.composite
+def mask_stacks(draw):
+    dtype = draw(st.sampled_from(sorted(MASK_DTYPES, key=lambda t: t.__name__)))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    # zero is drawn often so that whole frames come out empty
+    values = st.one_of(st.just(MASK_DTYPES[dtype][0]),
+                       st.sampled_from(MASK_DTYPES[dtype]))
+    flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(flat, dtype=dtype).reshape(shape)
+
+
+def two_pass_outcome(stack, seg_type, omit_empty):
+    """The SEG rule on a float64 copy: check the values, then keep the
+    non-empty frames; the error text, or (frames, pixel data padded to an
+    even length)."""
+    values = stack.astype(np.float64)
+    if seg_type.is_binary:
+        valid = stack.dtype == np.bool_ or bool(((values == 0) | (values == 1)).all())
+    else:
+        valid = bool(values.min() >= 0 and values.max() <= 1)
+    if not valid:
+        return BINARY_TEXT if seg_type.is_binary else FRACTIONAL_TEXT
+    kept = [f for f in range(len(values)) if values[f].any() or not omit_empty]
+    if seg_type.is_binary:
+        data = naive_pack(values[kept].astype(np.uint8))
+    else:
+        stored = np.floor(values[kept] * seg_type.max_fractional_value + 0.5)
+        data = stored.astype(np.uint8).tobytes()
+    return len(kept), data + bytes(len(data) % 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=mask_stacks(), binary=st.booleans(), omit_empty=st.booleans())
+def test_mask_outcome_matches_two_pass_rule(stack, binary, omit_empty):
+    frames, rows, cols = stack.shape
+    seg_type = SegmentationType.binary() if binary else SegmentationType.fractional()
+    expected = two_pass_outcome(stack, seg_type, omit_empty)
+    sources = make_ct_series(frames, rows=rows, cols=cols)
+    try:
+        ds = create_seg(sources, [stack], [description(1)], seg_type, omit_empty)
+    except MaskValueError as exc:
+        assert str(exc) == expected
+        return
+    assert (ds.value("NumberOfFrames"), ds.element("PixelData").raw) == expected
