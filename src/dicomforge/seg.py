@@ -13,14 +13,18 @@ recorded at the root, so omitted frames stay distinguishable from frames
 of unknown instances.
 
 Mask stacks may be boolean, integer or floating-point arrays. Each stack
-is validated and scanned for empty frames in its own dtype, so no float64
-copy of the masks is made; only the kept frames are copied, once, as one
-stored value per pixel before packing. On read, frames are unpacked on
-demand, one at a time: a binary frame is sliced from the pixel data by its
-bit offset, which need not fall on a byte boundary.
+is reduced once per frame in its own dtype, and both the value check and
+the empty-frame scan come from that pass, so no float64 copy of the masks
+is made; only the kept frames are copied, once, as one stored value per
+pixel before packing. On read, frames are unpacked on demand, one at a
+time: a binary frame is sliced from the pixel data by its bit offset,
+which need not fall on a byte boundary.
 
 Each functional group has one owner that writes and reads it: a
-:class:`FrameRecord` writes and parses its per-frame group, each
+:class:`FrameRecord` writes and parses its per-frame group (the items
+that repeat between frames, a segment's identification and a source
+frame's derivation and position, are one object each within a SEG, so
+the encoder writes each once and copies its bytes), each
 plane-position class its own position item (:func:`plane_position` reads
 either kind), and :func:`shared_geometry` reads the shared group of a SEG
 or a source. SOP references go through :mod:`dicomforge.derived`.
@@ -248,31 +252,42 @@ class FrameRecord:
     source_frame_number: int
     position: PlanePositionPatient | PlanePositionSlide
 
-    def to_group(self, frame_number: bool) -> DataSet:
+    def to_group(self, frame_number: bool, shared: dict) -> DataSet:
         """This SEG frame's per-frame functional group; `frame_number`
-        references the source frame by number (multi-frame sources)."""
-        source = sop_reference(
-            self.source_sop_class_uid,
-            self.source_sop_instance_uid,
-            ReferencedFrameNumber=self.source_frame_number if frame_number else None,
-            PurposeOfReferenceCodeSequence=(
-                concept_to_items(DCM.SourceImageForImageProcessingOperation),
-            ),
-        )
-        group = DataSet.of(
+        references the source frame by number (multi-frame sources).
+
+        `shared` holds the items that repeat between the frames of one SEG,
+        each built on first use: a segment's identification item, keyed by
+        its number, and a source frame's derivation and plane-position
+        items. Only the frame content item is the frame's own.
+        """
+        source = (self.source_sop_class_uid, self.source_sop_instance_uid,
+                  self.source_frame_number, self.position)
+        if source not in shared:
+            reference = sop_reference(
+                self.source_sop_class_uid,
+                self.source_sop_instance_uid,
+                ReferencedFrameNumber=self.source_frame_number if frame_number else None,
+                PurposeOfReferenceCodeSequence=(
+                    concept_to_items(DCM.SourceImageForImageProcessingOperation),
+                ),
+            )
+            shared[source] = (DataSet.of(
+                SourceImageSequence=(reference,),
+                DerivationCodeSequence=(concept_to_items(DCM.Segmentation),),
+            ),), (self.position.to_item(),)
+        if self.segment_number not in shared:
+            shared[self.segment_number] = (
+                DataSet.of(ReferencedSegmentNumber=self.segment_number),)
+        derivation, position = shared[source]
+        return DataSet.of(
             FrameContentSequence=(DataSet.of(
                 DimensionIndexValues=[self.segment_number, self.source_frame_number]
             ),),
-            SegmentIdentificationSequence=(
-                DataSet.of(ReferencedSegmentNumber=self.segment_number),
-            ),
-            DerivationImageSequence=(DataSet.of(
-                SourceImageSequence=(source,),
-                DerivationCodeSequence=(concept_to_items(DCM.Segmentation),),
-            ),),
+            SegmentIdentificationSequence=shared[self.segment_number],
+            DerivationImageSequence=derivation,
+            **{self.position.sequence: position},
         )
-        group.put(self.position.sequence, (self.position.to_item(),))
-        return group
 
     @classmethod
     def from_group(cls, index: int, group: DataSet, positioned: bool) -> "FrameRecord":
@@ -399,9 +414,16 @@ def _resolve_sources(sources: Sequence[DataSet]):
 
 
 def _mask_stacks(masks, n_segments: int, n_frames: int, rows, cols,
-                 seg_type: SegmentationType) -> list[np.ndarray]:
+                 seg_type: SegmentationType) -> list[tuple[np.ndarray, np.ndarray]]:
     """One validated ``(frames, rows, cols)`` array per segment, each kept in
-    the dtype it was given."""
+    the dtype it was given, with the indices of its non-empty frames.
+
+    Each stack is reduced once per frame, and both the value check and the
+    empty-frame scan come from that pass: the per-frame maximum shows that
+    no value lies above 1 and which frames hold a value above 0; signed and
+    float stacks add the minimum. Binary float stacks are compared with 0
+    and 1 instead, since a value between them is not a binary value.
+    """
     stacks = [np.asarray(stack) for stack in masks]
     if len(stacks) != n_segments:
         raise MaskShapeError(
@@ -416,34 +438,30 @@ def _mask_stacks(masks, n_segments: int, n_frames: int, rows, cols,
                 f"segment {number} mask stack has shape {stack.shape}, "
                 f"expected {(n_frames, rows, cols)}"
             )
-        _check_mask_values(stack, number, seg_type)
-        out.append(stack)
+        kind = stack.dtype.kind
+        if kind not in "biuf":
+            raise MaskValueError(
+                f"segment {number} mask has dtype {stack.dtype}; masks are "
+                "boolean, integer or floating-point arrays"
+            )
+        flat = stack.reshape(n_frames, -1)
+        if seg_type.is_binary and kind == "f":
+            valid = ((flat == 0) | (flat == 1)).all()
+            nonempty = flat.any(axis=1)
+        else:
+            # NaN propagates through min/max and fails both comparisons.
+            # `initial` keeps frames of zero pixels valid and empty.
+            top = flat.max(axis=1, initial=0)
+            valid = top.max() <= 1 and (kind in "bu" or flat.min(initial=0) >= 0)
+            nonempty = top > 0
+        if not valid:
+            raise MaskValueError(
+                f"segment {number}: binary masks may only contain 0 and 1"
+                if seg_type.is_binary else
+                f"segment {number}: fractional masks must lie within [0, 1]"
+            )
+        out.append((stack, np.flatnonzero(nonempty)))
     return out
-
-
-def _check_mask_values(stack: np.ndarray, number: int,
-                       seg_type: SegmentationType) -> None:
-    kind = stack.dtype.kind
-    if kind not in "biuf":
-        raise MaskValueError(
-            f"segment {number} mask has dtype {stack.dtype}; masks are "
-            "boolean, integer or floating-point arrays"
-        )
-    if kind == "b":
-        return
-    if seg_type.is_binary and kind == "f":
-        valid = ((stack == 0) | (stack == 1)).all()
-    else:
-        # Integers within [0, 1] are 0/1. NaN propagates through min/max and
-        # fails both comparisons. `initial` keeps zero-size stacks valid.
-        valid = ((kind == "u" or stack.min(initial=0) >= 0)
-                 and stack.max(initial=0) <= 1)
-    if not valid:
-        raise MaskValueError(
-            f"segment {number}: binary masks may only contain 0 and 1"
-            if seg_type.is_binary else
-            f"segment {number}: fractional masks must lie within [0, 1]"
-        )
 
 
 def create_seg(
@@ -476,19 +494,14 @@ def create_seg(
     source_frames, rows, cols, orientation, spacing, slide_based = \
         _resolve_sources(sources)
     n_frames = len(source_frames)
-    stacks = _mask_stacks(
-        masks, len(descriptions), n_frames, rows, cols, seg_type
-    )
-    kept = [
-        np.flatnonzero(stack.reshape(n_frames, -1).any(axis=1)) if omit_empty
-        else range(n_frames)
-        for stack in stacks
-    ]
+    stacks = _mask_stacks(masks, len(descriptions), n_frames, rows, cols, seg_type)
+    if not omit_empty:
+        stacks = [(stack, range(n_frames)) for stack, _ in stacks]
 
     # The kept frames are copied once, as one stored value per pixel.
-    stored = np.empty((sum(map(len, kept)), rows, cols), dtype=np.uint8)
+    stored = np.empty((sum(len(kept) for _, kept in stacks), rows, cols), np.uint8)
     records: list[FrameRecord] = []
-    for description, stack, frame_numbers in zip(descriptions, stacks, kept):
+    for description, (stack, frame_numbers) in zip(descriptions, stacks):
         for f in frame_numbers:
             stored[len(records)] = (
                 stack[f] if seg_type.is_binary
@@ -587,8 +600,9 @@ def create_seg(
         ds.put("ImageOrientationSlide", list(orientation))
     ds.put("SharedFunctionalGroupsSequence", (shared,))
 
+    shared: dict = {}
     ds.put("PerFrameFunctionalGroupsSequence",
-           tuple(record.to_group(slide_based) for record in records))
+           tuple(record.to_group(slide_based, shared) for record in records))
     ds.put("ReferencedSeriesSequence", reference_sequence(
         map(instance_reference, sources), "ReferencedInstanceSequence", by_study=False
     ))

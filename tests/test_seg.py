@@ -1,4 +1,5 @@
 """Segmentation encode/decode tests, anchored on a naive bit-packing oracle."""
+import copy
 import hashlib
 import itertools
 import math
@@ -636,6 +637,43 @@ class TestGoldenBytes:
                         series_instance_uid="2.25.900", sop_instance_uid="2.25.901")
         blob = write_part10(file_meta_for(ds), ds)
         assert hashlib.sha256(blob).hexdigest() == expected
+
+
+class TestSharedFrameItems:
+    """Items that repeat between per-frame groups are one object each, and
+    sharing them leaves the encoded bytes as separate copies would."""
+
+    @staticmethod
+    def first_item(group, keyword):
+        return group.items_of(keyword)[0]
+
+    def test_repeated_items_are_one_object(self, ct_series):
+        masks = [np.ones((3, 16, 16), np.uint8), np.ones((3, 16, 16), bool)]
+        ds = create_seg(ct_series, masks, [description(1), description(2)],
+                        SegmentationType.binary())
+        groups = ds.items_of("PerFrameFunctionalGroupsSequence")
+        assert len(groups) == 6
+        for segment in (groups[:3], groups[3:]):
+            first = self.first_item(segment[0], "SegmentIdentificationSequence")
+            assert all(self.first_item(group, "SegmentIdentificationSequence") is first
+                       for group in segment)
+        for one, two in zip(groups[:3], groups[3:]):
+            for keyword in ("DerivationImageSequence", "PlanePositionSequence"):
+                assert self.first_item(one, keyword) is self.first_item(two, keyword)
+
+    def test_shared_items_encode_as_copies(self, ct_series):
+        masks = [np.ones((3, 16, 16), np.uint8), np.ones((3, 16, 16), bool)]
+        ds = create_seg(ct_series, masks, [description(1), description(2)],
+                        SegmentationType.binary())
+        copied = copy.deepcopy(ds)
+        # one deepcopy per group, so no item is shared between groups
+        copied.put("PerFrameFunctionalGroupsSequence", tuple(
+            copy.deepcopy(group) for group in ds.items_of("PerFrameFunctionalGroupsSequence")
+        ))
+        items = [self.first_item(group, "SegmentIdentificationSequence")
+                 for group in copied.items_of("PerFrameFunctionalGroupsSequence")]
+        assert len({id(item) for item in items}) == len(items)
+        assert write_part10(file_meta_for(copied), copied) == write_part10(file_meta_for(ds), ds)
 
 
 # (case, two pixel values, dtype, accepted as BINARY, accepted as FRACTIONAL)
