@@ -275,15 +275,14 @@ def report_from_spec(spec: dict, kind: SRKind = SRKind.COMPREHENSIVE_3D) -> Data
     reference takes the first evidence instance's. A spec object, list,
     path or code of the wrong JSON type raises DicomforgeError naming its
     key, as do a missing top-level or group key and an unknown observer,
-    group or region type.
+    group or region type; so does a missing key that a spec object
+    requires, naming the key and the object.
     """
-    _spec_value(spec, "annotation spec", dict)
-    for key in ("observer", "evidence", "groups"):
-        if key not in spec:
-            raise DicomforgeError(f"annotation spec is missing {key!r}")
+    observer, _, _ = _required(_spec_value(spec, "annotation spec", dict),
+                               "annotation spec", "observer", "evidence", "groups")
     evidence = [read_part10_file(path)[1] for path in _entries(spec, "evidence", str)]
     frame_uid = evidence[0].value("FrameOfReferenceUID") if evidence else None
-    observer = _observer_from_spec(spec["observer"])
+    observer = _observer_from_spec(observer)
     procedure = (
         _code(spec["procedure"], "procedure") if "procedure" in spec
         else SCT.ImagingProcedure
@@ -309,6 +308,31 @@ def _entries(spec: dict, key: str, kind: type) -> list:
     checked to be a `kind`."""
     entries = _spec_value(spec.get(key, []), key, list)
     return [_spec_value(entry, f"{key}[{i}]", kind) for i, entry in enumerate(entries)]
+
+
+def _required(obj: dict, name: str, *keys: str) -> tuple:
+    """The values of `keys` in the spec object `obj`; DicomforgeError naming
+    the first missing key and the object (`name`)."""
+    for key in keys:
+        if key not in obj:
+            raise DicomforgeError(f"{name} is missing required key {key!r}")
+    return tuple(obj[key] for key in keys)
+
+
+def _fields(spec: dict, key: str, *fields: str) -> list[tuple]:
+    """The values of `fields` in each object of the list under `key`."""
+    return [_required(entry, f"{key}[{i}]", *fields)
+            for i, entry in enumerate(_entries(spec, key, dict))]
+
+
+def _points(region: dict) -> list:
+    """The `points` of a spec region: a list of lists of numbers."""
+    (points,) = _required(region, "region", "points")
+    for i, point in enumerate(_spec_value(points, "points", list)):
+        for value in _spec_value(point, f"points[{i}]", list):
+            if not isinstance(value, (int, float)):
+                raise DicomforgeError(f"points[{i}] must hold numbers, got {point!r}")
+    return points
 
 
 def _code(value, key: str) -> CodedConcept:
@@ -347,52 +371,47 @@ _REGION_2D_TYPES = {"point2d": "POINT", "polyline2d": "POLYLINE",
 def _region_from_spec(region, frame_uid: str | None):
     rtype = _spec_value(region, "region", dict).get("type")
     if rtype == "segment":
-        return SegmentReference(
-            sop_instance_uid=region["sop_instance_uid"],
-            segment_number=int(region["segment_number"]),
-        )
+        uid, number = _required(region, "region", "sop_instance_uid", "segment_number")
+        return SegmentReference(sop_instance_uid=uid, segment_number=int(number))
     if rtype in _REGION_3D_TYPES:
         frame_uid = region.get("frame_of_reference") or frame_uid
         if not frame_uid:
             raise DicomforgeError(
                 "region needs a frame_of_reference (none found in evidence)"
             )
-        return Scoord3DItem(None, _REGION_3D_TYPES[rtype], region["points"], frame_uid)
+        return Scoord3DItem(None, _REGION_3D_TYPES[rtype], _points(region), frame_uid)
     if rtype in _REGION_2D_TYPES:
         image = region.get("image")
         if not image:
             raise DicomforgeError("a 2D region needs an image reference")
-        _spec_value(image, "image", dict)
         source = ImageItem(
-            None, image["sop_class_uid"], image["sop_instance_uid"],
+            None, *_required(_spec_value(image, "image", dict), "image",
+                             "sop_class_uid", "sop_instance_uid"),
             frame_numbers=image.get("frame_numbers"),
             relationship=RelationshipType.SELECTED_FROM,
         )
-        return ScoordItem(None, _REGION_2D_TYPES[rtype], region["points"],
+        return ScoordItem(None, _REGION_2D_TYPES[rtype], _points(region),
                           children=[source])
     raise DicomforgeError(f"unknown region type {rtype!r}")
 
 
 def _group_from_spec(spec: dict, frame_uid: str | None) -> ContainerItem:
-    for key in ("kind", "finding"):
-        if key not in spec:
-            raise DicomforgeError(f"group is missing required key {key!r}")
+    kind, finding = _required(spec, "group", "kind", "finding")
     tracking = TrackingIdentifier(
         uid=spec.get("tracking_uid") or TrackingIdentifier.generate().uid,
         identifier=spec.get("tracking_id"),
     )
-    finding = _code(spec["finding"], "finding")
+    finding = _code(finding, "finding")
     sites = [parse_code(s) for s in _entries(spec, "finding_sites", str)]
     # a number goes to NumItem as a number, which formats it to fit a DS
     measurements = [
-        NumItem(_code(m["code"], "code"), m["value"], _parse_unit(m["unit"]))
-        for m in _entries(spec, "measurements", dict)
+        NumItem(_code(code, "code"), value, _parse_unit(unit))
+        for code, value, unit in _fields(spec, "measurements", "code", "value", "unit")
     ]
     evaluations = [
-        CodeItem(_code(e["code"], "code"), _code(e["value"], "value"))
-        for e in _entries(spec, "evaluations", dict)
+        CodeItem(_code(code, "code"), _code(value, "value"))
+        for code, value in _fields(spec, "evaluations", "code", "value")
     ]
-    kind = spec["kind"]
     if kind == "image":
         return measurement_group(tracking, finding, measurements, evaluations)
     region = spec.get("region")

@@ -193,6 +193,24 @@ SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in 
     ("unit that is not a string", spec_edit(True, measurements=[
         {"code": "SCT:81827009", "value": "7.5", "unit": None}]),
      "ERROR validation: unit must be a string, got None"),
+    ("segment region without SOP instance", spec_edit(True, region={
+        "type": "segment", "segment_number": 1}),
+     "ERROR validation: region is missing required key 'sop_instance_uid'"),
+    ("measurement without value", spec_edit(True, measurements=[
+        {"code": "SCT:81827009", "unit": "mm"}]),
+     "ERROR validation: measurements[0] is missing required key 'value'"),
+    ("points that are not a list", spec_edit(True, region={"type": "polygon3d", "points": "x"}),
+     "ERROR validation: points must be a list, got 'x'"),
+    ("point holding a string", spec_edit(True, region={
+        "type": "point3d", "points": [[0, 0, "z"]]}),
+     "ERROR validation: points[0] must hold numbers, got [0, 0, 'z']"),
+    ("evaluation without code", spec_edit(True, evaluations=[{"value": "SCT:27925004"}]),
+     "ERROR validation: evaluations[0] is missing required key 'code'"),
+    ("image without SOP class", spec_edit(True, region={
+        "type": "point2d", "points": [[3, 4]], "image": {"sop_instance_uid": "2.25.1"}}),
+     "ERROR validation: image is missing required key 'sop_class_uid'"),
+    ("3D region without points", spec_edit(True, region={"type": "polygon3d"}),
+     "ERROR validation: region is missing required key 'points'"),
 ]]
 
 
