@@ -8,7 +8,13 @@ and a DICOMweb client plus in-repo stub archive. The `dicomforge` CLI
 exposes the workflow end to end.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# Library records go to the "dicomforge" logger tree; they print only where
+# the application configures logging.
+logging.getLogger("dicomforge").addHandler(logging.NullHandler())
 
 from .dataset import DataElement, DataSet
 from .tags import Tag

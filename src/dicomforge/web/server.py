@@ -18,10 +18,14 @@ A request answered without reading its body (a POST to an unknown path, a
 bad Content-Length) closes the connection, so the unread body is never
 parsed as the next request. A reply that ends its connection, for that
 reason or because the request asked to close, says Connection: close.
+
+Each answered request is logged as one DEBUG record to the
+``dicomforge.web`` logger: method, path, status and reply body bytes.
 """
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -42,6 +46,8 @@ from .multipart import (
     parse_multipart,
     random_boundary,
 )
+
+_LOG = logging.getLogger("dicomforge.web")
 
 _UID_KEYS = ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID")
 _FILTER_TAGS = frozenset(resolve_key(k) for k in ("Modality", "PatientID", *_UID_KEYS))
@@ -223,11 +229,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
     archive: StubArchive  # injected by StubArchive.start
     protocol_version = "HTTP/1.1"
 
-    def log_message(self, *args):  # tests do not want request logging
+    def log_message(self, *args):  # _reply logs each answered request
         pass
 
     def _reply(self, status: int, body: bytes = b"",
                content_type: str = "application/dicom+json") -> None:
+        """Send the reply and log one DEBUG record of the request to
+        ``dicomforge.web``: method, path, status and reply bytes."""
         self.send_response(status)
         if self.close_connection:
             self.send_header("Connection", "close")
@@ -237,6 +245,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if body:
             self.wfile.write(body)
+        _LOG.debug("%s %s %d %d", self.command, self.path, status, len(body))
 
     def _reply_json(self, status: int, payload) -> None:
         self._reply(status, json.dumps(payload).encode("utf-8"))

@@ -1,5 +1,6 @@
 """DICOMweb loop tests against the in-repo stub archive."""
 import http.client
+import logging
 import os
 import socket
 import subprocess
@@ -834,3 +835,42 @@ class TestLifecycle:
         from dicomforge.errors import ServerStartupError
         with pytest.raises(ServerStartupError):
             StubArchive(port=archive.port).start()
+
+
+def answer(archive, method, path):
+    """(status, body) of one request on its own connection."""
+    connection = http.client.HTTPConnection("127.0.0.1", archive.port, timeout=10)
+    try:
+        connection.request(method, path)
+        reply = connection.getresponse()
+        return reply.status, reply.read()
+    finally:
+        connection.close()
+
+
+class TestRequestLog:
+    REQUESTS = [("GET", "/studies"), ("GET", "/studies?PatientID=NOBODY"),
+                ("GET", "/studies/1.2/series/3/instances/4"), ("GET", "/nowhere"),
+                ("POST", "/nowhere"), ("GET", "/instances?limit=x")]
+
+    def test_one_debug_record_per_request(self, archive, caplog):
+        source = make_ct_source()
+        archive.put(write_part10(file_meta_for(source), source))
+        caplog.set_level(logging.DEBUG, logger="dicomforge.web")
+        expected = []
+        for method, path in self.REQUESTS:
+            status, body = answer(archive, method, path)
+            expected.append(f"{method} {path} {status} {len(body)}")
+        records = [r for r in caplog.records if r.name == "dicomforge.web"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * len(self.REQUESTS)
+        assert [r.getMessage() for r in records] == expected
+        assert [e.split()[2] for e in expected] == ["200", "204", "404", "404", "404", "400"]
+        assert int(expected[0].split()[3]) > 0
+
+    def test_silent_when_nothing_listens(self, archive, caplog, capfd):
+        assert any(isinstance(h, logging.NullHandler)
+                   for h in logging.getLogger("dicomforge").handlers)
+        for method, path in self.REQUESTS:
+            answer(archive, method, path)
+        assert not [r for r in caplog.records if r.name == "dicomforge.web"]
+        assert capfd.readouterr() == ("", "")
