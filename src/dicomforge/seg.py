@@ -421,8 +421,8 @@ def _mask_stacks(masks, n_segments: int, n_frames: int, rows, cols,
     Each stack is reduced once per frame, and both the value check and the
     empty-frame scan come from that pass: the per-frame maximum shows that
     no value lies above 1 and which frames hold a value above 0; signed and
-    float stacks add the minimum. Binary float stacks are compared with 0
-    and 1 instead, since a value between them is not a binary value.
+    float stacks add the minimum. Binary float stacks are also compared
+    with 0 and 1, since a value between them is not a binary value.
     """
     stacks = [np.asarray(stack) for stack in masks]
     if len(stacks) != n_segments:
@@ -445,22 +445,21 @@ def _mask_stacks(masks, n_segments: int, n_frames: int, rows, cols,
                 "boolean, integer or floating-point arrays"
             )
         flat = stack.reshape(n_frames, -1)
+        # NaN propagates through max/min and fails every comparison.
+        # `initial` keeps frames of zero pixels valid and empty.
+        top = flat.max(axis=1, initial=0)
         if seg_type.is_binary and kind == "f":
             valid = ((flat == 0) | (flat == 1)).all()
-            nonempty = flat.any(axis=1)
         else:
-            # NaN propagates through min/max and fails both comparisons.
-            # `initial` keeps frames of zero pixels valid and empty.
-            top = flat.max(axis=1, initial=0)
             valid = top.max() <= 1 and (kind in "bu" or flat.min(initial=0) >= 0)
-            nonempty = top > 0
         if not valid:
             raise MaskValueError(
                 f"segment {number}: binary masks may only contain 0 and 1"
                 if seg_type.is_binary else
                 f"segment {number}: fractional masks must lie within [0, 1]"
             )
-        out.append((stack, np.flatnonzero(nonempty)))
+        # every value lies in [0, 1]: a frame is empty when its maximum is 0
+        out.append((stack, np.flatnonzero(top)))
     return out
 
 
