@@ -274,9 +274,8 @@ def report_from_spec(spec: dict, kind: SRKind = SRKind.COMPREHENSIVE_3D) -> Data
     :func:`~dicomforge.coding.parse_code`. A 3D region without a frame of
     reference takes the first evidence instance's. A spec object, list,
     path or code of the wrong JSON type raises DicomforgeError naming its
-    key, as do a missing top-level or group key and an unknown observer,
-    group or region type; so does a missing key that a spec object
-    requires, naming the key and the object.
+    key, as do an unknown observer, group or region type and a missing
+    required key (named with its object).
     """
     observer, _, _ = _required(_spec_value(spec, "annotation spec", dict),
                                "annotation spec", "observer", "evidence", "groups")
