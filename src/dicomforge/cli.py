@@ -137,9 +137,10 @@ def cmd_parse_seg(args) -> int:
     if args.segments:
         segments = [int(s) for s in args.segments.split(",")]
     label_map = seg.label_map(keys[args.frame - 1], segments=segments)
-    if label_map.max() > 255:
-        raise DicomforgeError("label map has segment numbers above 255; PGM cannot hold them")
-    write_pgm(args.output, label_map.astype(np.uint8))
+    if label_map.dtype != np.uint8:
+        raise DicomforgeError(
+            "segmentation describes segment numbers above 255; PGM cannot hold them")
+    write_pgm(args.output, label_map)
     print(f"wrote {args.output}")
     return 0
 

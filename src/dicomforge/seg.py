@@ -18,7 +18,12 @@ the empty-frame scan come from that pass, so no float64 copy of the masks
 is made; only the kept frames are copied, once, as one stored value per
 pixel before packing. On read, frames are unpacked on demand, one at a
 time: a binary frame is sliced from the pixel data by its bit offset,
-which need not fall on a byte boundary.
+which need not fall on a byte boundary. Labels are read by one loop,
+:meth:`Segmentation.label_volume`, for one source frame or many: it
+writes each selected segment's stored frames, in ascending segment order,
+into a volume of the smallest unsigned dtype that holds the largest
+described segment number, so the highest number wins where segments
+overlap.
 
 Each functional group has one owner that writes and reads it: a
 :class:`FrameRecord` writes and parses its per-frame group (the items
@@ -801,23 +806,36 @@ class Segmentation:
             return out
         return out / self.seg_type.max_fractional_value
 
-    def label_map(self, source_frame, segments: Sequence[int] | None = None) -> np.ndarray:
-        """Per-pixel segment numbers for one source frame (BINARY only).
+    def label_volume(self, source_frames: Sequence | None = None,
+                     segments: Sequence[int] | None = None) -> np.ndarray:
+        """Per-pixel segment numbers, ``(frames, rows, cols)``, for the
+        requested source frames (BINARY only); None means every referenced
+        source frame, in :meth:`source_frame_keys` order.
 
-        Where several selected segments overlap, the highest segment number
-        wins. Fractional segmentations must be thresholded into masks first.
+        The dtype is the smallest unsigned one that holds the largest
+        described segment number: uint8 up to 255, else uint16. Where
+        several selected segments overlap, the highest segment number wins.
+        Fractional segmentations must be thresholded into masks first.
         """
         if not self.seg_type.is_binary:
             raise TypeError(
                 "label maps require a BINARY segmentation; threshold the "
                 "fractional frames into binary masks first"
             )
-        out = np.zeros((self.rows, self.columns), dtype=np.int32)
+        if source_frames is None:
+            source_frames = self.source_frame_keys()
+        dtype = np.min_scalar_type(max(self._described, default=0))
+        out = np.zeros((len(source_frames), self.rows, self.columns), dtype)
         for number in sorted(self._described if segments is None else segments):
-            [index] = self._stored_indices(number, (source_frame,))
-            if index is not None:
-                np.copyto(out, number, where=self.stored_frame(index).view(bool))
+            for frame, index in zip(out, self._stored_indices(number, source_frames)):
+                if index is not None:
+                    np.copyto(frame, number, where=self.stored_frame(index).view(bool))
         return out
+
+    def label_map(self, source_frame, segments: Sequence[int] | None = None) -> np.ndarray:
+        """Per-pixel segment numbers for one source frame: the one-frame
+        case of :meth:`label_volume`."""
+        return self.label_volume((source_frame,), segments)[0]
 
     def source_frame_keys(self) -> list[tuple[str, int]]:
         """Referenced source frames as ordered (instance UID, frame) keys.

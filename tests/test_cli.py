@@ -87,6 +87,27 @@ class TestMkSegParseSeg:
             assert code == 0, err
             assert map_path.read_bytes() == (tmp_path / f"m{frame - 1}.pgm").read_bytes()
 
+    @pytest.mark.parametrize("largest, code", [(255, 0), (256, 1)])
+    def test_parse_seg_label_range(self, tmp_path, source_files, capsys, largest, code):
+        _, series = source_files
+        masks = [np.ones((2, 16, 16), np.uint8), np.zeros((2, 16, 16), np.uint8)]
+        ds = create_seg(series, masks, [SegmentDescription(
+            number=n, label=f"segment {n}",
+            category=SCT.MorphologicallyAbnormalStructure, property_type=SCT.Nodule,
+            algorithm=AlgorithmIdentification("detector", "1.0"),
+        ) for n in (1, 2)], SegmentationType.binary())
+        # segment 2 is renumbered by hand; it is empty, so no pixel holds it
+        ds.items_of("SegmentSequence")[1].put("SegmentNumber", largest)
+        path, out = tmp_path / "seg.dcm", tmp_path / "map.pgm"
+        write_part10_file(path, ds)
+        result, _, err = run(["parse-seg", str(path), "--frame", "1", "-o", str(out)], capsys)
+        assert result == code, err
+        if code:
+            assert err == ("ERROR validation: segmentation describes segment numbers "
+                           "above 255; PGM cannot hold them\n")
+        else:
+            assert np.array_equal(read_pgm(out), masks[0][0])
+
     def test_validate_accepts_mk_seg_output(self, tmp_path, source_files, capsys):
         paths, _ = source_files
         mask = tmp_path / "m.pgm"

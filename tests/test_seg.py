@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import conftest
 from conftest import make_ct_series, make_ct_source
@@ -482,6 +483,94 @@ class TestLabelMap:
         for i, source in enumerate(ct_series):
             out = seg.label_map(source.value("SOPInstanceUID"))
             assert np.array_equal(out, labels[i])
+
+    def test_volume_stacks_label_maps(self, np_rng):
+        # 7x5 frames start mid-byte; two frames of segment 2 are omitted
+        series = make_ct_series(4, rows=7, cols=5)
+        masks = [np_rng.random((4, 7, 5)) < 0.5 for _ in range(3)]
+        masks[1][1:3] = False
+        seg = open_seg(create_seg(series, masks, [description(n) for n in (1, 2, 3)],
+                                  SegmentationType.binary()))
+        keys = seg.source_frame_keys()
+        volume = seg.label_volume(keys)
+        assert volume.shape == (4, 7, 5) and volume.dtype == np.uint8
+        assert np.array_equal(volume, np.stack([seg.label_map(k) for k in keys]))
+        assert np.array_equal(seg.label_volume(), volume)
+        assert np.array_equal(seg.label_volume(keys[::-1], segments=[2, 1]),
+                              np.stack([seg.label_map(k, [1, 2]) for k in keys[::-1]]))
+        assert seg.label_volume([]).shape == (0, 7, 5)
+
+    @pytest.mark.parametrize("largest, dtype", [
+        (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+    ])
+    def test_dtype_holds_largest_described_number(self, ct_series, largest, dtype):
+        masks = [np.zeros((3, 16, 16), np.uint8) for _ in range(2)]
+        masks[0][0, :, :8] = 1
+        masks[1][0, 4:12] = 1
+        ds = create_seg(ct_series, masks, [description(1), description(2)],
+                        SegmentationType.binary())
+        # create_seg numbers segments from 1, so segment 2 is renumbered by hand
+        ds.items_of("SegmentSequence")[1].put("SegmentNumber", largest)
+        for group in ds.items_of("PerFrameFunctionalGroupsSequence"):
+            [item] = group.items_of("SegmentIdentificationSequence")
+            if item.value("ReferencedSegmentNumber") == 2:
+                item.put("ReferencedSegmentNumber", largest)
+        seg = open_seg(decode_dataset(encode_dataset(ds)))
+        label_map = seg.label_map(ct_series[0].value("SOPInstanceUID"))
+        assert label_map.dtype == dtype
+        expected = masks[0][0].astype(np.int64)
+        expected[masks[1][0] == 1] = largest
+        assert np.array_equal(label_map, expected)
+        assert seg.label_volume().dtype == dtype
+        assert seg.label_volume(segments=[1]).dtype == dtype
+
+    def test_volume_errors(self, ct_series):
+        uid = ct_series[0].value("SOPInstanceUID")
+        binary = open_seg(create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
+                                     [description(1)], SegmentationType.binary()))
+        for read in (lambda: binary.label_volume(segments=[2]),
+                     lambda: binary.label_volume([uid, "1.2.3.4.5"]),
+                     lambda: binary.label_map(uid, segments=[1, 2]),
+                     lambda: binary.label_map("1.2.3.4.5")):
+            with pytest.raises(UnmappedFrameError):
+                read()
+        fractional = open_seg(create_seg(ct_series, [np.full((3, 16, 16), 0.5)],
+                                         [description(1)], SegmentationType.fractional()))
+        with pytest.raises(TypeError, match="threshold"):
+            fractional.label_volume()
+
+
+def int32_label_map(seg, source_frame, segments):
+    """The label rule as one-frame `label_map` applied it in int32, segment
+    by segment in ascending order, the highest number written last."""
+    out = np.zeros((seg.rows, seg.columns), dtype=np.int32)
+    for number in sorted(seg._described if segments is None else segments):
+        [index] = seg._stored_indices(number, (source_frame,))
+        if index is not None:
+            np.copyto(out, number, where=seg.stored_frame(index).view(bool))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(masks=hnp.arrays(np.bool_, st.tuples(st.integers(1, 4), st.integers(1, 3),
+                                            st.integers(1, 5), st.integers(1, 5))),
+       omit_empty=st.booleans(), data=st.data())
+def test_label_volume_matches_int32_label_maps(masks, omit_empty, data):
+    count, frames, rows, cols = masks.shape
+    segments = data.draw(st.none() | st.lists(st.integers(1, count), unique=True))
+    sources = make_ct_series(frames, rows=rows, cols=cols)
+    seg = open_seg(create_seg(sources, list(masks),
+                              [description(n) for n in range(1, count + 1)],
+                              SegmentationType.binary(), omit_empty))
+    uids = [s.value("SOPInstanceUID") for s in sources]
+    volume = seg.label_volume(uids, segments)
+    assert volume.dtype == np.uint8
+    assert np.array_equal(volume, np.stack([int32_label_map(seg, u, segments) for u in uids]))
+    # the same rule on the masks themselves
+    expected = np.zeros((frames, rows, cols), np.int32)
+    for number in sorted(range(1, count + 1) if segments is None else segments):
+        expected[masks[number - 1]] = number
+    assert np.array_equal(volume, expected)
 
 
 def make_sm_source():
