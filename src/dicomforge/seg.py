@@ -66,7 +66,7 @@ from .errors import (
 from .spatial import PlaneGeometry
 from .sr.items import AlgorithmIdentification, TrackingIdentifier
 from .tags import KEYWORD_TO_TAG
-from .uid import SEGMENTATION_STORAGE, new_uid
+from .uid import SEGMENTATION_STORAGE, is_valid_uid, new_uid
 
 
 class FractionalKind(str, enum.Enum):
@@ -140,15 +140,18 @@ class SegmentDescription:
             )
 
 
+def _numbers(values) -> bool:
+    """True when every one of `values` reads as a finite number."""
+    try:
+        return all(math.isfinite(float(v)) for v in values)
+    except (TypeError, ValueError):
+        return False
+
+
 def _coordinates(values) -> tuple[str, str, str] | None:
     """`values` as the three DS strings of a position; None unless they are
     three finite numbers."""
-    try:
-        if len(values) == 3 and all(math.isfinite(float(v)) for v in values):
-            return tuple(values)
-    except (TypeError, ValueError):
-        pass
-    return None
+    return tuple(values) if len(values) == 3 and _numbers(values) else None
 
 
 @dataclass(frozen=True)
@@ -645,7 +648,16 @@ class Segmentation:
         except ValueError as exc:
             raise MalformedSegError(f"malformed segmentation: {exc}") from exc
         self._described = frozenset(d.number for d in self.descriptions)
-        positioned = bool(dataset.value("FrameOfReferenceUID"))
+        frame_of_reference = dataset.value("FrameOfReferenceUID")
+        if frame_of_reference and not is_valid_uid(str(frame_of_reference)):
+            raise MalformedSegError(
+                f"FrameOfReferenceUID {frame_of_reference!r} is not a well-formed UID")
+        self._orientation, self._spacing = shared_geometry(dataset)
+        for name, values in (("orientation", self._orientation),
+                             ("pixel spacing", self._spacing)):
+            if not _numbers(values):
+                raise MalformedSegError(f"shared {name} {list(values)} is not all numbers")
+        positioned = bool(frame_of_reference)
         self.frames = tuple(
             FrameRecord.from_group(i, group, positioned)
             for i, group in enumerate(dataset.items_of("PerFrameFunctionalGroupsSequence"))
@@ -676,7 +688,6 @@ class Segmentation:
             )
         ]
         self._referenced_instances = set(self._source_uids)
-        self._orientation, self._spacing = shared_geometry(dataset)
 
     @staticmethod
     def _parse_descriptions(dataset: DataSet) -> tuple[SegmentDescription, ...]:

@@ -240,6 +240,10 @@ def _first_group(ds, keyword):
     return ds.items_of("PerFrameFunctionalGroupsSequence")[0].items_of(keyword)[0]
 
 
+def _shared_item(ds, keyword):
+    return ds.items_of("SharedFunctionalGroupsSequence")[0].items_of(keyword)[0]
+
+
 def _set_position(ds, item):
     """Give the third frame the plane position item `item`."""
     ds.items_of("PerFrameFunctionalGroupsSequence")[2].put("PlanePositionSequence", (item,))
@@ -275,6 +279,14 @@ MALFORMED_CASES = [
     ("frame naming an undescribed segment", SegmentationType.binary(),
      lambda ds: _first_group(ds, "SegmentIdentificationSequence")
      .put("ReferencedSegmentNumber", 9)),
+    ("frame of reference that is not a UID", SegmentationType.binary(),
+     lambda ds: ds.put("FrameOfReferenceUID", "2.25/1")),
+    ("shared orientation that is not numbers", SegmentationType.binary(),
+     lambda ds: _shared_item(ds, "PlaneOrientationSequence")
+     .put("ImageOrientationPatient", ["a", "0", "0", "0", "1", "0"], "LO")),
+    ("shared pixel spacing that is not numbers", SegmentationType.binary(),
+     lambda ds: _shared_item(ds, "PixelMeasuresSequence")
+     .put("PixelSpacing", ["1", "x"], "LO")),
 ]
 
 
@@ -325,6 +337,17 @@ class TestOpen:
         write_part10_file(path, ds)
         assert main(["validate", str(path)]) == 1
         assert "ERROR validation" in capsys.readouterr().err
+        assert main(["mk-sr", "--from-seg", str(path), "-o", str(tmp_path / "sr.dcm")]) == 1
+        assert "ERROR validation" in capsys.readouterr().err
+
+    def test_seg_without_shared_geometry_opens(self, ct_series):
+        ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
+                        [description(1)], SegmentationType.binary())
+        ds.put("SharedFunctionalGroupsSequence", (DataSet(),))
+        seg = open_seg(ds)
+        assert seg.label_volume().shape == (3, 16, 16)
+        with pytest.raises(MalformedSegError, match="orientation/spacing"):
+            seg.plane_geometry(seg.frames[0])
 
     def test_unpositioned_frame_without_frame_of_reference_reads_as_origin(self, ct_series):
         ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
