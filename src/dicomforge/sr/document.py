@@ -41,6 +41,7 @@ from ..errors import (
 from ..part10 import read_part10_file
 from ..spatial import mapper_from_geometry
 from ..uid import COMPREHENSIVE_3D_SR_STORAGE, COMPREHENSIVE_SR_STORAGE
+from ..valuerep import format_ds, is_valid_ds
 from .items import (
     CodeItem,
     ContainerItem,
@@ -334,6 +335,18 @@ def _points(region: dict) -> list:
     return points
 
 
+def _decimal(value, key: str) -> str:
+    """A measurement value as the decimal string NumItem writes: a string
+    kept as written when it is one, a JSON number formatted to fit."""
+    if isinstance(value, str) and is_valid_ds(value):
+        return value
+    try:
+        return format_ds(value)
+    except (TypeError, ValueError):
+        raise DicomforgeError(
+            f"{key} must be a number or a decimal string, got {value!r}") from None
+
+
 def _code(value, key: str) -> CodedConcept:
     return parse_code(_spec_value(value, key, str))
 
@@ -371,6 +384,9 @@ def _region_from_spec(region, frame_uid: str | None):
     rtype = _spec_value(region, "region", dict).get("type")
     if rtype == "segment":
         uid, number = _required(region, "region", "sop_instance_uid", "segment_number")
+        if isinstance(number, bool) or not str(number).isdigit() or int(number) < 1:
+            raise DicomforgeError(
+                f"region.segment_number must be a positive integer, got {number!r}")
         return SegmentReference(sop_instance_uid=uid, segment_number=int(number))
     if rtype in _REGION_3D_TYPES:
         frame_uid = region.get("frame_of_reference") or frame_uid
@@ -402,10 +418,11 @@ def _group_from_spec(spec: dict, frame_uid: str | None) -> ContainerItem:
     )
     finding = _code(finding, "finding")
     sites = [parse_code(s) for s in _entries(spec, "finding_sites", str)]
-    # a number goes to NumItem as a number, which formats it to fit a DS
     measurements = [
-        NumItem(_code(code, "code"), value, _parse_unit(unit))
-        for code, value, unit in _fields(spec, "measurements", "code", "value", "unit")
+        NumItem(_code(code, "code"), _decimal(value, f"measurements[{i}].value"),
+                _parse_unit(unit))
+        for i, (code, value, unit) in enumerate(
+            _fields(spec, "measurements", "code", "value", "unit"))
     ]
     evaluations = [
         CodeItem(_code(code, "code"), _code(value, "value"))

@@ -232,6 +232,18 @@ SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in 
      "ERROR validation: image is missing required key 'sop_class_uid'"),
     ("3D region without points", spec_edit(True, region={"type": "polygon3d"}),
      "ERROR validation: region is missing required key 'points'"),
+    ("segment number that is not a number", spec_edit(True, region={
+        "type": "segment", "sop_instance_uid": "2.25.1", "segment_number": "x"}),
+     "ERROR validation: region.segment_number must be a positive integer, got 'x'"),
+    ("measurement value that is not a number", spec_edit(True, measurements=[
+        {"code": "SCT:81827009", "value": "abc", "unit": "mm"}]),
+     "ERROR validation: measurements[0].value must be a number or a decimal string, "
+     "got 'abc'"),
+    ("measurement value that is null", spec_edit(True, kind="image", region=DROP, measurements=[
+        {"code": "SCT:81827009", "value": "7.5", "unit": "mm"},
+        {"code": "SCT:81827009", "value": None, "unit": "mm"}]),
+     "ERROR validation: measurements[1].value must be a number or a decimal string, "
+     "got None"),
 ]]
 
 
