@@ -867,6 +867,24 @@ class TestRequestLog:
         assert [e.split()[2] for e in expected] == ["200", "204", "404", "404", "404", "400"]
         assert int(expected[0].split()[3]) > 0
 
+    def test_requests_rejected_before_dispatch(self, archive, caplog):
+        caplog.set_level(logging.DEBUG, logger="dicomforge.web")
+        expected = []
+        for method in ("PUT", "DELETE"):
+            status, body = answer(archive, method, "/studies")
+            expected.append(f"{method} /studies {status} {len(body)}")
+        with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as raw:
+            raw.sendall(b"GET / extra HTTP/1.1\r\n\r\n")  # four words do not parse
+            reply = b"".join(iter(lambda: raw.recv(65536), b""))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        expected.append(f"- - 400 {len(body)}")
+        records = [r for r in caplog.records if r.name == "dicomforge.web"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        assert [r.getMessage() for r in records] == expected
+        assert [e.split()[2] for e in expected] == ["501", "501", "400"]
+        assert all(int(e.split()[3]) > 0 for e in expected)
+
     def test_silent_when_nothing_listens(self, archive, caplog, capfd):
         assert any(isinstance(h, logging.NullHandler)
                    for h in logging.getLogger("dicomforge").handlers)
