@@ -229,32 +229,36 @@ class _RequestHandler(BaseHTTPRequestHandler):
     archive: StubArchive  # injected by StubArchive.start
     protocol_version = "HTTP/1.1"
 
-    def log_message(self, *args):  # _log records each answered request
+    def log_message(self, *args):  # end_headers logs each answered request
         pass
 
-    def _log(self, status: int, length: int) -> None:
-        """One DEBUG record of the request to ``dicomforge.web``: method,
-        path (``- -`` for a request line that did not parse), status and
-        reply body bytes."""
-        _LOG.debug("%s %s %d %d", self.command or "-",
-                   self.path if self.command else "-", status, length)
+    # Every reply, _reply's and the base class's own send_error pages (a 501
+    # for PUT, a 400 for a request line that does not parse), passes through
+    # these three; the record is written before the headers leave, so a
+    # client holding a reply always finds its record.
+
+    def send_response_only(self, code, message=None):
+        self._status, self._content_length = code, 0
+        super().send_response_only(code, message)
 
     def send_header(self, keyword: str, value: str) -> None:
         if keyword == "Content-Length":
             self._content_length = int(value)
         super().send_header(keyword, value)
 
-    def send_error(self, code, message=None, explain=None):
-        """The base class's reply to a request it rejects before dispatch
-        (an unsupported method such as PUT, a malformed request line),
-        logged like every other reply with the length of its error page."""
-        self._content_length = 0
-        super().send_error(code, message, explain)
-        self._log(code, self._content_length)
+    def end_headers(self):
+        """Log one DEBUG record of the request to ``dicomforge.web``: method,
+        path (``- -`` for a request line that did not parse), status and
+        reply body bytes; an interim 100 Continue is not logged."""
+        if self._status >= 200:
+            _LOG.debug("%s %s %d %d", self.command or "-",
+                       self.path if self.command else "-",
+                       self._status, self._content_length)
+        super().end_headers()
 
     def _reply(self, status: int, body: bytes = b"",
                content_type: str = "application/dicom+json") -> None:
-        """Send the reply and log it (:meth:`_log`)."""
+        """Send a reply with `body`; :meth:`end_headers` logs it."""
         self.send_response(status)
         if self.close_connection:
             self.send_header("Connection", "close")
@@ -264,7 +268,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if body:
             self.wfile.write(body)
-        self._log(status, len(body))
 
     def _reply_json(self, status: int, payload) -> None:
         self._reply(status, json.dumps(payload).encode("utf-8"))

@@ -873,17 +873,30 @@ class TestRequestLog:
         for method in ("PUT", "DELETE"):
             status, body = answer(archive, method, "/studies")
             expected.append(f"{method} /studies {status} {len(body)}")
-        with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as raw:
-            raw.sendall(b"GET / extra HTTP/1.1\r\n\r\n")  # four words do not parse
-            reply = b"".join(iter(lambda: raw.recv(65536), b""))
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 ")
-        expected.append(f"- - 400 {len(body)}")
+        for request, logged in [
+            (b"GET / extra HTTP/1.1\r\n\r\n", "- -"),  # four words do not parse
+            (b"POST /studies HTTP/1.1\r\nExpect: 100-continue\r\n"
+             b"Content-Length: 0\r\nConnection: close\r\n\r\n", "POST /studies"),
+        ]:
+            with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as raw:
+                raw.sendall(request)
+                reply = b"".join(iter(lambda: raw.recv(65536), b""))
+            # the interim 100 Continue gets no record of its own
+            reply = reply.removeprefix(b"HTTP/1.1 100 Continue\r\n\r\n")
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            expected.append(f"{logged} 400 {len(body)}")
         records = [r for r in caplog.records if r.name == "dicomforge.web"]
-        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        assert [r.levelno for r in records] == [logging.DEBUG] * 4
         assert [r.getMessage() for r in records] == expected
-        assert [e.split()[2] for e in expected] == ["501", "501", "400"]
+        assert [e.split()[2] for e in expected] == ["501", "501", "400", "400"]
         assert all(int(e.split()[3]) > 0 for e in expected)
+
+    def test_record_written_before_the_reply(self, archive, caplog):
+        caplog.set_level(logging.DEBUG, logger="dicomforge.web")
+        for count in range(1, 51):
+            answer(archive, "GET", "/instances?limit=x" if count % 2 else "/nowhere")
+            assert len([r for r in caplog.records if r.name == "dicomforge.web"]) == count
 
     def test_silent_when_nothing_listens(self, archive, caplog, capfd):
         assert any(isinstance(h, logging.NullHandler)
