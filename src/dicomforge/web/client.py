@@ -1,12 +1,27 @@
 """DICOMweb client: STOW-RS store, WADO-RS retrieve, QIDO-RS search.
 
-Built on `http.client`: one connection per request, closed after the
-response. No redirect is followed, no proxy variable or `.netrc` is read,
-and HTTPS verifies certificates against the system CA store.
+Built on `http.client` over kept-alive HTTP/1.1 connections. A request
+takes an idle connection from the client's stack, or opens a new one when
+none is idle, and puts it back after a complete reply unless the server
+said it would close it. Concurrent callers so each hold their own
+connection, and the stack never holds more than were in use at once.
+
+An idle connection the server has closed is readable (its EOF), so it is
+dropped before reuse. If a reused connection still fails before any reply
+byte arrives, a GET is sent once more on a new connection; a POST is never
+sent twice, since the server may have stored it. `close()` (or leaving a
+`with` block) closes the idle connections, and so does collecting the
+client.
+
+No redirect is followed, no proxy variable or `.netrc` is read, and HTTPS
+verifies certificates against the system CA store.
 """
 from __future__ import annotations
 
 import json
+import select
+import threading
+import weakref
 from base64 import b64encode
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import NamedTuple, Sequence
@@ -47,6 +62,22 @@ def _status_error(method: str, url: str, status: int, body: bytes) -> TransportE
     return TransportError(f"{method} {url} returned {status}: {text}", status=status)
 
 
+def _dropped(connection: HTTPConnection) -> bool:
+    """Whether the server closed an idle connection: nothing is due on one,
+    so a readable socket holds its EOF (or bytes no request asked for)."""
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _close_all(connections: list[HTTPConnection], lock: threading.Lock) -> None:
+    with lock:
+        closing = connections[:]
+        connections.clear()
+    for connection in closing:
+        connection.close()
+
+
 def _failed_uids(response_ds: DataSet) -> list[str]:
     """The SOP instance UID of each FailedSOPSequence item ("" if absent)."""
     return [
@@ -58,10 +89,12 @@ def _failed_uids(response_ds: DataSet) -> list[str]:
 class WebClient:
     """Thin HTTP client for one DICOMweb origin.
 
-    Safe for concurrent requests from multiple threads; each call is an
-    isolated request/response exchange on its own connection. A refused
-    connection, a timeout, a malformed or cut-off reply and any status
-    outside 2xx raise `TransportError` (404: `NotFoundError`).
+    Safe for concurrent requests from multiple threads; each call holds
+    its own kept-alive connection for the exchange. A refused connection,
+    a timeout, a malformed or cut-off reply and any status outside 2xx
+    raise `TransportError` (404: `NotFoundError`). Use it in a `with`
+    block, or call `close()`, to close the idle connections; the client
+    stays usable after either.
     """
 
     def __init__(
@@ -83,13 +116,35 @@ class WebClient:
         self._path = parsed.path.rstrip("/")
         self._token = token
         self._basic = basic
+        self._idle: list[HTTPConnection] = []  # a stack: the last one back goes out first
+        self._idle_lock = threading.Lock()
+        # the callback holds the stack, not the client, so it can run once
+        # the client is unreachable
+        weakref.finalize(self, _close_all, self._idle, self._idle_lock)
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        _close_all(self._idle, self._idle_lock)
+
+    def __enter__(self) -> "WebClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _checkout(self) -> tuple[HTTPConnection, bool]:
+        """An idle connection the server has not closed, else a new one;
+        and whether it is reused."""
+        with self._idle_lock:
+            while self._idle:
+                connection = self._idle.pop()
+                if not _dropped(connection):
+                    return connection, True
+                connection.close()
+        return self._connection(*self._address, timeout=self.timeout), False
 
     def _headers(self, **extra: str) -> dict[str, str]:
-        # Each request opens its own connection and closes it after the
-        # response, so it asks the server to close too (RFC 9112 §9.3): the
-        # server's handler then ends with the response instead of waiting
-        # for a next request that never comes.
-        headers = {"Connection": "close", **extra}
+        headers = dict(extra)
         if self._basic:
             credentials = ":".join(self._basic).encode("latin-1")
             headers["Authorization"] = f"Basic {b64encode(credentials).decode('ascii')}"
@@ -106,17 +161,36 @@ class WebClient:
         outside 2xx raise unless listed in `allow`.
         """
         url = self.base_url + path
-        connection = self._connection(*self._address, timeout=self.timeout)
+        message = (method, self._path + path, body, self._headers(**headers))
+        connection, reused = self._checkout()
+        keep = False
         try:
-            connection.request(method, self._path + path, body, self._headers(**headers))
-            response = connection.getresponse()
+            try:
+                connection.request(*message)
+                response = connection.getresponse()
+            # RemoteDisconnected, a reply that ended before its first byte,
+            # is a ConnectionResetError
+            except (ConnectionResetError, BrokenPipeError):
+                if not (reused and method == "GET"):
+                    raise
+                # the server closed the reused connection as the request
+                # went out; a GET asks again, a POST may have been stored
+                connection.close()
+                connection = self._connection(*self._address, timeout=self.timeout)
+                connection.request(*message)
+                response = connection.getresponse()
             status = response.status
             content_type = response.getheader("Content-Type", "")
             reply = response.read()
+            keep = not response.will_close
         except (OSError, HTTPException) as exc:
             raise TransportError(f"{method} {url} failed: {exc}") from exc
         finally:
-            connection.close()
+            if keep:
+                with self._idle_lock:
+                    self._idle.append(connection)
+            else:
+                connection.close()
         if status == 404:
             raise NotFoundError(f"{url} not found")
         if not 200 <= status < 300 and status not in allow:

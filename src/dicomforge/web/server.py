@@ -14,10 +14,13 @@ still tested on every candidate, so the index only narrows the set; the
 answer is the one a scan of the whole archive gives. Only the records left
 after offset/limit are turned into JSON.
 
-A request answered without reading its body (a POST to an unknown path, a
-bad Content-Length) closes the connection, so the unread body is never
-parsed as the next request. A reply that ends its connection, for that
-reason or because the request asked to close, says Connection: close.
+Connections are kept alive between requests, one handler thread each.
+`stop()` shuts down every live connection and waits for its handler, so a
+stopped archive answers nothing more on a kept-alive socket. A request
+answered without reading its body (a POST to an unknown path, a bad
+Content-Length) closes the connection, so the unread body is never parsed
+as the next request. A reply that ends its connection, for that reason or
+because the request asked to close, says Connection: close.
 
 Each answered request is logged as one DEBUG record to the
 ``dicomforge.web`` logger: method, path, status and reply body bytes.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -77,6 +81,41 @@ def _uid(ds: DataSet, key: str) -> str:
     return value if isinstance(value, str) else ""
 
 
+class _Server(ThreadingHTTPServer):
+    """A threaded HTTP server that can end its live connections."""
+
+    def __init__(self, address, handler):
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        # ThreadingMixIn's, with each connection's thread kept until it ends
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def end_connections(self, timeout: float) -> None:
+        """Shut down every live connection, so a handler waiting for the
+        next request on it reads EOF and ends, and wait for the handlers."""
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _ in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its handler closed it meanwhile
+                pass
+        for _, thread in live:
+            thread.join(timeout)
+
+
 class StubArchive:
     """Lifecycle handle around the threaded HTTP server."""
 
@@ -90,7 +129,7 @@ class StubArchive:
         self._by_uid: dict[Tag, dict[str, dict[tuple[str, str, str], None]]] = {
             resolve_key(k): {} for k in _UID_KEYS
         }
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _Server | None = None
         self._thread: threading.Thread | None = None
 
     # -- storage ------------------------------------------------------------
@@ -184,9 +223,7 @@ class StubArchive:
         archive = self
         handler = type("_Handler", (_RequestHandler,), {"archive": archive})
         try:
-            self._server = ThreadingHTTPServer(
-                ("127.0.0.1", self._requested_port), handler
-            )
+            self._server = _Server(("127.0.0.1", self._requested_port), handler)
         except OSError as exc:
             raise ServerStartupError(
                 f"cannot bind port {self._requested_port}: {exc}"
@@ -201,7 +238,8 @@ class StubArchive:
 
     def stop(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
+            self._server.shutdown()  # accepts nothing more
+            self._server.end_connections(timeout=5)
             self._server.server_close()
             self._server = None
         if self._thread is not None:
@@ -228,6 +266,10 @@ class StubArchive:
 class _RequestHandler(BaseHTTPRequestHandler):
     archive: StubArchive  # injected by StubArchive.start
     protocol_version = "HTTP/1.1"
+    # a reply goes out as two writes, head and body; with Nagle's algorithm
+    # the body of a reply on a kept-alive connection could wait for the
+    # client's delayed ACK of the head
+    disable_nagle_algorithm = True
 
     def log_message(self, *args):  # end_headers logs each answered request
         pass

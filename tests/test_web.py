@@ -88,8 +88,8 @@ def parse_message(raw: bytes) -> Message:
     return Message(start, headers, body, raw)
 
 
-def read_request(sock) -> Message:
-    """Read one request: its head, then as many body bytes as it announces."""
+def read_message(sock) -> Message:
+    """Read one message: its head, then as many body bytes as it announces."""
     raw = b""
     while chunk := sock.recv(65536):
         raw += chunk
@@ -121,7 +121,7 @@ def recording_server(answer):
                 continue
             with connection:
                 connection.settimeout(10)
-                request = read_request(connection)
+                request = read_message(connection)
                 reply = answer(request)
                 exchanges.append((request, parse_message(reply)))
                 connection.sendall(reply)
@@ -139,11 +139,11 @@ def recording_server(answer):
 
 def relay_to(archive):
     """An `answer` that forwards the request to `archive` and returns its
-    whole reply; it ends only when the archive closes the connection."""
+    reply, read by its Content-Length: the archive keeps the connection."""
     def answer(request: Message) -> bytes:
         with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as upstream:
             upstream.sendall(request.raw)
-            return b"".join(iter(lambda: upstream.recv(65536), b""))
+            return read_message(upstream).raw
     return answer
 
 
@@ -372,18 +372,17 @@ class TestStoreRetrieve:
         assert reply.count(b"HTTP/1.1 ") == 1
         assert b"Connection: close" in reply
 
-    def test_client_asks_to_close_each_connection(self, archive):
+    def test_client_sends_no_connection_close(self, archive):
         source = make_ct_source()
         with recording_server(relay_to(archive)) as (base_url, exchanges):
-            client = WebClient(base_url, timeout=10)
-            client.store_instances([source])
-            client.search("instances", {"SOPInstanceUID": source.value("SOPInstanceUID")})
-            client.retrieve_instance(source.value("StudyInstanceUID"),
-                                     source.value("SeriesInstanceUID"),
-                                     source.value("SOPInstanceUID"))
-        sent = [message.headers.get("Connection")
-                for exchange in exchanges for message in exchange]
-        assert sent == ["close"] * 6
+            with WebClient(base_url, timeout=10) as client:
+                client.store_instances([source])
+                client.search("instances", {"SOPInstanceUID": source.value("SOPInstanceUID")})
+                client.retrieve_instance(source.value("StudyInstanceUID"),
+                                         source.value("SeriesInstanceUID"),
+                                         source.value("SOPInstanceUID"))
+        assert [request.headers.get("Connection") for request, _ in exchanges] == [None] * 3
+        assert [reply.start for _, reply in exchanges] == ["HTTP/1.1 200 OK"] * 3
 
     def test_http_error_raises_transport_error(self, client, archive):
         import requests
@@ -408,7 +407,7 @@ class TestWire:
                                      source.value("SOPInstanceUID"))
         assert record.value("PatientID") == "a b&\u00fc"
         host = base_url.removeprefix("http://")
-        common = {"Host": host, "Accept-Encoding": "identity", "Connection": "close",
+        common = {"Host": host, "Accept-Encoding": "identity",
                   "Authorization": "Bearer t0ken"}
         (store, _), (search, _), (retrieve, _) = exchanges
 
