@@ -23,7 +23,10 @@ as the next request. A reply that ends its connection, for that reason or
 because the request asked to close, says Connection: close.
 
 Each answered request is logged as one DEBUG record to the
-``dicomforge.web`` logger: method, path, status and reply body bytes.
+``dicomforge.web`` logger: method, path, status, reply body bytes and
+latency, from the request line to the reply head. `StubArchive.stats()`
+counts the same requests by status, with request and reply body bytes,
+connections accepted and the instances stored.
 """
 from __future__ import annotations
 
@@ -32,8 +35,10 @@ import logging
 import os
 import socket
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from time import perf_counter
 from urllib.parse import parse_qsl, urlparse
 
 from ..dataset import DataSet, copy_attributes
@@ -131,6 +136,33 @@ class StubArchive:
         }
         self._server: _Server | None = None
         self._thread: threading.Thread | None = None
+        self._counts_lock = threading.Lock()
+        self._statuses: Counter[int] = Counter()
+        self._bytes_in = self._bytes_out = self._connections = 0
+
+    # -- counters -------------------------------------------------------------
+
+    def _count_request(self, status: int, bytes_in: int, bytes_out: int) -> None:
+        with self._counts_lock:
+            self._statuses[status] += 1
+            self._bytes_in += bytes_in
+            self._bytes_out += bytes_out
+
+    def _count_connection(self) -> None:
+        with self._counts_lock:
+            self._connections += 1
+
+    def stats(self) -> dict:
+        """Counts since the archive was created: answered requests by status
+        (``requests``), request and reply body bytes (``bytes_in``,
+        ``bytes_out``), connections accepted (``connections``), and the
+        instances stored now (``instances``). A request is counted before
+        its reply head is sent."""
+        with self._counts_lock:
+            counts = {"requests": dict(sorted(self._statuses.items())),
+                      "bytes_in": self._bytes_in, "bytes_out": self._bytes_out,
+                      "connections": self._connections}
+        return {**counts, "instances": len(self)}
 
     # -- storage ------------------------------------------------------------
 
@@ -274,6 +306,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # end_headers logs each answered request
         pass
 
+    def setup(self):
+        super().setup()
+        self.archive._count_connection()
+        self._started, self._bytes_in = None, 0  # reset after each reply
+
+    def parse_request(self) -> bool:
+        self._started = perf_counter()  # the request line has arrived
+        return super().parse_request()
+
     # Every reply, _reply's and the base class's own send_error pages (a 501
     # for PUT, a 400 for a request line that does not parse), passes through
     # these three; the record is written before the headers leave, so a
@@ -289,13 +330,19 @@ class _RequestHandler(BaseHTTPRequestHandler):
         super().send_header(keyword, value)
 
     def end_headers(self):
-        """Log one DEBUG record of the request to ``dicomforge.web``: method,
-        path (``- -`` for a request line that did not parse), status and
-        reply body bytes; an interim 100 Continue is not logged."""
+        """Count the request and log one DEBUG record of it to
+        ``dicomforge.web``: method, path (``- -`` for a request line that
+        did not parse), status, reply body bytes and latency in ms; an
+        interim 100 Continue is neither counted nor logged."""
         if self._status >= 200:
-            _LOG.debug("%s %s %d %d", self.command or "-",
+            # a request line too long to parse is answered as soon as it is
+            # read, without parse_request: its latency reads 0
+            latency = perf_counter() - (self._started or perf_counter())
+            self.archive._count_request(self._status, self._bytes_in, self._content_length)
+            self._started, self._bytes_in = None, 0
+            _LOG.debug("%s %s %d %d %.3f ms", self.command or "-",
                        self.path if self.command else "-",
-                       self._status, self._content_length)
+                       self._status, self._content_length, latency * 1e3)
         super().end_headers()
 
     def _reply(self, status: int, body: bytes = b"",
@@ -329,6 +376,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._reply_json(400, {"error": f"bad Content-Length {length!r}"})
             return
         body = self.rfile.read(int(length))
+        self._bytes_in = len(body)
         try:
             boundary = boundary_from_content_type(
                 self.headers.get("Content-Type", "")

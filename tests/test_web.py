@@ -1,5 +1,6 @@
 """DICOMweb loop tests against the in-repo stub archive."""
 import http.client
+import itertools
 import logging
 import os
 import socket
@@ -847,6 +848,18 @@ def answer(archive, method, path):
         connection.close()
 
 
+def logged(records):
+    """The "method path status bytes" part of each dicomforge.web record,
+    checking that each ends in a latency of the form "<ms> ms"."""
+    messages = []
+    for record in records:
+        assert record.name == "dicomforge.web" and record.levelno == logging.DEBUG
+        head, latency, unit = record.getMessage().rsplit(" ", 2)
+        assert unit == "ms" and float(latency) >= 0
+        messages.append(head)
+    return messages
+
+
 class TestRequestLog:
     REQUESTS = [("GET", "/studies"), ("GET", "/studies?PatientID=NOBODY"),
                 ("GET", "/studies/1.2/series/3/instances/4"), ("GET", "/nowhere"),
@@ -861,8 +874,7 @@ class TestRequestLog:
             status, body = answer(archive, method, path)
             expected.append(f"{method} {path} {status} {len(body)}")
         records = [r for r in caplog.records if r.name == "dicomforge.web"]
-        assert [r.levelno for r in records] == [logging.DEBUG] * len(self.REQUESTS)
-        assert [r.getMessage() for r in records] == expected
+        assert logged(records) == expected
         assert [e.split()[2] for e in expected] == ["200", "204", "404", "404", "404", "400"]
         assert int(expected[0].split()[3]) > 0
 
@@ -872,7 +884,7 @@ class TestRequestLog:
         for method in ("PUT", "DELETE"):
             status, body = answer(archive, method, "/studies")
             expected.append(f"{method} /studies {status} {len(body)}")
-        for request, logged in [
+        for request, recorded in [
             (b"GET / extra HTTP/1.1\r\n\r\n", "- -"),  # four words do not parse
             (b"POST /studies HTTP/1.1\r\nExpect: 100-continue\r\n"
              b"Content-Length: 0\r\nConnection: close\r\n\r\n", "POST /studies"),
@@ -884,18 +896,28 @@ class TestRequestLog:
             reply = reply.removeprefix(b"HTTP/1.1 100 Continue\r\n\r\n")
             head, _, body = reply.partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400 ")
-            expected.append(f"{logged} 400 {len(body)}")
+            expected.append(f"{recorded} 400 {len(body)}")
         records = [r for r in caplog.records if r.name == "dicomforge.web"]
-        assert [r.levelno for r in records] == [logging.DEBUG] * 4
-        assert [r.getMessage() for r in records] == expected
+        assert logged(records) == expected
         assert [e.split()[2] for e in expected] == ["501", "501", "400", "400"]
         assert all(int(e.split()[3]) > 0 for e in expected)
+        assert archive.stats()["requests"] == {400: 2, 501: 2}
 
     def test_record_written_before_the_reply(self, archive, caplog):
         caplog.set_level(logging.DEBUG, logger="dicomforge.web")
         for count in range(1, 51):
             answer(archive, "GET", "/instances?limit=x" if count % 2 else "/nowhere")
             assert len([r for r in caplog.records if r.name == "dicomforge.web"]) == count
+            assert sum(archive.stats()["requests"].values()) == count
+
+    def test_latency_runs_from_request_line_to_reply_head(self, archive, caplog,
+                                                           monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="dicomforge.web")
+        clock = itertools.count(100, 7)  # the archive's clock, read once at each end
+        monkeypatch.setattr("dicomforge.web.server.perf_counter", lambda: next(clock))
+        answer(archive, "GET", "/nowhere")
+        [record] = [r for r in caplog.records if r.name == "dicomforge.web"]
+        assert record.getMessage() == "GET /nowhere 404 0 7000.000 ms"
 
     def test_silent_when_nothing_listens(self, archive, caplog, capfd):
         assert any(isinstance(h, logging.NullHandler)
@@ -904,3 +926,176 @@ class TestRequestLog:
             answer(archive, method, path)
         assert not [r for r in caplog.records if r.name == "dicomforge.web"]
         assert capfd.readouterr() == ("", "")
+
+
+class TestStats:
+    def test_counts_requests_bytes_connections_and_instances(self, archive):
+        assert archive.stats() == {"requests": {}, "bytes_in": 0, "bytes_out": 0,
+                                   "connections": 0, "instances": 0}
+        sources = make_ct_series(2)
+        blobs = [write_part10(file_meta_for(ds), ds) for ds in sources]
+        with WebClient(archive.base_url, timeout=10) as client:
+            client.store_parts(blobs)
+            records = client.search("instances")
+            retrieved = client.retrieve_instance_bytes(*[sources[0].value(k) for k in (
+                "StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID")])
+            with pytest.raises(NotFoundError):
+                client.retrieve_instance_bytes("1.2", "1.3", "1.4")
+        assert len(records) == 2 and retrieved == blobs[0]
+        stats = archive.stats()
+        assert stats["requests"] == {200: 3, 404: 1}
+        assert stats["connections"] == 1
+        assert stats["instances"] == 2
+        # the STOW body: the parts in multipart framing with a 32-character boundary
+        assert stats["bytes_in"] == len(build_multipart(blobs, random_boundary()))
+        assert stats["bytes_out"] > len(blobs[0])
+
+    def test_counts_match_the_log(self, archive, caplog):
+        caplog.set_level(logging.DEBUG, logger="dicomforge.web")
+        for method, path in TestRequestLog.REQUESTS:
+            answer(archive, method, path)
+        messages = logged([r for r in caplog.records if r.name == "dicomforge.web"])
+        stats = archive.stats()
+        statuses = [int(m.split()[2]) for m in messages]
+        assert stats["requests"] == {s: statuses.count(s) for s in sorted(set(statuses))}
+        assert stats["bytes_out"] == sum(int(m.split()[3]) for m in messages)
+        assert stats["connections"] == len(TestRequestLog.REQUESTS)
+
+
+@contextmanager
+def dropping_server():
+    """A server on one thread that, on each connection, answers the first
+    request with an empty 204 and keeps the connection, then reads the next
+    request and closes the connection without a reply. Yields the base URL
+    and the request lines read so far."""
+    seen = []
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+
+    def serve():
+        while not stop.is_set():
+            try:
+                connection, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with connection:
+                connection.settimeout(10)
+                seen.append(read_message(connection).start)
+                connection.sendall(b"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n")
+                try:
+                    seen.append(read_message(connection).start)
+                except ConnectionError:  # the client closed it instead
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", seen
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def restarted(archive: StubArchive) -> StubArchive:
+    """Stop `archive` and start a new, empty one on its port."""
+    port = archive.port
+    archive.stop()
+    return StubArchive(port=port).start()
+
+
+class TestKeepAlive:
+    def test_one_connection_for_sequential_calls(self, archive):
+        source = make_ct_source()
+        uids = [source.value(k) for k in
+                ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID")]
+        with WebClient(archive.base_url, timeout=10) as client:
+            client.store_instances([source])
+            client.search("studies")
+            client.search("instances", {"SOPInstanceUID": uids[2]})
+            client.retrieve_instance(*uids)
+            with pytest.raises(NotFoundError):  # an error reply keeps the connection
+                client.retrieve_instance(uids[0], uids[1], "1.2.3")
+            client.store_instances([source])
+        stats = archive.stats()
+        assert sum(stats["requests"].values()) == 6
+        assert stats["connections"] == 1
+
+    @pytest.mark.parametrize("call", ["search", "store"])
+    def test_idle_connection_closed_by_the_server(self, archive, call):
+        client = WebClient(archive.base_url, timeout=10)
+        client.search()  # leaves one idle connection
+        again = restarted(archive)  # which the old archive shut down
+        try:
+            if call == "search":
+                assert client.search() == []
+            else:
+                client.store_instances([make_ct_source()])
+            client.close()
+            stats = again.stats()
+            assert sum(stats["requests"].values()) == 1  # a POST arrives once
+            assert stats["instances"] == (1 if call == "store" else 0)
+            assert stats["connections"] == 1
+        finally:
+            again.stop()
+
+    def test_post_dropped_without_reply_is_not_resent(self):
+        with dropping_server() as (base_url, seen):
+            with WebClient(base_url, timeout=10) as client:
+                assert client.search() == []
+                with pytest.raises(TransportError) as excinfo:
+                    client.store_parts([b"x"])
+        assert isinstance(excinfo.value.__cause__, http.client.RemoteDisconnected)
+        assert excinfo.value.status is None
+        assert [line.split()[0] for line in seen] == ["GET", "POST"]
+
+    def test_get_dropped_without_reply_is_sent_once_more(self):
+        with dropping_server() as (base_url, seen):
+            with WebClient(base_url, timeout=10) as client:
+                assert client.search() == []
+                assert client.search("series") == []
+        assert [line.split()[:2] for line in seen] == [
+            ["GET", "/instances"], ["GET", "/series"], ["GET", "/series"]]
+
+    def test_get_on_a_new_connection_is_not_resent(self):
+        with dropping_server() as (base_url, seen):
+            with WebClient(base_url, timeout=10) as client:
+                assert client.search() == []
+                client.close()  # the next request opens a new connection
+                assert client.search("series") == []
+                client.close()
+        assert [line.split()[:2] for line in seen] == [
+            ["GET", "/instances"], ["GET", "/series"]]
+
+    @pytest.mark.parametrize("drop", ["del client", "client.cycle = client; del client",
+                                      "pass"])
+    def test_unclosed_client_leaks_no_socket(self, drop):
+        code = ("import gc\n"
+                "from dicomforge.web import StubArchive, WebClient\n"
+                "with StubArchive() as archive:\n"
+                "    client = WebClient(archive.base_url, timeout=10)\n"
+                "    client.search()\n"
+                f"    {drop}\n"
+                "    gc.collect()\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_stop_ends_kept_alive_connections(self):
+        archive = StubArchive().start()
+        before = set(threading.enumerate())
+        with WebClient(archive.base_url, timeout=10) as client:
+            assert client.search() == []
+            handlers = set(threading.enumerate()) - before
+            assert len(handlers) == 1  # waiting for the next request
+            archive.stop()
+            assert not any(thread.is_alive() for thread in handlers)
+            with pytest.raises(TransportError) as excinfo:
+                client.search()
+        assert isinstance(excinfo.value.__cause__, ConnectionRefusedError)
