@@ -58,6 +58,11 @@ from .multipart import (
 
 _LOG = logging.getLogger("dicomforge.web")
 
+# the default cap on a STOW body: a STOW announcing more is answered 413
+# unread; 64 frames of 512 x 512 pixels take 2 MB as a binary SEG, 16 MB
+# as a fractional one
+MAX_BODY_BYTES = 256 * 2**20
+
 _UID_KEYS = ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID")
 _FILTER_TAGS = frozenset(resolve_key(k) for k in ("Modality", "PatientID", *_UID_KEYS))
 
@@ -122,11 +127,17 @@ class _Server(ThreadingHTTPServer):
 
 
 class StubArchive:
-    """Lifecycle handle around the threaded HTTP server."""
+    """Lifecycle handle around the threaded HTTP server.
 
-    def __init__(self, port: int = 0, snapshot_dir=None):
+    A STOW whose body is longer than `max_body_bytes` is answered 413
+    before its body is read.
+    """
+
+    def __init__(self, port: int = 0, snapshot_dir=None,
+                 max_body_bytes: int = MAX_BODY_BYTES):
         self._requested_port = port
         self._snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
+        self.max_body_bytes = max_body_bytes
         self._lock = threading.Lock()
         self._instances: dict[tuple[str, str, str], _StoredInstance] = {}
         # UID tag -> UID -> the keys stored under it, in store order (a dict
@@ -374,6 +385,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if not (length.isascii() and length.isdigit()):
             self.close_connection = True  # the unread body would follow
             self._reply_json(400, {"error": f"bad Content-Length {length!r}"})
+            return
+        if int(length) > self.archive.max_body_bytes:
+            self.close_connection = True  # the unread body would follow
+            self._reply_json(413, {"error": f"body of {int(length)} bytes exceeds the "
+                                            f"limit of {self.archive.max_body_bytes}"})
             return
         body = self.rfile.read(int(length))
         self._bytes_in = len(body)

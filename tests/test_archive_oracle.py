@@ -15,7 +15,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import make_ct_source
-from dicomforge.errors import NotFoundError, PartialStoreError
+from dicomforge.errors import NotFoundError, PartialStoreError, TransportError
 from dicomforge.part10 import file_meta_for, read_part10, write_part10
 from dicomforge.web import StubArchive, WebClient
 from dicomforge.web.client import SEARCH_LEVELS
@@ -25,6 +25,7 @@ SERIES = ("2.25.7", "2.25.8", "2.25.9")  # a series UID may recur under both stu
 PATIENTS = ("P1", "P2")
 MODALITIES = ("CT", "MR")
 MISSING = "2.25.404"  # never stored
+MAX_BODY = 16384  # a STOW body limit well above every batch but the oversized one
 FILTERS = (None, "StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID", "Modality")
 
 # attributes compared per search level; each record shows the first stored
@@ -45,7 +46,8 @@ class ArchiveMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.directory = Path(tempfile.mkdtemp(prefix="archive-oracle-"))
-        self.archive = StubArchive(snapshot_dir=self.directory).start()
+        self.archive = StubArchive(snapshot_dir=self.directory,
+                                   max_body_bytes=MAX_BODY).start()
         self.client = WebClient(self.archive.base_url, timeout=10)
         self.model: dict[tuple[str, str, str], bytes] = {}
         self.sops = 0
@@ -148,6 +150,17 @@ class ArchiveMachine(RuleBasedStateMachine):
         else:
             raise AssertionError("a batch of bad parts stored without error")
 
+    @rule(data=st.data())
+    def store_oversized_batch(self, data):
+        """A body over the limit is refused whole, its valid parts too."""
+        good = self.draw_good(data, replace=bool(self.model) and data.draw(st.booleans()))
+        try:
+            self.client.store_parts([encode(good), b"\0" * MAX_BODY])
+        except TransportError as exc:
+            assert exc.status == 413
+        else:
+            raise AssertionError("a body over the limit was stored")
+
     # -- QIDO ------------------------------------------------------------------
 
     @rule(data=st.data(), level=st.sampled_from(SEARCH_LEVELS),
@@ -204,7 +217,8 @@ class ArchiveMachine(RuleBasedStateMachine):
         before = self.snapshot_files()
         port = self.archive.port
         self.archive.stop()
-        self.archive = StubArchive(port=port, snapshot_dir=self.directory).start()
+        self.archive = StubArchive(port=port, snapshot_dir=self.directory,
+                                   max_body_bytes=MAX_BODY).start()
         assert self.snapshot_files() == before
         # a restart indexes the snapshot files in file-name order
         self.model = dict(sorted(self.model.items(), key=lambda item: f"{item[0][2]}.dcm"))

@@ -31,6 +31,7 @@ from dicomforge.sr.items import AlgorithmIdentification
 from dicomforge.tags import Tag
 from dicomforge.valuerep import VR
 from dicomforge.web import StubArchive, WebClient
+from dicomforge.web.server import MAX_BODY_BYTES
 from dicomforge.web.jsonmodel import dataset_from_json
 from dicomforge.web.multipart import (
     build_multipart,
@@ -372,6 +373,40 @@ class TestStoreRetrieve:
         assert reply.startswith(b"HTTP/1.1 404 ")
         assert reply.count(b"HTTP/1.1 ") == 1
         assert b"Connection: close" in reply
+
+    def test_oversized_stow_answers_413_unread(self):
+        sources = make_ct_series(2)
+        blobs = [write_part10(file_meta_for(ds), ds) for ds in sources]
+        size = len(build_multipart(blobs, random_boundary()))  # what the client sends
+        with StubArchive(max_body_bytes=size - 1) as archive:
+            with WebClient(archive.base_url, timeout=10) as client:
+                with pytest.raises(TransportError) as excinfo:
+                    client.store_parts(blobs)
+                assert excinfo.value.status == 413
+                assert f"body of {size} bytes exceeds the limit of {size - 1}" in str(
+                    excinfo.value)
+                assert client.search() == []  # on a new connection
+            stats = archive.stats()
+            assert stats["requests"] == {204: 1, 413: 1}
+            assert (stats["bytes_in"], stats["connections"], stats["instances"]) == (0, 2, 0)
+        with StubArchive(max_body_bytes=size) as archive:
+            assert len(WebClient(archive.base_url, timeout=10).store_parts(blobs)
+                       .items_of("ReferencedSOPSequence")) == 2
+
+    def test_oversized_stow_leaves_no_body_on_the_connection(self):
+        smuggled = b"GET /instances HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+        with StubArchive(max_body_bytes=len(smuggled) - 1) as archive:
+            request = (b"POST /studies HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
+                       b"Content-Length: %d\r\n\r\n" % (archive.port, len(smuggled)))
+            with socket.create_connection(("127.0.0.1", archive.port), timeout=10) as sock:
+                sock.sendall(request + smuggled)
+                reply = b"".join(iter(lambda: sock.recv(4096), b""))
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+
+    def test_default_body_limit_is_documented(self):
+        assert StubArchive().max_body_bytes == MAX_BODY_BYTES == 256 * 2**20
 
     def test_client_sends_no_connection_close(self, archive):
         source = make_ct_source()
