@@ -215,12 +215,12 @@ def _client(args) -> WebClient:
 
 
 def cmd_store(args) -> int:
-    client = _client(args)
     blobs = []
     for path in args.file:
         with open(path, "rb") as handle:
             blobs.append(handle.read())
-    response = client.store_parts(blobs)
+    with _client(args) as client:
+        response = client.store_parts(blobs)
     for item in response.items_of("ReferencedSOPSequence"):
         print(f"stored {item.value('ReferencedSOPInstanceUID')}")
     failed = _failed_uids(response)
@@ -230,8 +230,8 @@ def cmd_store(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    client = _client(args)
-    blob = client.retrieve_instance_bytes(args.study, args.series, args.sop)
+    with _client(args) as client:
+        blob = client.retrieve_instance_bytes(args.study, args.series, args.sop)
     with open(args.output, "wb") as handle:
         handle.write(blob)
     print(f"wrote {args.output}: {len(blob)} bytes")
@@ -239,14 +239,14 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_search(args) -> int:
-    client = _client(args)
     query = {}
     for item in args.filter or []:
         if "=" not in item:
             raise DicomforgeError(f"filters are KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         query[key] = value
-    records = client.search(args.level, query, limit=args.limit, offset=args.offset)
+    with _client(args) as client:
+        records = client.search(args.level, query, limit=args.limit, offset=args.offset)
     for record in records:
         print(json.dumps(dataset_to_json(record), sort_keys=True))
     return 0
