@@ -3,7 +3,7 @@
 Built on `http.client` over kept-alive HTTP/1.1 connections. A request
 takes an idle connection from the client's stack, or opens a new one when
 none is idle, and puts it back after a complete reply unless the server
-said it would close it. Concurrent callers so each hold their own
+said it would close it. Concurrent callers each hold their own
 connection, and the stack never holds more than were in use at once.
 
 An idle connection the server has closed is readable (its EOF), so it is
@@ -143,8 +143,7 @@ class WebClient:
                 connection.close()
         return self._connection(*self._address, timeout=self.timeout), False
 
-    def _headers(self, **extra: str) -> dict[str, str]:
-        headers = dict(extra)
+    def _headers(self, **headers: str) -> dict[str, str]:
         if self._basic:
             credentials = ":".join(self._basic).encode("latin-1")
             headers["Authorization"] = f"Basic {b64encode(credentials).decode('ascii')}"

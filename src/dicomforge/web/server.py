@@ -112,7 +112,7 @@ class _Server(ThreadingHTTPServer):
             self._live.pop(request, None)
         super().shutdown_request(request)
 
-    def end_connections(self, timeout: float) -> None:
+    def end_connections(self) -> None:
         """Shut down every live connection, so a handler waiting for the
         next request on it reads EOF and ends, and wait for the handlers."""
         with self._live_lock:
@@ -123,7 +123,7 @@ class _Server(ThreadingHTTPServer):
             except OSError:  # its handler closed it meanwhile
                 pass
         for _, thread in live:
-            thread.join(timeout)
+            thread.join(timeout=5)
 
 
 class StubArchive:
@@ -282,7 +282,7 @@ class StubArchive:
     def stop(self) -> None:
         if self._server is not None:
             self._server.shutdown()  # accepts nothing more
-            self._server.end_connections(timeout=5)
+            self._server.end_connections()
             self._server.server_close()
             self._server = None
         if self._thread is not None:
