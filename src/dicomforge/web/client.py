@@ -65,6 +65,8 @@ def _status_error(method: str, url: str, status: int, body: bytes) -> TransportE
 def _dropped(connection: HTTPConnection) -> bool:
     """Whether the server closed an idle connection: nothing is due on one,
     so a readable socket holds its EOF (or bytes no request asked for)."""
+    if not hasattr(select, "poll"):  # Windows; elsewhere select() stops at FD_SETSIZE
+        return bool(select.select([connection.sock], [], [], 0)[0])
     poller = select.poll()
     poller.register(connection.sock, select.POLLIN)
     return bool(poller.poll(0))

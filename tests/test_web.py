@@ -3,10 +3,12 @@ import http.client
 import itertools
 import logging
 import os
+import select
 import socket
 import subprocess
 import sys
 import threading
+import types
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -1059,7 +1061,11 @@ class TestKeepAlive:
         assert stats["connections"] == 1
 
     @pytest.mark.parametrize("call", ["search", "store"])
-    def test_idle_connection_closed_by_the_server(self, archive, call):
+    @pytest.mark.parametrize("check", ["poll", "select"])
+    def test_idle_connection_closed_by_the_server(self, archive, call, check, monkeypatch):
+        if check == "select":  # as where select.poll is missing
+            monkeypatch.setattr("dicomforge.web.client.select",
+                                types.SimpleNamespace(select=select.select))
         client = WebClient(archive.base_url, timeout=10)
         client.search()  # leaves one idle connection
         again = restarted(archive)  # which the old archive shut down
