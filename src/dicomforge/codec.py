@@ -15,22 +15,23 @@ never a ``struct`` or index error. Sequences nested deeper than
 interpreter's recursion limit.
 
 Each decode call keeps a memo of the defined-length sequence items of at
-most ``MEMO_MAX_ITEM`` bytes it has decoded, keyed by ``(depth,
-memoryview of the item's bytes)``; a Part 10 meta group, always explicit
-VR, shares none with its data set. An item whose bytes and depth are
-already in the memo is the data set built for them, and reading skips to
-its end; so a repeated item (a code item, for one, repeats in every SR
-content item that names the same concept) is decoded once and shared.
-This keeps every check: a defined-length item that decodes without error
-has read only its own bytes, and its decoding depends otherwise only on
-its depth (``MAX_NESTING``) and the transfer syntax, fixed for one memo;
-an item that fails is never stored, so errors and offsets are unchanged.
-The keys are views, so a large value nested deep is not copied once per
-enclosing item, and the size cap keeps it from being hashed once per
-enclosing item; the keys are dropped when the call returns, and decoded
-values are copies, so the result holds no reference to the input. Items
-of undefined length end where their delimiter is found, not at a known
-offset, and are decoded one by one.
+most ``MEMO_MAX_ITEM`` bytes it has decoded, keyed by ``(depth, the
+item's bytes)``; a Part 10 meta group, always explicit VR, shares none
+with its data set. An item whose bytes and depth are already in the memo
+is the data set built for them, and reading skips to its end; so a
+repeated item (a code item, for one, repeats in every SR content item
+that names the same concept) is decoded once and shared. This keeps every
+check: a defined-length item that decodes without error has read only its
+own bytes, and its decoding depends otherwise only on its depth
+(``MAX_NESTING``) and the transfer syntax, fixed for one memo; an item
+that fails is never stored, so errors and offsets are unchanged. The keys
+are copies of at most ``MEMO_MAX_ITEM`` bytes, cheaper to make, hash and
+compare than a fresh view of so short an item; the size cap keeps a large
+value nested deep from being copied or hashed once per enclosing item,
+since no item that holds it is keyed. The keys are dropped when the call
+returns, and decoded values are copies, so the result holds no reference
+to the input. Items of undefined length end where their delimiter is
+found, not at a known offset, and are decoded one by one.
 
 Encoding appends to one ``bytearray`` and back-patches sequence and item
 lengths once their contents are written; a sequence item object that
@@ -255,7 +256,7 @@ def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
     """Read sequence items up to `end`, or up to the sequence delimiter
     when `end` is None.
 
-    `memo` maps ``(depth, view of the item's bytes)`` to the data set
+    `memo` maps ``(depth, the item's bytes)`` to the data set
     already decoded from a defined-length item of at most ``MEMO_MAX_ITEM``
     bytes with those bytes at that depth; an item met again is that same
     object, and reading resumes after it."""
@@ -287,7 +288,7 @@ def _read_items(data: bytes, pos: int, end: int | None, implicit: bool,
             item_end = pos + length
             if item_end > len(data):
                 raise DecodeError("item length overruns stream", offset=at)
-            key = ((depth, memoryview(data)[pos:item_end])
+            key = ((depth, data[pos:item_end])
                    if length <= MEMO_MAX_ITEM else None)  # None is never stored
             item = memo.get(key)
             if item is None:

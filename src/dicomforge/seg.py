@@ -20,10 +20,10 @@ pixel before packing. On read, frames are unpacked on demand, one at a
 time: a binary frame is sliced from the pixel data by its bit offset,
 which need not fall on a byte boundary. Labels are read by one loop,
 :meth:`Segmentation.label_volume`, for one source frame or many: it
-writes each selected segment's stored frames, in ascending segment order,
-into a volume of the smallest unsigned dtype that holds the largest
-described segment number, so the highest number wins where segments
-overlap.
+writes each selected segment's stored frames, in ascending segment order
+and by an element-wise maximum, into a volume of the smallest unsigned
+dtype that holds the largest described segment number, so the highest
+number wins where segments overlap.
 
 Each functional group has one owner that writes and reads it: a
 :class:`FrameRecord` writes and parses its per-frame group (the items
@@ -824,9 +824,14 @@ class Segmentation:
         source frame, in :meth:`source_frame_keys` order.
 
         The dtype is the smallest unsigned one that holds the largest
-        described segment number: uint8 up to 255, else uint16. Where
-        several selected segments overlap, the highest segment number wins.
-        Fractional segmentations must be thresholded into masks first.
+        described segment number: uint8 up to 255, else uint16. Each output
+        frame is written once per selected stored frame of its source
+        frame, in ascending segment order: the first as its 0/1 bits times
+        its segment number, each later one by an element-wise maximum; a
+        frame with none is zero. So where several selected segments
+        overlap, the highest segment number wins, whatever the order of
+        `segments`. Fractional segmentations must be thresholded into
+        masks first.
         """
         if not self.seg_type.is_binary:
             raise TypeError(
@@ -836,11 +841,22 @@ class Segmentation:
         if source_frames is None:
             source_frames = self.source_frame_keys()
         dtype = np.min_scalar_type(max(self._described, default=0))
-        out = np.zeros((len(source_frames), self.rows, self.columns), dtype)
-        for number in sorted(self._described if segments is None else segments):
-            for frame, index in zip(out, self._stored_indices(number, source_frames)):
+        # (number, stored index) per requested source frame, ascending
+        stored: list[list[tuple[np.integer, int]]] = [[] for _ in source_frames]
+        for number in sorted(set(self._described if segments is None else segments)):
+            value = dtype.type(number)  # a plain int past 255 overflows uint8 bits
+            for frame_stored, index in zip(stored, self._stored_indices(number, source_frames)):
                 if index is not None:
-                    np.copyto(frame, number, where=self.stored_frame(index).view(bool))
+                    frame_stored.append((value, index))
+        out = np.empty((len(source_frames), self.rows, self.columns), dtype)
+        for frame, frame_stored in zip(out, stored):
+            if not frame_stored:
+                frame.fill(0)
+                continue
+            (value, index), *later = frame_stored
+            np.multiply(self.stored_frame(index), value, out=frame)
+            for value, index in later:
+                np.maximum(frame, self.stored_frame(index) * value, out=frame)
         return out
 
     def label_map(self, source_frame, segments: Sequence[int] | None = None) -> np.ndarray:

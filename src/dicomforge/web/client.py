@@ -7,11 +7,13 @@ said it would close it. Concurrent callers each hold their own
 connection, and the stack never holds more than were in use at once.
 
 An idle connection the server has closed is readable (its EOF), so it is
-dropped before reuse. If a reused connection still fails before any reply
-byte arrives, a GET is sent once more on a new connection; a POST is never
-sent twice, since the server may have stored it. `close()` (or leaving a
-`with` block) closes the idle connections, and so does collecting the
-client.
+dropped before reuse. If sending a request fails, the reply is read all
+the same: a server may answer and close before it has read a large body
+(a 413), and that status is kept. If a reused connection fails before any
+reply byte arrives, a GET is sent once more on a new connection; a POST
+is never sent twice, since the server may have stored it. `close()` (or
+leaving a `with` block) closes the idle connections, and so does
+collecting the client.
 
 No redirect is followed, no proxy variable or `.netrc` is read, and HTTPS
 verifies certificates against the system CA store.
@@ -23,7 +25,7 @@ import select
 import threading
 import weakref
 from base64 import b64encode
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from typing import NamedTuple, Sequence
 from urllib.parse import quote, urlencode, urlparse
 
@@ -70,6 +72,21 @@ def _dropped(connection: HTTPConnection) -> bool:
     poller = select.poll()
     poller.register(connection.sock, select.POLLIN)
     return bool(poller.poll(0))
+
+
+def _exchange(connection: HTTPConnection, message: tuple) -> HTTPResponse:
+    """Send one request and read its reply head. A server may answer and
+    close before reading all of the request (a 413 for a body over its
+    limit), so a send that fails still returns the reply if one came; if
+    none came, the send's error is raised."""
+    try:
+        connection.request(*message)
+    except (ConnectionResetError, BrokenPipeError) as exc:
+        try:
+            return connection.getresponse()
+        except (OSError, HTTPException):
+            raise exc from None
+    return connection.getresponse()
 
 
 def _close_all(connections: list[HTTPConnection], lock: threading.Lock) -> None:
@@ -167,8 +184,7 @@ class WebClient:
         keep = False
         try:
             try:
-                connection.request(*message)
-                response = connection.getresponse()
+                response = _exchange(connection, message)
             # RemoteDisconnected, a reply that ended before its first byte,
             # is a ConnectionResetError
             except (ConnectionResetError, BrokenPipeError):
@@ -178,8 +194,7 @@ class WebClient:
                 # went out; a GET asks again, a POST may have been stored
                 connection.close()
                 connection = self._connection(*self._address, timeout=self.timeout)
-                connection.request(*message)
-                response = connection.getresponse()
+                response = _exchange(connection, message)
             status = response.status
             content_type = response.getheader("Content-Type", "")
             reply = response.read()

@@ -14,7 +14,8 @@ still tested on every candidate, so the index only narrows the set; the
 answer is the one a scan of the whole archive gives. Only the records left
 after offset/limit are turned into JSON.
 
-Connections are kept alive between requests, one handler thread each.
+Connections are kept alive between requests, one handler thread each. A
+connection idle for `IDLE_TIMEOUT_S` seconds is closed and its thread ends.
 `stop()` shuts down every live connection and waits for its handler, so a
 stopped archive answers nothing more on a kept-alive socket. A request
 answered without reading its body (a POST to an unknown path, a bad
@@ -62,6 +63,10 @@ _LOG = logging.getLogger("dicomforge.web")
 # unread; 64 frames of 512 x 512 pixels take 2 MB as a binary SEG, 16 MB
 # as a fractional one
 MAX_BODY_BYTES = 256 * 2**20
+
+# seconds a connection may wait for its next request (or a read or write
+# may stall) before its handler closes it and ends
+IDLE_TIMEOUT_S = 60.0
 
 _UID_KEYS = ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID")
 _FILTER_TAGS = frozenset(resolve_key(k) for k in ("Modality", "PatientID", *_UID_KEYS))
@@ -318,6 +323,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         pass
 
     def setup(self):
+        self.timeout = IDLE_TIMEOUT_S  # read per connection, at accept
         super().setup()
         self.archive._count_connection()
         self._started, self._bytes_in = None, 0  # reset after each reply

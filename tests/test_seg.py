@@ -532,13 +532,7 @@ class TestLabelMap:
         masks[1][0, 4:12] = 1
         ds = create_seg(ct_series, masks, [description(1), description(2)],
                         SegmentationType.binary())
-        # create_seg numbers segments from 1, so segment 2 is renumbered by hand
-        ds.items_of("SegmentSequence")[1].put("SegmentNumber", largest)
-        for group in ds.items_of("PerFrameFunctionalGroupsSequence"):
-            [item] = group.items_of("SegmentIdentificationSequence")
-            if item.value("ReferencedSegmentNumber") == 2:
-                item.put("ReferencedSegmentNumber", largest)
-        seg = open_seg(decode_dataset(encode_dataset(ds)))
+        seg = open_seg(decode_dataset(encode_dataset(renumbered(ds, 2, largest))))
         label_map = seg.label_map(ct_series[0].value("SOPInstanceUID"))
         assert label_map.dtype == dtype
         expected = masks[0][0].astype(np.int64)
@@ -563,6 +557,17 @@ class TestLabelMap:
             fractional.label_volume()
 
 
+def renumbered(ds, number: int, new_number: int):
+    """`ds` with segment `number` renumbered by hand: create_seg numbers
+    segments from 1."""
+    ds.items_of("SegmentSequence")[number - 1].put("SegmentNumber", new_number)
+    for group in ds.items_of("PerFrameFunctionalGroupsSequence"):
+        [item] = group.items_of("SegmentIdentificationSequence")
+        if item.value("ReferencedSegmentNumber") == number:
+            item.put("ReferencedSegmentNumber", new_number)
+    return ds
+
+
 def int32_label_map(seg, source_frame, segments):
     """The label rule as one-frame `label_map` applied it in int32, segment
     by segment in ascending order, the highest number written last."""
@@ -577,37 +582,52 @@ def int32_label_map(seg, source_frame, segments):
 @settings(max_examples=100, deadline=None)
 @given(masks=hnp.arrays(np.bool_, st.tuples(st.integers(1, 4), st.integers(1, 3),
                                             st.integers(1, 5), st.integers(1, 5))),
-       omit_empty=st.booleans(), data=st.data())
-def test_label_volume_matches_int32_label_maps(masks, omit_empty, data):
+       omit_empty=st.booleans(), multi_frame=st.booleans(), data=st.data())
+def test_label_volume_matches_int32_label_maps(masks, omit_empty, multi_frame, data):
     count, frames, rows, cols = masks.shape
-    segments = data.draw(st.none() | st.lists(st.integers(1, count), unique=True))
-    sources = make_ct_series(frames, rows=rows, cols=cols)
-    seg = open_seg(create_seg(sources, list(masks),
-                              [description(n) for n in range(1, count + 1)],
-                              SegmentationType.binary(), omit_empty))
-    uids = [s.value("SOPInstanceUID") for s in sources]
-    volume = seg.label_volume(uids, segments)
-    assert volume.dtype == np.uint8
-    assert np.array_equal(volume, np.stack([int32_label_map(seg, u, segments) for u in uids]))
+    if multi_frame:  # one source, its frames addressed by (uid, frame) keys
+        sources = [make_sm_source(frames, rows, cols)]
+        uid = sources[0].value("SOPInstanceUID")
+        keys = [(uid, n) for n in range(1, frames + 1)]
+    else:
+        sources = make_ct_series(frames, rows=rows, cols=cols)
+        keys = [s.value("SOPInstanceUID") for s in sources]
+    ds = create_seg(sources, list(masks), [description(n) for n in range(1, count + 1)],
+                    SegmentationType.binary(), omit_empty)
+    # one segment may take a number past uint8, so on frames it alone
+    # covers, or covers first, the first write is of that number
+    numbers = list(range(1, count + 1))
+    moved = data.draw(st.none() | st.integers(1, count))
+    if moved is not None:
+        numbers[moved - 1] = data.draw(st.integers(256, 65535))
+        renumbered(ds, moved, numbers[moved - 1])
+    seg = open_seg(decode_dataset(encode_dataset(ds)))
+    # unsorted, and a number may repeat
+    segments = data.draw(st.none() | st.lists(st.sampled_from(numbers)))
+    volume = seg.label_volume(keys, segments)
+    assert volume.dtype == np.min_scalar_type(max(numbers))
+    assert np.array_equal(volume, np.stack([int32_label_map(seg, k, segments) for k in keys]))
     # the same rule on the masks themselves
     expected = np.zeros((frames, rows, cols), np.int32)
-    for number in sorted(range(1, count + 1) if segments is None else segments):
-        expected[masks[number - 1]] = number
+    for number, mask in sorted(zip(numbers, masks), key=lambda pair: pair[0]):
+        if segments is None or number in segments:
+            expected[mask] = number
     assert np.array_equal(volume, expected)
 
 
-def make_sm_source():
-    """A two-frame slide-microscopy source of 8x8 tiles."""
-    ds = make_ct_source(rows=8, cols=8)
+def make_sm_source(frames=2, rows=8, cols=8):
+    """A slide-microscopy source of `frames` tiles of `rows` x `cols`, in
+    one row of tiles."""
+    ds = make_ct_source(rows=rows, cols=cols)
     ds.put("Modality", "SM")
     ds.put("SOPClassUID", "1.2.840.10008.5.1.4.1.1.77.1.6")
-    ds.put("NumberOfFrames", 2)
+    ds.put("NumberOfFrames", frames)
     ds.remove("ImageOrientationPatient")
     ds.remove("ImagePositionPatient")
     ds.remove("PixelSpacing")
     ds.put("ImageOrientationSlide", ["1", "0", "0", "0", "1", "0"])
-    ds.put("TotalPixelMatrixColumns", 16)
-    ds.put("TotalPixelMatrixRows", 8)
+    ds.put("TotalPixelMatrixColumns", cols * frames)
+    ds.put("TotalPixelMatrixRows", rows)
     from dicomforge.dataset import DataSet
     measures = DataSet()
     measures.put("PixelSpacing", ["0.01", "0.01"])
@@ -615,13 +635,13 @@ def make_sm_source():
     shared.put("PixelMeasuresSequence", (measures,))
     ds.put("SharedFunctionalGroupsSequence", (shared,))
     per_frame = []
-    for i in range(2):
+    for i in range(frames):
         pos = DataSet()
-        pos.put("XOffsetInSlideCoordinateSystem", f"{0.08 * i:.2f}")
+        pos.put("XOffsetInSlideCoordinateSystem", f"{0.01 * cols * i:.2f}")
         pos.put("YOffsetInSlideCoordinateSystem", "0")
         pos.put("ZOffsetInSlideCoordinateSystem", "0")
         pos.put("RowPositionInTotalImagePixelMatrix", 1)
-        pos.put("ColumnPositionInTotalImagePixelMatrix", 1 + 8 * i)
+        pos.put("ColumnPositionInTotalImagePixelMatrix", 1 + cols * i)
         frame = DataSet()
         frame.put("PlanePositionSlideSequence", (pos,))
         per_frame.append(frame)

@@ -395,6 +395,19 @@ class TestStoreRetrieve:
                 response = client.store_parts(blobs)
         assert len(response.items_of("ReferencedSOPSequence")) == 2
 
+    def test_oversized_stow_keeps_its_413_when_the_send_breaks(self):
+        # the stub answers and closes before the client has sent 8 MB, so
+        # the send fails; the reply is read all the same
+        with StubArchive(max_body_bytes=4096) as archive:
+            with WebClient(archive.base_url, timeout=10) as client:
+                for _ in range(10):
+                    with pytest.raises(TransportError) as excinfo:
+                        client.store_parts([bytes(8 * 2**20)])
+                    assert excinfo.value.status == 413
+            stats = archive.stats()
+        assert stats["requests"] == {413: 10}
+        assert (stats["bytes_in"], stats["connections"]) == (0, 10)
+
     def test_oversized_stow_leaves_no_body_on_the_connection(self):
         smuggled = b"GET /instances HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
         with StubArchive(max_body_bytes=len(smuggled) - 1) as archive:
@@ -1125,6 +1138,22 @@ class TestKeepAlive:
                 "    gc.collect()\n")
         result = run_python("-X", "dev", "-W", "error::ResourceWarning", "-c", code)
         assert (result.returncode, result.stderr) == (0, "")
+
+    def test_idle_connection_ends_after_the_timeout(self, archive, monkeypatch):
+        monkeypatch.setattr("dicomforge.web.server.IDLE_TIMEOUT_S", 0.2)
+        before = set(threading.enumerate())
+        with WebClient(archive.base_url, timeout=10) as client:
+            assert client.search() == []
+            [handler] = set(threading.enumerate()) - before
+            handler.join(timeout=5)
+            assert not handler.is_alive()  # it timed out waiting, and ended
+            # the next connection keeps the default, however slow the calls
+            monkeypatch.undo()
+            assert client.search() == []
+            client.store_instances([make_ct_source()])
+        stats = archive.stats()
+        assert stats["requests"] == {200: 1, 204: 2}
+        assert (stats["connections"], stats["instances"]) == (2, 1)
 
     def test_stop_ends_kept_alive_connections(self):
         archive = StubArchive().start()
