@@ -771,9 +771,10 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
     Raises MissingContentError for a missing or unknown value type, for a
     sequence the value type requires when absent, and for any value the
     item classes reject (a malformed UID, graphic type, relationship or
-    continuity, a missing numeric value, a child without a relationship,
-    a sequence attribute written with another VR, ...); the message
-    carries the rejected value.
+    continuity, a missing numeric value, points of the wrong count or an
+    open polygon, a unit that is not UCUM-coded, a child without a
+    relationship, a sequence attribute written with another VR, ...); the
+    message carries the rejected value.
     """
     return _item_from_dataset(ds, {})
 
@@ -790,5 +791,5 @@ def _item_from_dataset(ds: DataSet, concepts: dict) -> ContentItem:
         children = tuple(_item_from_dataset(c, concepts)
                          for c in ds.items_of(TAGS.ContentSequence))
         return cls._read(ds, concepts, name, ds.value(TAGS.RelationshipType), children)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, InvalidGraphicError, InvalidUnitError) as exc:
         raise MissingContentError(f"{cls.value_type.value} item rejected: {exc}") from None

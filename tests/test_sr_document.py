@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_ct_series, make_ct_source
 from dicomforge.codec import decode_dataset, encode_dataset
-from dicomforge.coding import DCM, SCT, UCUM, CodedConcept
+from dicomforge.coding import DCM, SCT, UCUM, CodedConcept, concept_to_items
 from dicomforge.dataset import DataSet
 from dicomforge.errors import (
     DicomforgeError,
@@ -55,6 +55,10 @@ def polygon(for_uid, offset=0.0):
         (0, 0, offset),
     ]
     return Scoord3DItem(None, "POLYGON", pts, for_uid)
+
+
+# The flat GraphicData of polygon(for_uid): a closed square of five points.
+SQUARE = [0, 0, 0, 10, 0, 0, 10, 10, 0, 0, 10, 0, 0, 0, 0]
 
 
 def nodule_report(evidence, n_groups=1, finding=None):
@@ -241,6 +245,18 @@ class TestOpen:
         ("CODE", lambda item: item.remove("RelationshipType"), "relationship"),
         ("CODE", lambda item: item.put("ConceptNameCodeSequence", "x", vr="UT"),
          "is UT, not a sequence"),
+        ("SCOORD3D", lambda item: item.put("GraphicData", SQUARE[:-3] + [0, 10, 1]),
+         "SCOORD3D item rejected: 3D POLYGON must be closed"),
+        ("SCOORD3D", lambda item: item.put(
+            "GraphicData", [np.nan, 0, 0] + SQUARE[3:-3] + [np.nan, 0, 0]),
+         "SCOORD3D item rejected: 3D POLYGON must be closed"),
+        ("SCOORD3D", lambda item: item.put("GraphicData", SQUARE[:6] + SQUARE[-3:]),
+         "SCOORD3D item rejected: POLYGON requires at least 4 point"),
+        ("SCOORD3D", lambda item: item.put("GraphicData", SQUARE + [0]),
+         "SCOORD3D item rejected: .*divisible by 3"),
+        ("NUM", lambda item: item.items_of("MeasuredValueSequence")[0].put(
+            "MeasurementUnitsCodeSequence", (concept_to_items(SCT.Lung),)),
+         "NUM item rejected: measurement units must be UCUM-coded"),
         # None: the document root
         (None, lambda root: root.put("CompletionFlag", "MAYBE"), "CompletionFlag 'MAYBE'"),
         (None, lambda root: root.put("VerificationFlag", "MAYBE"),
@@ -250,6 +266,8 @@ class TestOpen:
             "malformed frame of reference uid", "2d graphic type in 3d",
             "unknown relationship", "unknown continuity", "no numeric value",
             "child without relationship", "name sequence with another vr",
+            "open polygon", "nan-ended polygon", "too few points",
+            "coordinate count not a multiple of 3", "non-ucum unit",
             "unknown completion flag", "unknown verification flag",
             "unknown root relationship"])
     def test_malformed_item(self, ct_series, tmp_path, capsys,
