@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_ct_source
+from dicomforge import codec
 from dicomforge.codec import MAX_NESTING, decode_dataset, encode_dataset
 from dicomforge.coding import SCT, UCUM, CodedConcept
 from dicomforge.dataset import DataElement, DataSet
@@ -632,11 +633,9 @@ FUZZ_WORDS = [b"\xff\xff\xff\xff", b"\xfe\xff\x00\xe0", b"\xfe\xff\x0d\xe0",
               b"\xfe\xff\xdd\xe0", b"SQ\x00\x00", b"\x00\x00\x00\x00"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(FUZZ_STREAMS)), st.data())
-def test_mutated_part10_raises_only_dicomforge_errors(name, data):
-    """Truncated, bit-flipped and spliced streams decode or raise a
-    DicomforgeError; never a struct, index, value or recursion error."""
+def mutated_stream(name: str, data) -> bytes:
+    """FUZZ_STREAMS[name] truncated, bit-flipped, spliced with another
+    stream or overwritten with a FUZZ_WORDS word, as `data` draws."""
     stream = bytearray(FUZZ_STREAMS[name])
     position = st.integers(0, len(stream) - 1)
     kind = data.draw(st.sampled_from(["truncate", "flip", "splice", "word"]))
@@ -656,10 +655,41 @@ def test_mutated_part10_raises_only_dicomforge_errors(name, data):
     else:
         at = data.draw(position)
         stream[at:at + 4] = data.draw(st.sampled_from(FUZZ_WORDS))
+    return bytes(stream)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_STREAMS)), st.data())
+def test_mutated_part10_raises_only_dicomforge_errors(name, data):
+    """Truncated, bit-flipped and spliced streams decode or raise a
+    DicomforgeError; never a struct, index, value or recursion error."""
     try:
-        read_part10(bytes(stream))
+        read_part10(mutated_stream(name, data))
     except DicomforgeError:
         pass
+
+
+def _decoded_or_error(stream: bytes):
+    """The (meta, data set) `stream` decodes to, or the error class,
+    message and offset it raises."""
+    try:
+        return read_part10(stream)
+    except DicomforgeError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_STREAMS)), st.data())
+def test_mutated_part10_decodes_alike_with_and_without_the_memo(name, data):
+    """Sharing decoded items and elements changes no outcome: a mutated
+    stream decodes to an equal data set, or fails with the same error,
+    message and offset, when nothing is small enough to enter the memo."""
+    stream = mutated_stream(name, data)
+    shared = _decoded_or_error(stream)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "MEMO_MAX_ITEM", 0)
+        unshared = _decoded_or_error(stream)
+    assert shared == unshared
 
 
 def _decode_outcome(stream: bytes) -> str:

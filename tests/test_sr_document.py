@@ -393,6 +393,48 @@ class TestGeometry:
         assert np.array_equal(region.points[0], region.points[-1])
         assert region.frame_of_reference_uid == ct_series[0].value("FrameOfReferenceUID")
 
+    def test_decoded_fl_points_are_read_only_and_bit_identical(self, ct_series):
+        # single-precision values a reader must keep bit for bit: negative
+        # zero, the smallest subnormal, the largest finite value, 1/3
+        edges = [-0.0, float(np.float32(1e-45)), float(np.finfo(np.float32).max),
+                 1 / 3]
+        source = ct_series[0]
+        written_3d = Scoord3DItem(
+            None, "POLYGON",
+            [edges[:3], (edges[3], 0.0, -0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 2.5),
+             edges[:3]],
+            source.value("FrameOfReferenceUID"))
+        written_2d = ScoordItem(
+            None, "POLYLINE", [edges[:2], edges[2:]],
+            children=[ImageItem(
+                None, source.value("SOPClassUID"), source.value("SOPInstanceUID"),
+                relationship=RelationshipType.SELECTED_FROM,
+            )])
+        groups = [planar_roi_group(TrackingIdentifier.generate(), region, SCT.Nodule)
+                  for region in (written_3d, written_2d)]
+        tree = measurement_report(OBSERVER, SCT.ImagingProcedure, groups)
+        ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, tree)
+        views = open_sr(decode_dataset(encode_dataset(ds))).measurement_groups()
+        [points_3d] = views[0].geometry().polygons
+        points_2d = views[1].geometry().points
+        for read, written in ((points_3d, written_3d), (points_2d, written_2d)):
+            assert read.dtype == np.float64 and read.shape == written.points.shape
+            assert not read.flags.writeable
+            assert read.tobytes() == written.points.tobytes()
+
+    @pytest.mark.parametrize("vr", ["FD", "DS"])
+    def test_foreign_graphic_data_is_quantized_to_float32(self, ct_series, vr):
+        ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series))
+        values = [0.1, 0.2, 0.3, 10.1, 0.2, 0.3, 10.1, 10.2, 0.3, 0.1, 10.2, 0.3,
+                  0.1, 0.2, 0.3]
+        first_item(ds, "SCOORD3D").put(
+            "GraphicData", values if vr == "FD" else [str(v) for v in values], vr=vr)
+        [group] = open_sr(decode_dataset(encode_dataset(ds))).measurement_groups()
+        [points] = group.geometry().polygons
+        expected = np.array(values, dtype=np.float32).astype(np.float64).reshape(-1, 3)
+        assert points.tobytes() == expected.tobytes()
+        assert not points.flags.writeable
+
     def test_segment_reference_geometry(self, ct_series):
         seg_uid = new_uid()
         seg_stub = DataSet()
