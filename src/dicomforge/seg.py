@@ -780,16 +780,24 @@ class Segmentation:
             out.append(d.number)
         return sorted(out)
 
-    def _stored_indices(self, segment: int, source_frames: Sequence) -> list[int | None]:
-        """Index of the frame stored for `segment` on each source frame, None
-        where it was omitted as empty. An undescribed segment or an
-        unreferenced instance raises UnmappedFrameError."""
+    @staticmethod
+    def _frame_keys(source_frames: Sequence) -> list[tuple[str, int]]:
+        """(instance UID, frame number) of each requested source frame."""
+        keys = []
+        for source_frame in source_frames:
+            uid, number = source_frame if isinstance(source_frame, tuple) else (source_frame, 1)
+            keys.append((str(uid), int(number)))
+        return keys
+
+    def _stored_indices(self, segment: int, keys: list[tuple[str, int]]) -> list[int | None]:
+        """Index of the frame stored for `segment` on each source frame of
+        `keys` (see `_frame_keys`), None where it was omitted as empty. An
+        undescribed segment or an unreferenced instance raises
+        UnmappedFrameError."""
         if segment not in self._described:
             raise UnmappedFrameError(f"no segment number {segment}")
         indices = []
-        for source_frame in source_frames:
-            uid, number = source_frame if isinstance(source_frame, tuple) else (source_frame, 1)
-            uid, number = str(uid), int(number)
+        for uid, number in keys:
             index = self._frame_index.get((segment, uid, number))
             if index is None and uid not in self._referenced_instances:
                 raise UnmappedFrameError(
@@ -808,7 +816,7 @@ class Segmentation:
         Binary values are 0/1 (uint8); fractional values are rescaled to
         [0, 1] (float64).
         """
-        indices = self._stored_indices(segment, source_frames)
+        indices = self._stored_indices(segment, self._frame_keys(source_frames))
         out = np.zeros((len(indices), self.rows, self.columns), dtype=np.uint8)
         for i, index in enumerate(indices):
             if index is not None:
@@ -843,9 +851,10 @@ class Segmentation:
         dtype = np.min_scalar_type(max(self._described, default=0))
         # (number, stored index) per requested source frame, ascending
         stored: list[list[tuple[np.integer, int]]] = [[] for _ in source_frames]
+        keys = self._frame_keys(source_frames)
         for number in sorted(set(self._described if segments is None else segments)):
             value = dtype.type(number)  # a plain int past 255 overflows uint8 bits
-            for frame_stored, index in zip(stored, self._stored_indices(number, source_frames)):
+            for frame_stored, index in zip(stored, self._stored_indices(number, keys)):
                 if index is not None:
                     frame_stored.append((value, index))
         out = np.empty((len(source_frames), self.rows, self.columns), dtype)

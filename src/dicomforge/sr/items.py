@@ -9,7 +9,6 @@ copies rather than mutating.
 """
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -158,6 +157,12 @@ class ContentItem:
     value_type: ValueType  # set on subclasses
 
     __slots__ = ("name", "relationship", "children")
+    # every slot of the class and its bases, which a clone copies
+    _fields = __slots__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__base__._fields + cls.__dict__.get("__slots__", ())
 
     def __init__(
         self,
@@ -204,13 +209,20 @@ class ContentItem:
         (see `_concept`)."""
         raise NotImplementedError
 
+    def _clone(self) -> "ContentItem":
+        """A shallow copy: a new item of this class holding the same values."""
+        clone = object.__new__(type(self))
+        for field in self._fields:
+            setattr(clone, field, getattr(self, field))
+        return clone
+
     def with_relationship(self, relationship) -> "ContentItem":
-        clone = copy.copy(self)
+        clone = self._clone()
         clone.relationship = _member(RelationshipType, relationship)
         return clone
 
     def with_children(self, children: Iterable["ContentItem"]) -> "ContentItem":
-        clone = copy.copy(self)
+        clone = self._clone()
         clone.children = tuple(children)
         clone._validate_children()
         return clone

@@ -573,7 +573,7 @@ def int32_label_map(seg, source_frame, segments):
     by segment in ascending order, the highest number written last."""
     out = np.zeros((seg.rows, seg.columns), dtype=np.int32)
     for number in sorted(seg._described if segments is None else segments):
-        [index] = seg._stored_indices(number, (source_frame,))
+        [index] = seg._stored_indices(number, seg._frame_keys((source_frame,)))
         if index is not None:
             np.copyto(out, number, where=seg.stored_frame(index).view(bool))
     return out
