@@ -28,10 +28,20 @@ that fails is never stored, so errors and offsets are unchanged. The keys
 are copies of at most ``MEMO_MAX_ITEM`` bytes, cheaper to make, hash and
 compare than a fresh view of so short an item; the size cap keeps a large
 value nested deep from being copied or hashed once per enclosing item,
-since no item that holds it is keyed. The keys are dropped when the call
+since no item that holds it is keyed. Items of undefined length end where
+their delimiter is found, not at a known offset, and are decoded one by
+one.
+
+The same memo shares nested elements: each non-sequence element of at
+most ``MEMO_MAX_ITEM`` bytes inside an item, keyed by its bytes alone, is
+decoded once, so the relationship, value type and graphic type elements
+repeated through an SR's content items (and the equal elements of items
+that differ elsewhere) are one object each. An element's value depends on
+its bytes and the transfer syntax only, and one that fails is never
+stored. Top-level elements are not keyed: their tags are unique within
+the data set, so none can repeat. The keys are dropped when the call
 returns, and decoded values are copies, so the result holds no reference
-to the input. Items of undefined length end where their delimiter is
-found, not at a known offset, and are decoded one by one.
+to the input.
 
 Encoding appends to one ``bytearray`` and back-patches sequence and item
 lengths once their contents are written; a sequence item object that
@@ -69,10 +79,10 @@ UNDEFINED_LENGTH = 0xFFFFFFFF
 # three stack frames, so 64 levels stay far below the recursion limit.
 MAX_NESTING = 64
 
-# Only items of at most this many bytes enter the decoder's memo. A code
-# item is at most about 150 bytes and an SR CODE content item with two of
-# them about 380, so every repeated item of an SR is shared; a large value
-# nested n items deep is not hashed n times.
+# Only items and nested elements of at most this many bytes enter the
+# decoder's memo. A code item is at most about 150 bytes and an SR CODE
+# content item with two of them about 380, so every repeated item of an SR
+# is shared; a large value nested n items deep is not hashed n times.
 MEMO_MAX_ITEM = 512
 
 _EXPLICIT_HEADER = struct.Struct("<HH2sH")  # tag, VR, 16-bit length
@@ -190,8 +200,13 @@ def _parse_value(vr: VR, data: bytes, pos: int, end: int, offset: int):
 def _read_element(data: bytes, pos: int, implicit: bool, depth: int,
                   memo: dict) -> tuple[DataElement, int]:
     """Read the element at `pos`; returns it and the position after it.
-    `depth` counts the sequences that enclose it; `memo` holds the
-    defined-length items decoded so far in this call (see _read_items)."""
+    `depth` counts the sequences that enclose it; `memo` holds the nested
+    elements and defined-length items decoded so far in this call.
+
+    `memo` maps the bytes of a non-sequence element of at most
+    ``MEMO_MAX_ITEM`` bytes, read at depth 1 or more, to the element built
+    from them; an element met again is that same object. Its value depends
+    on its bytes alone, the transfer syntax being fixed for one memo."""
     start = pos
     if pos + 8 > len(data):
         _short_header(data, pos, implicit)
@@ -199,13 +214,13 @@ def _read_element(data: bytes, pos: int, implicit: bool, depth: int,
         group, number, length = _TAG_AND_U32.unpack_from(data, pos)
     else:
         group, number, vr_code, length = _EXPLICIT_HEADER.unpack_from(data, pos)
-    key = group << 16 | number
-    tag = _TAGS.get(key) or _new_tuple(Tag, (group, number))
+    word = group << 16 | number
+    tag = _TAGS.get(word) or _new_tuple(Tag, (group, number))
     if group == _DELIMITER_GROUP and number in _DELIMITERS:
         raise DecodeError(f"unexpected delimiter {tag} outside a sequence", offset=start)
     pos += 8
     if implicit:
-        vr = _IMPLICIT_VRS.get(key, _UN)
+        vr = _IMPLICIT_VRS.get(word, _UN)
     else:
         vr = _VR_BY_CODE.get(vr_code)
         if vr is None:
@@ -231,12 +246,19 @@ def _read_element(data: bytes, pos: int, implicit: bool, depth: int,
             value, pos = _read_items(data, pos, end, implicit, depth + 1, memo)
             if pos != end:
                 raise DecodeError(f"sequence items overran declared length for {tag}", offset=start)
+        key = None  # a sequence is never stored
     else:
         if length == UNDEFINED_LENGTH:
             raise DecodeError(f"undefined length on non-sequence element {tag}", offset=start)
         end = pos + length
         if end > len(data):
             _truncated(data, pos, (length,))
+        # an element nested in an item may repeat in the data set; one at
+        # the top level cannot, so it is not keyed
+        key = data[start:end] if depth and end - start <= MEMO_MAX_ITEM else None
+        element = memo.get(key)
+        if element is not None:
+            return element, end
         if vr in TEXT_VRS:
             value = _parse_text(vr, data[pos:end], start)
         else:
@@ -248,6 +270,8 @@ def _read_element(data: bytes, pos: int, implicit: bool, depth: int,
     element.tag = tag
     element.vr = vr
     element._value = value
+    if key is not None:
+        memo[key] = element
     return element, pos
 
 

@@ -11,12 +11,15 @@ Built data sets may share item objects: every code-sequence item for one
 :class:`~dicomforge.coding.CodedConcept` is the same data set, which
 :func:`~dicomforge.coding.concept_to_items` caches on the concept; SR items
 share one element object per relationship and value type; and a sequence
-may hold one item object several times. Decoded data sets share items
-too: the decoder returns one data set for every defined-length item with
-the same bytes at the same depth (see :mod:`dicomforge.codec`). Mutating a
-data set that ``concept_to_items`` returned, or an item reachable from a
-built SR or SEG or from a decoded data set, is unsupported: the change
-would show up everywhere the item is shared.
+may hold one item object several times. Decoded data sets share items and
+nested elements too: the decoder returns one data set for every
+defined-length item with the same bytes at the same depth, and one element
+for every short element with the same bytes inside any item (see
+:mod:`dicomforge.codec`). Mutating a data set that ``concept_to_items``
+returned, or an item reachable from a built SR or SEG or from a decoded
+data set, is unsupported: the change would show up everywhere the item is
+shared. (Elements are never changed in place: ``put`` and ``add`` replace
+them.)
 """
 from __future__ import annotations
 

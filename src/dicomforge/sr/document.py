@@ -532,6 +532,15 @@ class MeasurementGroupView:
         raise NoGeometryError("image-level measurement groups carry no region")
 
 
+# Concepts that _project_group and measurement_groups compare items with,
+# bound once rather than looked up per item
+_TRACKING_UID = DCM.TrackingUniqueIdentifier
+_TRACKING_ID = DCM.TrackingIdentifier
+_FINDING = DCM.Finding
+_FINDING_SITE = SCT.FindingSite
+_IMAGING_MEASUREMENTS = DCM.ImagingMeasurements
+
+
 def _project_group(container: ContainerItem) -> MeasurementGroupView:
     tracking_uid = None
     tracking_id = None
@@ -543,14 +552,14 @@ def _project_group(container: ContainerItem) -> MeasurementGroupView:
     scoords = []
     scoord3ds = []
     for item in container.children:
-        if item.value_type is ValueType.UIDREF and item.name == DCM.TrackingUniqueIdentifier:
+        if item.value_type is ValueType.UIDREF and item.name == _TRACKING_UID:
             tracking_uid = item.value
-        elif item.value_type is ValueType.TEXT and item.name == DCM.TrackingIdentifier:
+        elif item.value_type is ValueType.TEXT and item.name == _TRACKING_ID:
             tracking_id = item.value
         elif item.value_type is ValueType.CODE:
-            if item.name == DCM.Finding:
+            if item.name == _FINDING:
                 finding = item.value
-            elif item.name == SCT.FindingSite:
+            elif item.name == _FINDING_SITE:
                 sites.append(item.value)
             else:
                 evaluations.append((item.name, item.value))
@@ -642,7 +651,7 @@ class StructuredReport:
             kind = GroupKind(kind)
         groups = []
         for measurements_container in self.tree.find(
-            name=DCM.ImagingMeasurements, value_type=ValueType.CONTAINER
+            name=_IMAGING_MEASUREMENTS, value_type=ValueType.CONTAINER
         ):
             for child in measurements_container.children:
                 if isinstance(child, ContainerItem):

@@ -10,6 +10,7 @@ copies rather than mutating.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,7 +22,7 @@ from ..derived import sop_reference
 from ..errors import InvalidGraphicError, InvalidUnitError, MissingContentError
 from ..tags import KEYWORD_TO_TAG_VR, TAGS, keyword_of
 from ..uid import is_valid_uid, new_uid
-from ..valuerep import format_ds, is_valid_ds
+from ..valuerep import VR, format_ds, is_valid_ds
 
 
 class ValueType(str, enum.Enum):
@@ -229,9 +230,11 @@ class ContentItem:
 
     def iter(self) -> Iterator["ContentItem"]:
         """Depth-first, document order, self first."""
-        yield self
-        for child in self.children:
-            yield from child.iter()
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            yield item
+            stack.extend(reversed(item.children))
 
     def find(
         self,
@@ -248,11 +251,12 @@ class ContentItem:
         candidates = self.iter() if recursive else iter((self, *self.children))
         out = []
         for item in candidates:
-            if name is not None and (item.name is None or item.name != name):
-                continue
+            # identity tests first: they are cheaper than concept equality
             if value_type is not None and item.value_type is not value_type:
                 continue
             if relationship is not None and item.relationship is not relationship:
+                continue
+            if name is not None and (item.name is None or item.name != name):
                 continue
             out.append(item)
         return out
@@ -532,7 +536,11 @@ class CompositeItem(_ReferenceItem):
 
 
 def _as_float32_points(points, width: int, what: str) -> np.ndarray:
-    array = np.asarray(points, dtype=np.float64)
+    """`points` as a read-only (N, `width`) float64 array of single-precision
+    values. An FL ``GraphicData`` element holds such values already, so its
+    array is built once; any other input is quantized."""
+    exact = isinstance(points, DataElement) and points.vr is VR.FL
+    array = np.asarray(points.raw if exact else points, dtype=np.float64)
     if array.ndim == 1:
         if array.size % width:
             raise InvalidGraphicError(
@@ -541,10 +549,17 @@ def _as_float32_points(points, width: int, what: str) -> np.ndarray:
         array = array.reshape(-1, width)
     if array.ndim != 2 or array.shape[1] != width:
         raise InvalidGraphicError(f"{what}: points must be (N, {width})")
-    # storage is IEEE single precision; quantize now so round trips are exact
-    array = array.astype(np.float32).astype(np.float64)
+    if not exact:
+        # storage is IEEE single precision; quantize now so round trips are exact
+        array = array.astype(np.float32).astype(np.float64)
     array.setflags(write=False)
     return array
+
+
+def _is_closed(points: np.ndarray) -> bool:
+    """True when the first and last points are equal coordinate by
+    coordinate; a NaN equals nothing, so it leaves a polygon open."""
+    return all(map(operator.eq, points[0].tolist(), points[-1].tolist()))
 
 
 _ARITY_2D = {
@@ -590,8 +605,10 @@ class _GraphicItem(ContentItem):
 
     @classmethod
     def _read(cls, ds, concepts, name, relationship, children, **arguments):
-        return cls(name, ds.value(TAGS.GraphicType),
-                   np.asarray(ds.values(TAGS.GraphicData)),
+        points = ds.element(TAGS.GraphicData)
+        if points is None or points.vr is not VR.FL:
+            points = np.asarray(ds.values(TAGS.GraphicData))  # foreign VR
+        return cls(name, ds.value(TAGS.GraphicType), points,
                    relationship=relationship, children=children, **arguments)
 
 
@@ -631,9 +648,7 @@ class Scoord3DItem(_GraphicItem):
         self.graphic_type = _member(GraphicType3D, graphic_type)
         self.points = _as_float32_points(points, 3, self.graphic_type.value)
         _check_arity(self.graphic_type, len(self.points), _ARITY_3D)
-        if self.graphic_type is GraphicType3D.POLYGON and not np.array_equal(
-            self.points[0], self.points[-1]
-        ):
+        if self.graphic_type is GraphicType3D.POLYGON and not _is_closed(self.points):
             raise InvalidGraphicError("3D POLYGON must be closed (first point == last)")
         if not is_valid_uid(frame_of_reference_uid):
             raise ValueError("SCOORD3D needs a well-formed frame-of-reference UID, "

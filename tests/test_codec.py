@@ -476,6 +476,31 @@ class TestSharedDecode:
         assert all(len(ids) == 1 for ids in ids_by_bytes.values())
         assert len(code_items) > 10 * len(ids_by_bytes)
 
+    def test_equal_nested_elements_decode_to_one_object(self):
+        ds = decode_dataset(encode_dataset(golden_sr()))
+        nested = [e for item in item_occurrences(ds) for e in item if e.vr is not VR.SQ]
+        ids_by_bytes = {}
+        for element in nested:
+            ids_by_bytes.setdefault(encode_dataset(DataSet([element])), set()).add(id(element))
+        assert all(len(ids) == 1 for ids in ids_by_bytes.values())
+        assert len({id(e) for e in nested}) == len(ids_by_bytes)
+        assert len(nested) > 4 * len(ids_by_bytes)
+
+    def test_top_level_elements_are_never_shared(self):
+        # PatientID at the top level, and in items of a sequence that sorts
+        # before it and of one that sorts after it; the items differ
+        def item(number):
+            return DataSet.of(PatientID="ID1", InstanceNumber=number)
+
+        root = DataSet.of(PatientID="ID1")
+        root.put("ReferencedSeriesSequence", (item(1), item(2)))
+        root.put("ContentSequence", (item(3),))
+        ds = decode_dataset(encode_dataset(root))
+        nested = [i.element("PatientID") for i in item_occurrences(ds)]
+        assert len(nested) == 3 and len({id(e) for e in nested}) == 1
+        assert ds.element("PatientID") == nested[0]
+        assert ds.element("PatientID") is not nested[0]
+
     def test_open_sr_builds_one_concept_per_code_item(self):
         doc = open_sr(decode_dataset(encode_dataset(golden_sr())))
         ids_by_code = {}
