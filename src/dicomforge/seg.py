@@ -780,32 +780,32 @@ class Segmentation:
             out.append(d.number)
         return sorted(out)
 
-    @staticmethod
-    def _frame_keys(source_frames: Sequence) -> list[tuple[str, int]]:
-        """(instance UID, frame number) of each requested source frame."""
+    def _stored_indices(self, segments: Sequence[int],
+                        source_frames: Sequence) -> list[list[int | None]]:
+        """For each of `segments`, the index of the frame stored for it on
+        each source frame, None where it was omitted as empty. Each source
+        frame key is parsed once. An undescribed segment raises
+        UnmappedFrameError, and then so does an unreferenced instance."""
+        for segment in segments:
+            if segment not in self._described:
+                raise UnmappedFrameError(f"no segment number {segment}")
         keys = []
         for source_frame in source_frames:
             uid, number = source_frame if isinstance(source_frame, tuple) else (source_frame, 1)
             keys.append((str(uid), int(number)))
-        return keys
-
-    def _stored_indices(self, segment: int, keys: list[tuple[str, int]]) -> list[int | None]:
-        """Index of the frame stored for `segment` on each source frame of
-        `keys` (see `_frame_keys`), None where it was omitted as empty. An
-        undescribed segment or an unreferenced instance raises
-        UnmappedFrameError."""
-        if segment not in self._described:
-            raise UnmappedFrameError(f"no segment number {segment}")
-        indices = []
-        for uid, number in keys:
-            index = self._frame_index.get((segment, uid, number))
-            if index is None and uid not in self._referenced_instances:
-                raise UnmappedFrameError(
-                    f"source frame ({uid}, {number}) is not referenced by "
-                    "this segmentation"
-                )
-            indices.append(index)
-        return indices
+        out = []
+        for segment in segments:
+            indices = []
+            for uid, number in keys:
+                index = self._frame_index.get((segment, uid, number))
+                if index is None and uid not in self._referenced_instances:
+                    raise UnmappedFrameError(
+                        f"source frame ({uid}, {number}) is not referenced by "
+                        "this segmentation"
+                    )
+                indices.append(index)
+            out.append(indices)
+        return out
 
     def segment_pixels(self, segment: int, source_frames: Sequence) -> np.ndarray:
         """Masks of one segment aligned to the requested source frames.
@@ -816,7 +816,7 @@ class Segmentation:
         Binary values are 0/1 (uint8); fractional values are rescaled to
         [0, 1] (float64).
         """
-        indices = self._stored_indices(segment, self._frame_keys(source_frames))
+        [indices] = self._stored_indices((segment,), source_frames)
         out = np.zeros((len(indices), self.rows, self.columns), dtype=np.uint8)
         for i, index in enumerate(indices):
             if index is not None:
@@ -851,10 +851,10 @@ class Segmentation:
         dtype = np.min_scalar_type(max(self._described, default=0))
         # (number, stored index) per requested source frame, ascending
         stored: list[list[tuple[np.integer, int]]] = [[] for _ in source_frames]
-        keys = self._frame_keys(source_frames)
-        for number in sorted(set(self._described if segments is None else segments)):
+        numbers = sorted(set(self._described if segments is None else segments))
+        for number, indices in zip(numbers, self._stored_indices(numbers, source_frames)):
             value = dtype.type(number)  # a plain int past 255 overflows uint8 bits
-            for frame_stored, index in zip(stored, self._stored_indices(number, keys)):
+            for frame_stored, index in zip(stored, indices):
                 if index is not None:
                     frame_stored.append((value, index))
         out = np.empty((len(source_frames), self.rows, self.columns), dtype)

@@ -551,6 +551,9 @@ class TestLabelMap:
                      lambda: binary.label_map("1.2.3.4.5")):
             with pytest.raises(UnmappedFrameError):
                 read()
+        # with both faults, the undescribed segment is named first
+        with pytest.raises(UnmappedFrameError, match="no segment number 2"):
+            binary.label_map("1.2.3.4.5", segments=[1, 2])
         fractional = open_seg(create_seg(ct_series, [np.full((3, 16, 16), 0.5)],
                                          [description(1)], SegmentationType.fractional()))
         with pytest.raises(TypeError, match="threshold"):
@@ -573,7 +576,7 @@ def int32_label_map(seg, source_frame, segments):
     by segment in ascending order, the highest number written last."""
     out = np.zeros((seg.rows, seg.columns), dtype=np.int32)
     for number in sorted(seg._described if segments is None else segments):
-        [index] = seg._stored_indices(number, seg._frame_keys((source_frame,)))
+        [[index]] = seg._stored_indices((number,), (source_frame,))
         if index is not None:
             np.copyto(out, number, where=seg.stored_frame(index).view(bool))
     return out
