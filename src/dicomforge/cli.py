@@ -5,9 +5,12 @@ prints the outcome: `mk-sr` reads the annotation spec with
 :func:`dicomforge.sr.report_from_spec` or boxes a SEG's regions with
 :func:`dicomforge.sr.report_from_segmentation`.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error,
-4 network error. Failures print one machine-parsable line to stderr:
-``ERROR <category>: <detail>``.
+Exit codes: 0 success, 1 validation failure (any other DicomforgeError: a
+bad file, spec or geometry value), 2 usage error (argparse or a
+UsageError), 3 I/O error (OSError), 4 network error (TransportError,
+ProtocolError: a malformed reply, ServerStartupError). Failures print one
+machine-parsable line to stderr: ``ERROR <category>: <detail>``. Any other
+exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .errors import (
     ProtocolError,
     ServerStartupError,
     TransportError,
+    UsageError,
 )
 from .part10 import read_part10_file, write_part10_file
 from .pgm import read_pgm, write_pgm
@@ -45,6 +49,14 @@ from .web.client import _failed_uids
 from .web.jsonmodel import dataset_to_json
 
 TOKEN_ENV_VAR = "DICOMFORGE_TOKEN"
+# The stderr category and exit code of each error class, the first match
+# winning; any other exception is a bug and propagates.
+EXIT_CODES = (
+    (UsageError, "usage", 2),
+    ((TransportError, ProtocolError, ServerStartupError), "network", 4),
+    (DicomforgeError, "validation", 1),
+    (OSError, "io", 3),
+)
 SR_KINDS = {"comprehensive": SRKind.COMPREHENSIVE, "comprehensive3d": SRKind.COMPREHENSIVE_3D}
 
 
@@ -93,11 +105,9 @@ def cmd_dump_sr(args) -> int:
 def cmd_mk_seg(args) -> int:
     sources = [read_part10_file(path)[1] for path in args.source]
     masks = [read_pgm(path) for path in args.mask]
-    if len(masks) != len(sources):
-        raise DicomforgeError(
-            f"{len(masks)} mask(s) for {len(sources)} source frame(s); "
-            "pass one --mask per source"
-        )
+    if len(masks) != len(sources) or len({mask.shape for mask in masks}) > 1:
+        raise DicomforgeError(f"{len(masks)} mask(s) for {len(sources)} source frame(s); "
+                              "pass one --mask per source, all of one size")
     stack = np.stack(masks)
     if args.fractional:
         seg_type = SegmentationType.fractional(
@@ -128,15 +138,14 @@ def cmd_mk_seg(args) -> int:
 def cmd_parse_seg(args) -> int:
     _, ds = read_part10_file(args.file)
     seg = open_seg(ds)
+    if not seg.seg_type.is_binary:
+        raise DicomforgeError("label maps need a BINARY segmentation, not a FRACTIONAL one")
     keys = seg.source_frame_keys()
     if not 1 <= args.frame <= len(keys):
         raise DicomforgeError(
             f"frame {args.frame} out of range 1..{len(keys)}"
         )
-    segments = None
-    if args.segments:
-        segments = [int(s) for s in args.segments.split(",")]
-    label_map = seg.label_map(keys[args.frame - 1], segments=segments)
+    label_map = seg.label_map(keys[args.frame - 1], segments=args.segments)
     if label_map.dtype != np.uint8:
         raise DicomforgeError(
             "segmentation describes segment numbers above 255; PGM cannot hold them")
@@ -149,13 +158,11 @@ def cmd_parse_seg(args) -> int:
 
 
 def cmd_mk_sr(args) -> int:
-    if bool(args.spec) == bool(args.from_seg):
-        raise DicomforgeError("exactly one of --spec and --from-seg is required")
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 spec = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSON or UTF-8
             raise DicomforgeError(f"annotation spec is not valid JSON: {exc}")
         ds = report_from_spec(spec, SR_KINDS[args.kind])
     else:
@@ -171,37 +178,31 @@ def cmd_mk_sr(args) -> int:
 
 def _geometry_from_file(path) -> PlaneGeometry:
     values: dict[str, list[float]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    # undecodable bytes become U+FFFD, which no key or number holds
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line in handle:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise DicomforgeError(f"bad geometry line {line!r}; use key=v1,v2,...")
             key, _, value = line.partition("=")
-            values[key.strip()] = [float(v) for v in value.split(",")]
-    try:
-        return PlaneGeometry(
-            position=tuple(values["position"]),
-            orientation=tuple(values["orientation"]),
-            spacing=tuple(values["spacing"]),
-        )
-    except KeyError as exc:
-        raise DicomforgeError(f"geometry file is missing {exc.args[0]!r}")
+            try:
+                values[key.strip()] = [float(v) for v in value.split(",")]
+            except ValueError:  # no "=", or a value that is not a number
+                raise DicomforgeError(
+                    f"bad geometry line {line!r}; use key=v1,v2,... (numbers)") from None
+    # a missing key reads as no values, which PlaneGeometry rejects
+    return PlaneGeometry(values.get("position", ()), values.get("orientation", ()),
+                         values.get("spacing", ()))
 
 
 def cmd_coords(args) -> int:
     geometry = _geometry_from_file(args.geometry)
     mapper = mapper_from_geometry(geometry)
-    if bool(args.to_ref) == bool(args.to_pixel):
-        raise DicomforgeError("exactly one of --to-ref and --to-pixel is required")
     if args.to_ref:
-        column, row = (float(v) for v in args.to_ref.split(","))
-        x, y, z = mapper.pixel_to_reference((column, row))
+        x, y, z = mapper.pixel_to_reference(args.to_ref)
         print(f"{x:.9g},{y:.9g},{z:.9g}")
     else:
-        x, y, z = (float(v) for v in args.to_pixel.split(","))
-        column, row = mapper.reference_to_pixel((x, y, z), tolerance=args.tolerance)
+        column, row = mapper.reference_to_pixel(args.to_pixel, tolerance=args.tolerance)
         print(f"{column:.9g},{row:.9g}")
     return 0
 
@@ -268,6 +269,13 @@ def cmd_serve(args) -> int:
 # -- plumbing ------------------------------------------------------------------
 
 
+def _comma_separated(convert):
+    """An argparse type: comma-separated values, each read by `convert`."""
+    def numbers(text):  # argparse names it: "invalid numbers value"
+        return [convert(v) for v in text.split(",")]
+    return numbers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicomforge",
@@ -305,13 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--frame", type=int, required=True,
                    help="1-based source frame index")
-    p.add_argument("--segments", help="comma-separated subset of segment numbers")
+    p.add_argument("--segments", type=_comma_separated(int),
+                   help="comma-separated subset of segment numbers")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_parse_seg)
 
     p = sub.add_parser("mk-sr", help="build an SR from a JSON spec or a SEG")
-    p.add_argument("--spec", help="annotation spec (JSON)")
-    p.add_argument("--from-seg", help="derive bounding-box SR from a SEG file")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--spec", help="annotation spec (JSON)")
+    group.add_argument("--from-seg", help="derive bounding-box SR from a SEG file")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="probability threshold for fractional SEGs")
     p.add_argument("--kind", choices=SR_KINDS, default="comprehensive3d")
@@ -321,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coords", help="convert pixel <-> reference coordinates")
     p.add_argument("--geometry", required=True,
                    help="text file: position=..., orientation=..., spacing=...")
-    p.add_argument("--to-ref", metavar="COL,ROW")
-    p.add_argument("--to-pixel", metavar="X,Y,Z")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--to-ref", metavar="COL,ROW", type=_comma_separated(float))
+    group.add_argument("--to-pixel", metavar="X,Y,Z", type=_comma_separated(float))
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE_MM)
     p.set_defaults(func=cmd_coords)
 
@@ -370,18 +381,11 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (TransportError, ProtocolError, ServerStartupError) as exc:
-        print(f"ERROR network: {exc}", file=sys.stderr)
-        return 4
-    except DicomforgeError as exc:
-        print(f"ERROR validation: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"ERROR io: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"ERROR usage: {exc}", file=sys.stderr)
-        return 2
+    except (DicomforgeError, OSError) as exc:
+        category, code = next((category, code) for classes, category, code in EXIT_CODES
+                              if isinstance(exc, classes))
+        print(f"ERROR {category}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from .errors import NotASequenceError
+from .errors import NotASequenceError, UsageError
 from .tags import KEYWORD_TO_TAG_VR, Tag, TagKey, keyword_of, resolve_key, vr_of
 from .valuerep import (
     BYTES_VRS,
@@ -49,7 +49,8 @@ def _as_tuple(value: Any) -> tuple:
 
 
 # Normalizers: each coerces `value` into the canonical in-memory shape for
-# its VR, raising TypeError/ValueError naming `tag` when it cannot.
+# its VR, raising TypeError (a value of the wrong type) or UsageError (a
+# value the VR forbids) naming `tag` when it cannot.
 
 
 def _sequence(tag: Tag, vr: VR, value: Any) -> tuple:
@@ -85,7 +86,7 @@ def _decimals(tag: Tag, vr: VR, value: Any) -> tuple:
         if isinstance(v, str):
             v = v.strip()
             if not is_valid_ds(v):
-                raise ValueError(f"{tag}: {v!r} is not a valid decimal string")
+                raise UsageError(f"{tag}: {v!r} is not a valid decimal string")
             parts.append(v)
         else:
             parts.append(format_ds(v))
@@ -98,7 +99,7 @@ def _multi_text(tag: Tag, vr: VR, value: Any) -> tuple:
         if not isinstance(v, str):
             raise TypeError(f"{tag}: VR {vr} requires str values")
         if "\\" in v:
-            raise ValueError(f"{tag}: backslash not allowed inside a {vr} value")
+            raise UsageError(f"{tag}: backslash not allowed inside a {vr} value")
     if out == ("",):
         return ()
     return out

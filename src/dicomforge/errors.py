@@ -2,12 +2,20 @@
 
 Every error raised by dicomforge derives from :class:`DicomforgeError` so
 callers can catch broadly; the CLI maps subclasses onto exit-code
-categories (validation / usage / io / network).
+categories: UsageError is a usage error, the network errors (TransportError,
+ProtocolError, ServerStartupError) are network errors, and any other
+DicomforgeError is a validation failure.
 """
 
 
 class DicomforgeError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class UsageError(DicomforgeError, ValueError):
+    """An argument outside what the call accepts (a threshold outside
+    [0, 1], an unknown search level, ...). Also a ValueError, which callers
+    that check arguments already catch; the CLI exits 2 on it."""
 
 
 # --- dataset / codec ---

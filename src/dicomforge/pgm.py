@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 
+from .errors import DicomforgeError
+
 
 def pgm_bytes(array: np.ndarray) -> bytes:
     """Serialize a 2D uint8 array with the canonical 'P5\\n{w} {h}\\n255\\n' header."""
@@ -19,9 +21,10 @@ def pgm_bytes(array: np.ndarray) -> bytes:
 
 
 def pgm_from_bytes(data: bytes) -> np.ndarray:
-    """Parse P5 bytes (comments and loose whitespace tolerated)."""
+    """Parse P5 bytes (comments and loose whitespace tolerated); a stream
+    that is not such a graymap raises DicomforgeError."""
     if not data.startswith(b"P5"):
-        raise ValueError("not a P5 portable graymap")
+        raise DicomforgeError("not a P5 portable graymap")
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -33,13 +36,15 @@ def pgm_from_bytes(data: bytes) -> np.ndarray:
             continue
         match = re.match(rb"[0-9]+", data[pos:])
         if not match:
-            raise ValueError("malformed PGM header")
+            raise DicomforgeError("malformed PGM header")
         fields.append(int(match.group(0)))
         pos += match.end()
     cols, rows, maxval = fields
     if maxval > 255:
-        raise ValueError("only 8-bit PGM is supported")
+        raise DicomforgeError("only 8-bit PGM is supported")
     pos += 1  # single whitespace byte after maxval
+    if len(data) - pos < rows * cols:
+        raise DicomforgeError(f"PGM pixel data is shorter than {cols} x {rows}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=rows * cols, offset=pos)
     return pixels.reshape(rows, cols).copy()
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
+
 
 @dataclass(frozen=True)
 class LabeledComponents:
@@ -97,9 +99,9 @@ class BoundingBox:
 
 
 def check_threshold(t: float) -> None:
-    """Raise ValueError unless `t` lies in [0, 1] (NaN does not)."""
+    """Raise UsageError unless `t` lies in [0, 1] (NaN does not)."""
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {t}")
+        raise UsageError(f"threshold must be within [0, 1], got {t}")
 
 
 def threshold(probabilities: np.ndarray, t: float) -> np.ndarray:

@@ -61,6 +61,7 @@ from .errors import (
     MaskValueError,
     SegmentNumberingError,
     UnmappedFrameError,
+    UsageError,
     WrongSopClassError,
 )
 from .spatial import PlaneGeometry
@@ -84,14 +85,14 @@ class SegmentationType:
 
     def __post_init__(self):
         if self.kind not in ("BINARY", "FRACTIONAL"):
-            raise ValueError("segmentation type is BINARY or FRACTIONAL")
+            raise UsageError("segmentation type is BINARY or FRACTIONAL")
         if self.kind == "FRACTIONAL":
             if self.fractional_kind is None:
-                raise ValueError("fractional segmentations need a fractional kind")
+                raise UsageError("fractional segmentations need a fractional kind")
             if not 1 <= (self.max_fractional_value or 0) <= 255:
-                raise ValueError("max fractional value must be within 1..255")
+                raise UsageError("max fractional value must be within 1..255")
         elif self.fractional_kind is not None or self.max_fractional_value is not None:
-            raise ValueError("BINARY segmentations carry no fractional fields")
+            raise UsageError("BINARY segmentations carry no fractional fields")
 
     @classmethod
     def binary(cls) -> "SegmentationType":

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GeometryError, OffPlaneError
+from .errors import GeometryError, OffPlaneError, UsageError
 
 DEFAULT_TOLERANCE_MM = 1e-3
 _ORTHONORMALITY_TOL = 1e-6
@@ -80,7 +80,7 @@ class AffineMapper:
         array) to (x, y, z) mm."""
         points = np.atleast_2d(np.asarray(pixel, dtype=float))
         if points.shape[-1] != 2:
-            raise ValueError("pixel coordinates must be (column, row) pairs")
+            raise UsageError("pixel coordinates must be (column, row) pairs")
         out = points @ self.matrix[:, :2].T + self.matrix[:, 3]
         return out[0] if np.ndim(pixel) == 1 else out
 
@@ -95,7 +95,7 @@ class AffineMapper:
         """
         points = np.atleast_2d(np.asarray(point, dtype=float))
         if points.shape[-1] != 3:
-            raise ValueError("reference coordinates must be (x, y, z) triplets")
+            raise UsageError("reference coordinates must be (x, y, z) triplets")
         delta = points - self.matrix[:, 3]
         col_axis = self.matrix[:, 0]
         row_axis = self.matrix[:, 1]

@@ -12,6 +12,7 @@ references, the parsed tree, and measurement-group views with filtering.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -35,13 +36,14 @@ from ..errors import (
     MissingContentError,
     NoGeometryError,
     TemplateViolationError,
+    UnknownCodeError,
     ValueTypeForbiddenError,
     WrongSopClassError,
 )
 from ..part10 import read_part10_file
 from ..spatial import mapper_from_geometry
-from ..uid import COMPREHENSIVE_3D_SR_STORAGE, COMPREHENSIVE_SR_STORAGE
-from ..valuerep import format_ds, is_valid_ds
+from ..uid import COMPREHENSIVE_3D_SR_STORAGE, COMPREHENSIVE_SR_STORAGE, is_valid_uid, new_uid
+from ..valuerep import float32_round_trip, format_ds, is_valid_ds
 from .items import (
     CodeItem,
     ContainerItem,
@@ -229,7 +231,7 @@ def report_from_segmentation(segmentation: Segmentation, threshold: float = 0.5)
     property type and anatomic site, with a generated tracking identifier,
     by a ``dicomforge-from-seg`` device observer; the SEG is the evidence.
 
-    Raises ValueError for a threshold outside [0, 1], and DicomforgeError
+    Raises UsageError for a threshold outside [0, 1], and DicomforgeError
     for a SEG without a frame of reference or when no region is found.
     """
     roi.check_threshold(threshold)
@@ -271,177 +273,174 @@ def report_from_spec(spec: dict, kind: SRKind = SRKind.COMPREHENSIVE_3D) -> Data
     document with an observer, an optional procedure, the Part 10 evidence
     files (read here), and one measurement group per entry of ``groups``.
 
-    Codes are ``SCHEME:VALUE[:MEANING]`` strings, read by
-    :func:`~dicomforge.coding.parse_code`. A 3D region without a frame of
-    reference takes the first evidence instance's. A spec object, list,
-    path or code of the wrong JSON type raises DicomforgeError naming its
-    key, as do an unknown observer, group or region type and a missing
-    required key (named with its object).
+    The whole spec is checked against the table `_SPEC` first, and a value
+    that does not fit raises DicomforgeError naming its path from the spec
+    root, e.g. ``groups[0].measurements[0].unit must be a non-empty string
+    without backslashes, got None``. Codes are ``SCHEME:VALUE[:MEANING]``
+    strings, read by :func:`~dicomforge.coding.parse_code`. A 3D region
+    without a frame of reference takes the first evidence instance's.
     """
-    observer, _, _ = _required(_spec_value(spec, "annotation spec", dict),
-                               "annotation spec", "observer", "evidence", "groups")
-    evidence = [read_part10_file(path)[1] for path in _entries(spec, "evidence", str)]
-    frame_uid = evidence[0].value("FrameOfReferenceUID") if evidence else None
-    observer = _observer_from_spec(observer)
-    procedure = (
-        _code(spec["procedure"], "procedure") if "procedure" in spec
-        else SCT.ImagingProcedure
-    )
-    groups = [_group_from_spec(g, frame_uid) for g in _entries(spec, "groups", dict)]
-    return create_sr(kind, evidence, measurement_report(observer, procedure, groups))
+    spec = _walk(spec, _SPEC, "")
+    evidence = [read_part10_file(path)[1] for path in spec["evidence"]]
+    frame_uid = str(evidence[0].value("FrameOfReferenceUID", "")) if evidence else ""
+    observer = spec["observer"]
+    if observer.pop("type", "device") == "person":
+        observer = ObserverContext.person(observer["name"])
+    else:  # the keys left are the arguments of device()
+        observer = ObserverContext.device(**observer)
+    groups = [_group(group, f"groups[{i}]", frame_uid) for i, group in enumerate(spec["groups"])]
+    return create_sr(kind, evidence, measurement_report(
+        observer, spec.get("procedure", SCT.ImagingProcedure), groups))
 
 
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+def _group(spec: dict, path: str, frame_uid: str) -> ContainerItem:
+    """The measurement group of the checked spec group at `path`."""
+    tracking = TrackingIdentifier(spec.get("tracking_uid") or new_uid(), spec.get("tracking_id"))
+    finding, sites = spec["finding"], spec.get("finding_sites", [])
+    measurements = [NumItem(m["code"], m["value"], m["unit"])
+                    for m in spec.get("measurements", [])]
+    evaluations = [CodeItem(e["code"], e["value"]) for e in spec.get("evaluations", [])]
+    if spec["kind"] == "image":
+        return measurement_group(tracking, finding, measurements, evaluations)
+    if spec["kind"] == "planar":
+        region = _region(spec["region"], f"{path}.region", frame_uid)
+        return planar_roi_group(tracking, region, finding, sites, measurements, evaluations)
+    regions = [_region(r, f"{path}.region", frame_uid) for r in spec["region"]]
+    return volumetric_roi_group(tracking, regions, finding, sites, measurements, evaluations)
 
 
-def _spec_value(value, key: str, kind: type):
-    """`value`, read from `key` of an annotation spec, if it is a `kind`
-    (dict for an object, list, or str for a path or code); DicomforgeError
-    otherwise."""
-    if not isinstance(value, kind):
-        raise DicomforgeError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+def _region(spec: dict, path: str, frame_uid: str):
+    """The region of the checked spec region at `path`; its type names the
+    graphic type, then the dimension (``polygon3d``)."""
+    graphic = spec["type"][:-2].upper()
+    if spec["type"] == "segment":
+        return SegmentReference(spec["sop_instance_uid"], spec["segment_number"])
+    if spec["type"].endswith("3d"):
+        frame_uid = spec.get("frame_of_reference", frame_uid)
+        if not is_valid_uid(frame_uid):
+            raise DicomforgeError(f"{path} needs a frame_of_reference (none found in evidence)")
+        return Scoord3DItem(None, graphic, spec["points"], frame_uid)
+    # the keys of an image are ImageItem arguments
+    source = ImageItem(None, **spec["image"], relationship=RelationshipType.SELECTED_FROM)
+    return ScoordItem(None, graphic, spec["points"], children=[source])
+
+
+# -- the annotation spec table ------------------------------------------------
+#
+# A kind in the table is one of:
+#   * {key: kind}: an object. Its listed keys are read, and other keys are
+#     ignored. A key ending in "?" is optional: absent, null or "" it is
+#     left out of the result.
+#   * [kind]: a list of that kind.
+#   * _OneOrList(kind): one value of that kind, or a list of them; read as a
+#     list.
+#   * _Choice(key, {value: table}): an object read by the table that the
+#     value of its required `key` selects.
+#   * _Reader(what, read): a value that `read` returns as read; `read`
+#     raises ValueError, TypeError, ArithmeticError or DicomforgeError for a
+#     value that is not `what`.
+_Reader = namedtuple("_Reader", "what read")
+_OneOrList = namedtuple("_OneOrList", "kind")
+_Choice = namedtuple("_Choice", "key tables")
+
+
+def _walk(value, kind, path: str):
+    """`value` read as `kind`; a failure names `path`, the value's place in
+    the spec."""
+    name = path or "annotation spec"
+    if isinstance(kind, _Reader):
+        try:
+            return kind.read(value)
+        except (ArithmeticError, TypeError, ValueError, DicomforgeError):
+            raise DicomforgeError(f"{name} must be {kind.what}, got {value!r}") from None
+    if isinstance(kind, _OneOrList):
+        if not isinstance(value, list):
+            return [_walk(value, kind.kind, path)]
+        kind = [kind.kind]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise DicomforgeError(f"{name} must be a list, got {value!r}")
+        return [_walk(entry, kind[0], f"{path}[{i}]") for i, entry in enumerate(value)]
+    if not isinstance(value, dict):
+        raise DicomforgeError(f"{name} must be an object, got {value!r}")
+    out = {}
+    if isinstance(kind, _Choice):
+        choice = out[kind.key] = value.get(kind.key)
+        if kind.key in value and (not isinstance(choice, str) or choice not in kind.tables):
+            raise DicomforgeError(f"{path}.{kind.key} must be one of "
+                                  f"{', '.join(kind.tables)}, got {choice!r}")
+        # the selecting key is required, and read above: its entry is None
+        kind = {kind.key: None, **kind.tables.get(choice, {})}
+    for key, entry in kind.items():
+        key, optional = key.rstrip("?"), key.endswith("?")
+        if key not in value or (optional and value[key] in (None, "")):
+            if not optional:
+                raise DicomforgeError(f"{name} is missing required key {key!r}")
+        elif entry is not None:
+            out[key] = _walk(value[key], entry, f"{path}.{key}" if path else key)
+    return out
+
+
+def _valid(ok: bool, value):
+    """`value` when `ok`, else ValueError."""
+    if not ok:
+        raise ValueError(value)
     return value
 
 
-def _entries(spec: dict, key: str, kind: type) -> list:
-    """The list under `key` of a spec object (empty when absent), each entry
-    checked to be a `kind`."""
-    entries = _spec_value(spec.get(key, []), key, list)
-    return [_spec_value(entry, f"{key}[{i}]", kind) for i, entry in enumerate(entries)]
-
-
-def _required(obj: dict, name: str, *keys: str) -> tuple:
-    """The values of `keys` in the spec object `obj`; DicomforgeError naming
-    the first missing key and the object (`name`)."""
-    for key in keys:
-        if key not in obj:
-            raise DicomforgeError(f"{name} is missing required key {key!r}")
-    return tuple(obj[key] for key in keys)
-
-
-def _fields(spec: dict, key: str, *fields: str) -> list[tuple]:
-    """The values of `fields` in each object of the list under `key`."""
-    return [_required(entry, f"{key}[{i}]", *fields)
-            for i, entry in enumerate(_entries(spec, key, dict))]
-
-
-def _points(region: dict) -> list:
-    """The `points` of a spec region: a list of lists of numbers."""
-    (points,) = _required(region, "region", "points")
-    for i, point in enumerate(_spec_value(points, "points", list)):
-        for value in _spec_value(point, f"points[{i}]", list):
-            if not isinstance(value, (int, float)):
-                raise DicomforgeError(f"points[{i}] must hold numbers, got {point!r}")
-    return points
-
-
-def _decimal(value, key: str) -> str:
-    """A measurement value as the decimal string NumItem writes: a string
-    kept as written when it is one, a JSON number formatted to fit."""
-    if isinstance(value, str) and is_valid_ds(value):
-        return value
+def _unit(value) -> CodedConcept:
+    """A UCUM unit; text outside the registry is a code meaning itself."""
     try:
-        return format_ds(value)
-    except (TypeError, ValueError):
-        raise DicomforgeError(
-            f"{key} must be a number or a decimal string, got {value!r}") from None
+        return UCUM.get(_TEXT.read(value))
+    except UnknownCodeError:
+        return CodedConcept(value, "UCUM", value)
 
 
-def _code(value, key: str) -> CodedConcept:
-    return parse_code(_spec_value(value, key, str))
+def _point(width: int) -> _Reader:
+    """`width` numbers, quantized to single precision as the SCOORD items
+    store them (OverflowError past its range)."""
+    return _Reader(f"{width} single-precision numbers", lambda v: float32_round_trip(tuple(
+        _valid(len(v) == width and all(isinstance(x, (int, float)) for x in v), v))))
 
 
-def _parse_unit(value) -> CodedConcept:
-    text = _spec_value(value, "unit", str)
-    try:
-        return UCUM.get(text)
-    except DicomforgeError:
-        return CodedConcept(text, "UCUM", text)
-
-
-def _observer_from_spec(spec) -> ObserverContext:
-    kind = _spec_value(spec, "observer", dict).get("type", "device")
-    if kind not in ("person", "device"):
-        raise DicomforgeError(f"observer.type must be person or device, got {kind!r}")
-    if "name" not in spec:
-        raise DicomforgeError(f"observer.name is required for a {kind} observer")
-    if kind == "person":
-        return ObserverContext.person(spec["name"])
-    return ObserverContext.device(
-        name=spec["name"], uid=spec.get("uid"),
-        manufacturer=spec.get("manufacturer"), version=spec.get("version"),
-    )
-
-
-_REGION_3D_TYPES = {"point3d": "POINT", "polyline3d": "POLYLINE",
-                    "polygon3d": "POLYGON", "multipoint3d": "MULTIPOINT"}
-_REGION_2D_TYPES = {"point2d": "POINT", "polyline2d": "POLYLINE",
-                    "circle2d": "CIRCLE", "ellipse2d": "ELLIPSE",
-                    "multipoint2d": "MULTIPOINT"}
-
-
-def _region_from_spec(region, frame_uid: str | None):
-    rtype = _spec_value(region, "region", dict).get("type")
-    if rtype == "segment":
-        uid, number = _required(region, "region", "sop_instance_uid", "segment_number")
-        if isinstance(number, bool) or not str(number).isdigit() or int(number) < 1:
-            raise DicomforgeError(
-                f"region.segment_number must be a positive integer, got {number!r}")
-        return SegmentReference(sop_instance_uid=uid, segment_number=int(number))
-    if rtype in _REGION_3D_TYPES:
-        frame_uid = region.get("frame_of_reference") or frame_uid
-        if not frame_uid:
-            raise DicomforgeError(
-                "region needs a frame_of_reference (none found in evidence)"
-            )
-        return Scoord3DItem(None, _REGION_3D_TYPES[rtype], _points(region), frame_uid)
-    if rtype in _REGION_2D_TYPES:
-        image = region.get("image")
-        if not image:
-            raise DicomforgeError("a 2D region needs an image reference")
-        source = ImageItem(
-            None, *_required(_spec_value(image, "image", dict), "image",
-                             "sop_class_uid", "sop_instance_uid"),
-            frame_numbers=image.get("frame_numbers"),
-            relationship=RelationshipType.SELECTED_FROM,
-        )
-        return ScoordItem(None, _REGION_2D_TYPES[rtype], _points(region),
-                          children=[source])
-    raise DicomforgeError(f"unknown region type {rtype!r}")
-
-
-def _group_from_spec(spec: dict, frame_uid: str | None) -> ContainerItem:
-    kind, finding = _required(spec, "group", "kind", "finding")
-    tracking = TrackingIdentifier(
-        uid=spec.get("tracking_uid") or TrackingIdentifier.generate().uid,
-        identifier=spec.get("tracking_id"),
-    )
-    finding = _code(finding, "finding")
-    sites = [parse_code(s) for s in _entries(spec, "finding_sites", str)]
-    measurements = [
-        NumItem(_code(code, "code"), _decimal(value, f"measurements[{i}].value"),
-                _parse_unit(unit))
-        for i, (code, value, unit) in enumerate(
-            _fields(spec, "measurements", "code", "value", "unit"))
-    ]
-    evaluations = [
-        CodeItem(_code(code, "code"), _code(value, "value"))
-        for code, value in _fields(spec, "evaluations", "code", "value")
-    ]
-    if kind == "image":
-        return measurement_group(tracking, finding, measurements, evaluations)
-    region = spec.get("region")
-    if region is None:
-        raise DicomforgeError(f"a {kind} group needs a region")
-    if kind == "planar":
-        return planar_roi_group(tracking, _region_from_spec(region, frame_uid),
-                                finding, sites, measurements, evaluations)
-    if kind == "volumetric":
-        regions = region if isinstance(region, list) else [region]
-        regions = [_region_from_spec(r, frame_uid) for r in regions]
-        return volumetric_roi_group(tracking, regions, finding, sites,
-                                    measurements, evaluations)
-    raise DicomforgeError(f"group.kind must be planar|volumetric|image, got {kind!r}")
+_STRING = _Reader("a string", lambda v: _valid(isinstance(v, str), v))
+# a string that a code, a unit or a person name can hold
+_TEXT = _Reader("a non-empty string without backslashes",
+                lambda v: _valid(isinstance(v, str) and v != "" and "\\" not in v, v))
+_UID = _Reader("a UID", lambda v: _valid(isinstance(v, str) and is_valid_uid(v), v))
+_CODE = _Reader("a SCHEME:VALUE[:MEANING] code", lambda v: parse_code(_TEXT.read(v)))
+_COUNT = _Reader("a positive integer", lambda v: int(
+    _valid(not isinstance(v, bool) and str(v).isdigit() and int(v) > 0, v)))
+# a measurement value is kept as written when it is a decimal string, and a
+# JSON number is formatted to fit
+_DECIMAL = _Reader("a number or a decimal string",
+                   lambda v: v if isinstance(v, str) and is_valid_ds(v) else format_ds(v))
+_GROUP = {
+    "tracking_uid?": _UID, "tracking_id?": _STRING, "finding": _CODE, "finding_sites?": [_CODE],
+    "measurements?": [{"code": _CODE, "value": _DECIMAL, "unit": _Reader(_TEXT.what, _unit)}],
+    "evaluations?": [{"code": _CODE, "value": _CODE}],
+}
+_REGION_3D = {"points": [_point(3)], "frame_of_reference?": _UID}
+_REGION_2D = {"points": [_point(2)], "image": {
+    "sop_class_uid": _UID, "sop_instance_uid": _UID, "frame_numbers?": [_COUNT]}}
+_REGION = _Choice("type", {
+    "segment": {"sop_instance_uid": _UID, "segment_number": _COUNT},
+    **dict.fromkeys(("point3d", "polyline3d", "polygon3d", "multipoint3d"), _REGION_3D),
+    **dict.fromkeys(("point2d", "polyline2d", "circle2d", "ellipse2d", "multipoint2d"),
+                    _REGION_2D),
+})
+_OBSERVER = {
+    "type?": _Reader("person or device", lambda v: _valid(v in ("person", "device"), v)),
+    "name": _TEXT, "uid?": _UID, "manufacturer?": _STRING, "version?": _STRING,
+}
+_SPEC = {
+    "observer": _OBSERVER, "procedure?": _CODE, "evidence": [_STRING],
+    "groups": [_Choice("kind", {
+        "planar": {**_GROUP, "region": _REGION},
+        "volumetric": {**_GROUP, "region": _OneOrList(_REGION)},
+        "image": _GROUP,
+    })],
+}
 
 
 # -- parsing ------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from ..coding import CodedConcept, concept_from_items, concept_to_items
 from ..dataset import DataElement, DataSet
 from ..derived import sop_reference
-from ..errors import InvalidGraphicError, InvalidUnitError, MissingContentError
+from ..errors import InvalidGraphicError, InvalidUnitError, MissingContentError, UsageError
 from ..tags import KEYWORD_TO_TAG_VR, TAGS, keyword_of
 from ..uid import is_valid_uid, new_uid
 from ..valuerep import VR, format_ds, is_valid_ds
@@ -142,7 +142,7 @@ class AlgorithmIdentification:
 
     def __post_init__(self):
         if not self.name or not self.version:
-            raise ValueError("algorithm name and version must be non-empty")
+            raise UsageError("algorithm name and version must be non-empty")
         object.__setattr__(self, "parameters", tuple(self.parameters))
 
 

@@ -35,6 +35,7 @@ from ..errors import (
     PartialStoreError,
     ProtocolError,
     TransportError,
+    UsageError,
 )
 from ..part10 import file_meta_for, read_part10, write_part10
 from ..tags import resolve_key
@@ -125,9 +126,11 @@ class WebClient:
     ):
         parsed = urlparse(base_url)
         if parsed.scheme not in ("http", "https") or not parsed.hostname:
-            raise ValueError(f"base URL must be absolute http(s), got {base_url!r}")
+            raise UsageError(f"base URL must be absolute http(s), got {base_url!r}")
         if parsed.username is not None:
-            raise ValueError("pass credentials as basic=(user, password), not in the base URL")
+            raise UsageError("pass credentials as basic=(user, password), not in the base URL")
+        if token is not None and not (token.isascii() and token.isprintable()):
+            raise UsageError("the token must be printable ASCII")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self._connection = HTTPSConnection if parsed.scheme == "https" else HTTPConnection
@@ -267,9 +270,10 @@ class WebClient:
                 raise _status_error("POST", f"{self.base_url}/studies", status, reply)
             raise PartialStoreError(failed, status=409)
         try:
-            return dataset_from_json(json.loads(reply))
+            payload = json.loads(reply)
         except ValueError as exc:
             raise ProtocolError(f"store response is not valid JSON: {exc}")
+        return dataset_from_json(payload)
 
     # -- WADO-RS -----------------------------------------------------------
 
@@ -306,10 +310,13 @@ class WebClient:
         default attributes.
         """
         if level not in SEARCH_LEVELS:
-            raise ValueError(f"level must be one of {SEARCH_LEVELS}, got {level!r}")
+            raise UsageError(f"level must be one of {SEARCH_LEVELS}, got {level!r}")
         params = {}
         for key, value in (query or {}).items():
-            resolve_key(key)  # validates keyword/tag form early
+            try:
+                resolve_key(key)  # validates keyword/tag form early
+            except (KeyError, TypeError):
+                raise UsageError(f"unknown search filter key {key!r}") from None
             params[key] = str(value)
         if limit is not None:
             params["limit"] = str(limit)
@@ -325,4 +332,6 @@ class WebClient:
             payload = json.loads(reply)
         except ValueError as exc:
             raise ProtocolError(f"search response is not valid JSON: {exc}")
+        if not isinstance(payload, list):
+            raise ProtocolError("search response is not a JSON array")
         return [dataset_from_json(record) for record in payload]

@@ -40,37 +40,37 @@ def dataset_to_json(ds: DataSet) -> dict:
 
 
 def dataset_from_json(obj: dict) -> DataSet:
-    """Parse the attribute-keyed model back into a DataSet."""
+    """Parse the attribute-keyed model back into a DataSet. A malformed
+    object raises ProtocolError naming the attribute: a bad key or VR, a
+    `Value` that is not an array, or a value its VR cannot hold."""
     if not isinstance(obj, dict):
         raise ProtocolError(f"metadata object is not a JSON object: {obj!r:.80}")
     ds = DataSet()
     for key, entry in obj.items():
         if not isinstance(entry, dict):
             raise ProtocolError(f"attribute {key!r} is not a JSON object")
+        values = entry.get("Value", [])
+        if not isinstance(values, list):
+            raise ProtocolError(f"attribute {key}: Value is not an array")
         try:
             tag = Tag(int(key[:4], 16), int(key[4:8], 16))
-        except (ValueError, IndexError):
-            raise ProtocolError(f"bad attribute key {key!r} in metadata object")
-        vr_code = entry.get("vr") or vr_of(tag).value
-        try:
-            vr = VR(vr_code)
-        except ValueError:
-            raise ProtocolError(f"bad VR {vr_code!r} for {key}")
-        values = entry.get("Value", [])
-        if vr is VR.SQ:
-            value = tuple(dataset_from_json(item) for item in values)
-        elif vr is VR.PN:
-            value = [
-                v.get("Alphabetic", "") if isinstance(v, dict) else str(v)
-                for v in values
-            ]
-        elif vr is VR.DS:
-            value = [v if isinstance(v, str) else format_ds(float(v)) for v in values]
-        elif vr in BYTES_VRS:
-            continue  # bulk is excluded from this model
-        elif vr in TEXT_SINGLE_VRS:
-            value = str(values[0]) if values else ""
-        else:
-            value = list(values)
-        ds.add(DataElement(tag, vr, value))
+            vr = VR(entry.get("vr") or vr_of(tag).value)
+            if vr is VR.SQ:
+                value = tuple(dataset_from_json(item) for item in values)
+            elif vr is VR.PN:
+                value = [
+                    v.get("Alphabetic", "") if isinstance(v, dict) else str(v)
+                    for v in values
+                ]
+            elif vr is VR.DS:
+                value = [v if isinstance(v, str) else format_ds(float(v)) for v in values]
+            elif vr in BYTES_VRS:
+                continue  # bulk is excluded from this model
+            elif vr in TEXT_SINGLE_VRS:
+                value = str(values[0]) if values else ""
+            else:
+                value = list(values)
+            ds.add(DataElement(tag, vr, value))
+        except (TypeError, ValueError) as exc:  # a bad key, VR or value
+            raise ProtocolError(f"attribute {key}: {exc}") from None
     return ds

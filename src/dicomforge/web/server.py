@@ -272,7 +272,7 @@ class StubArchive:
         handler = type("_Handler", (_RequestHandler,), {"archive": archive})
         try:
             self._server = _Server(("127.0.0.1", self._requested_port), handler)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: a port past 65535
             raise ServerStartupError(
                 f"cannot bind port {self._requested_port}: {exc}"
             ) from exc

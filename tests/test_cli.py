@@ -1,6 +1,7 @@
 """End-to-end CLI tests (invoked in-process through cli.main)."""
 import functools
 import json
+import random
 import socket
 from pathlib import Path
 
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import make_ct_series, make_ct_source
-from test_codec import golden_sr
+from test_codec import FUZZ_WORDS, golden_sr
 from test_from_seg import build_seg, normalized_sha256
+from test_web import recording_server
 from dicomforge.cli import build_parser, main
 from dicomforge.errors import PartialStoreError
 from dicomforge.coding import DCM, SCT, UCUM, CodedConcept
 from dicomforge.dataset import DataSet
-from dicomforge.part10 import read_part10_file, write_part10_file
+from dicomforge.part10 import file_meta_for, read_part10_file, write_part10, write_part10_file
 from dicomforge.pgm import read_pgm, write_pgm
 from dicomforge.seg import SegmentationType, SegmentDescription, create_seg, open_seg
 from dicomforge.sr import (
@@ -108,6 +110,29 @@ class TestMkSegParseSeg:
         else:
             assert np.array_equal(read_pgm(out), masks[0][0])
 
+    def test_parse_seg_of_a_fractional_seg(self, tmp_path, capsys):
+        path, out = tmp_path / "seg.dcm", tmp_path / "map.pgm"
+        write_part10_file(path, build_seg("fractional"))
+        code, _, err = run(["parse-seg", str(path), "--frame", "1", "-o", str(out)], capsys)
+        assert (code, err) == (1, "ERROR validation: label maps need a BINARY "
+                                  "segmentation, not a FRACTIONAL one\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mask, message", [
+        (b"P6\n16 16\n255\n", "not a P5 portable graymap"),
+        (b"P5\n16 x\n255\n", "malformed PGM header"),
+        (b"P5\n16 16\n255\n" + bytes(10), "PGM pixel data is shorter than 16 x 16"),
+    ])
+    def test_malformed_mask(self, tmp_path, source_files, capsys, mask, message):
+        paths, _ = source_files
+        (tmp_path / "m.pgm").write_bytes(mask)
+        code, _, err = run([
+            "mk-seg", "--source", paths[0], "--mask", str(tmp_path / "m.pgm"),
+            "--label", "x", "--category", "SCT:49755003", "--type", "SCT:27925004",
+            "-o", str(tmp_path / "seg.dcm"),
+        ], capsys)
+        assert (code, err) == (1, f"ERROR validation: {message}\n")
+
     def test_validate_accepts_mk_seg_output(self, tmp_path, source_files, capsys):
         paths, _ = source_files
         mask = tmp_path / "m.pgm"
@@ -158,27 +183,30 @@ SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in 
     ("invalid JSON", None, "ERROR validation: annotation spec is not valid JSON: "
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("person without name", spec_edit(observer={"type": "person"}),
-     "ERROR validation: observer.name is required for a person observer"),
+     "ERROR validation: observer is missing required key 'name'"),
     ("device without name", spec_edit(observer={"type": "device"}),
-     "ERROR validation: observer.name is required for a device observer"),
+     "ERROR validation: observer is missing required key 'name'"),
     ("unknown observer type", spec_edit(observer={"type": "robot", "name": "r2"}),
      "ERROR validation: observer.type must be person or device, got 'robot'"),
     ("unknown region type", spec_edit(True, region={"type": "blob", "points": [[0, 0]]}),
-     "ERROR validation: unknown region type 'blob'"),
+     "ERROR validation: groups[0].region.type must be one of segment, point3d, polyline3d, "
+     "polygon3d, multipoint3d, point2d, polyline2d, circle2d, ellipse2d, multipoint2d, "
+     "got 'blob'"),
     ("3D region without frame of reference", spec_edit(evidence=[]),
-     "ERROR validation: region needs a frame_of_reference (none found in evidence)"),
+     "ERROR validation: groups[0].region needs a frame_of_reference (none found in evidence)"),
     ("2D region without image", spec_edit(True, region={"type": "point2d", "points": [[3, 4]]}),
-     "ERROR validation: a 2D region needs an image reference"),
+     "ERROR validation: groups[0].region is missing required key 'image'"),
     ("group without kind", spec_edit(True, kind=DROP),
-     "ERROR validation: group is missing required key 'kind'"),
+     "ERROR validation: groups[0] is missing required key 'kind'"),
     ("group without finding", spec_edit(True, finding=DROP),
-     "ERROR validation: group is missing required key 'finding'"),
+     "ERROR validation: groups[0] is missing required key 'finding'"),
     ("group without region", spec_edit(True, region=DROP),
-     "ERROR validation: a planar group needs a region"),
+     "ERROR validation: groups[0] is missing required key 'region'"),
     ("unknown group kind", spec_edit(True, kind="blob"),
-     "ERROR validation: group.kind must be planar|volumetric|image, got 'blob'"),
+     "ERROR validation: groups[0].kind must be one of planar, volumetric, image, got 'blob'"),
     ("code without scheme", spec_edit(True, finding="27925004"),
-     "ERROR validation: code must be SCHEME:VALUE[:MEANING], got '27925004'"),
+     "ERROR validation: groups[0].finding must be a SCHEME:VALUE[:MEANING] code, "
+     "got '27925004'"),
     ("code outside the registry", spec_edit(True, finding="SCT:99999"),
      "CONTAINS CODE Finding: = 99999 (SCT 99999)"),
     ("unit outside the registry", spec_edit(True, measurements=[
@@ -198,52 +226,93 @@ SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in 
     ("group that is not an object", spec_edit(groups=[5]),
      "ERROR validation: groups[0] must be an object, got 5"),
     ("finding sites that are not a list", spec_edit(True, finding_sites="SCT:39607008"),
-     "ERROR validation: finding_sites must be a list, got 'SCT:39607008'"),
+     "ERROR validation: groups[0].finding_sites must be a list, got 'SCT:39607008'"),
     ("measurement that is not an object", spec_edit(True, measurements=["x"]),
-     "ERROR validation: measurements[0] must be an object, got 'x'"),
+     "ERROR validation: groups[0].measurements[0] must be an object, got 'x'"),
     ("planar region that is not an object", spec_edit(True, region="x"),
-     "ERROR validation: region must be an object, got 'x'"),
+     "ERROR validation: groups[0].region must be an object, got 'x'"),
     ("volumetric region that is not an object", spec_edit(True, kind="volumetric",
                                                           region=["x"]),
-     "ERROR validation: region must be an object, got 'x'"),
+     "ERROR validation: groups[0].region[0] must be an object, got 'x'"),
     ("image that is not an object", spec_edit(True, region={
         "type": "point2d", "points": [[3, 4]], "image": "ct0.dcm"}),
-     "ERROR validation: image must be an object, got 'ct0.dcm'"),
+     "ERROR validation: groups[0].region.image must be an object, got 'ct0.dcm'"),
     ("finding that is not a string", spec_edit(True, finding=5),
-     "ERROR validation: finding must be a string, got 5"),
+     "ERROR validation: groups[0].finding must be a SCHEME:VALUE[:MEANING] code, got 5"),
     ("unit that is not a string", spec_edit(True, measurements=[
         {"code": "SCT:81827009", "value": "7.5", "unit": None}]),
-     "ERROR validation: unit must be a string, got None"),
+     "ERROR validation: groups[0].measurements[0].unit must be a non-empty string "
+     "without backslashes, got None"),
     ("segment region without SOP instance", spec_edit(True, region={
         "type": "segment", "segment_number": 1}),
-     "ERROR validation: region is missing required key 'sop_instance_uid'"),
+     "ERROR validation: groups[0].region is missing required key 'sop_instance_uid'"),
     ("measurement without value", spec_edit(True, measurements=[
         {"code": "SCT:81827009", "unit": "mm"}]),
-     "ERROR validation: measurements[0] is missing required key 'value'"),
+     "ERROR validation: groups[0].measurements[0] is missing required key 'value'"),
     ("points that are not a list", spec_edit(True, region={"type": "polygon3d", "points": "x"}),
-     "ERROR validation: points must be a list, got 'x'"),
+     "ERROR validation: groups[0].region.points must be a list, got 'x'"),
     ("point holding a string", spec_edit(True, region={
         "type": "point3d", "points": [[0, 0, "z"]]}),
-     "ERROR validation: points[0] must hold numbers, got [0, 0, 'z']"),
+     "ERROR validation: groups[0].region.points[0] must be 3 single-precision numbers, "
+     "got [0, 0, 'z']"),
     ("evaluation without code", spec_edit(True, evaluations=[{"value": "SCT:27925004"}]),
-     "ERROR validation: evaluations[0] is missing required key 'code'"),
+     "ERROR validation: groups[0].evaluations[0] is missing required key 'code'"),
     ("image without SOP class", spec_edit(True, region={
         "type": "point2d", "points": [[3, 4]], "image": {"sop_instance_uid": "2.25.1"}}),
-     "ERROR validation: image is missing required key 'sop_class_uid'"),
+     "ERROR validation: groups[0].region.image is missing required key 'sop_class_uid'"),
     ("3D region without points", spec_edit(True, region={"type": "polygon3d"}),
-     "ERROR validation: region is missing required key 'points'"),
+     "ERROR validation: groups[0].region is missing required key 'points'"),
     ("segment number that is not a number", spec_edit(True, region={
         "type": "segment", "sop_instance_uid": "2.25.1", "segment_number": "x"}),
-     "ERROR validation: region.segment_number must be a positive integer, got 'x'"),
+     "ERROR validation: groups[0].region.segment_number must be a positive integer, "
+     "got 'x'"),
     ("measurement value that is not a number", spec_edit(True, measurements=[
         {"code": "SCT:81827009", "value": "abc", "unit": "mm"}]),
-     "ERROR validation: measurements[0].value must be a number or a decimal string, "
+     "ERROR validation: groups[0].measurements[0].value must be a number or a decimal "
+     "string, "
      "got 'abc'"),
     ("measurement value that is null", spec_edit(True, kind="image", region=DROP, measurements=[
         {"code": "SCT:81827009", "value": "7.5", "unit": "mm"},
         {"code": "SCT:81827009", "value": None, "unit": "mm"}]),
-     "ERROR validation: measurements[1].value must be a number or a decimal string, "
+     "ERROR validation: groups[0].measurements[1].value must be a number or a decimal "
+     "string, "
      "got None"),
+    # values that reached the item classes unchecked before the spec table
+    ("tracking UID that is not a UID", spec_edit(True, tracking_uid="abc"),
+     "ERROR validation: groups[0].tracking_uid must be a UID, got 'abc'"),
+    ("tracking identifier that is not a string", spec_edit(True, tracking_id=5),
+     "ERROR validation: groups[0].tracking_id must be a string, got 5"),
+    ("person name that is not a string", spec_edit(observer={"type": "person", "name": 5}),
+     "ERROR validation: observer.name must be a non-empty string without backslashes, got 5"),
+    ("device name that is not a string", spec_edit(observer={"type": "device", "name": 5}),
+     "ERROR validation: observer.name must be a non-empty string without backslashes, got 5"),
+    ("device UID that is not a UID", spec_edit(observer={"name": "detector", "uid": "x"}),
+     "ERROR validation: observer.uid must be a UID, got 'x'"),
+    ("frame of reference that is not a UID", spec_edit(True, region={
+        "type": "point3d", "points": [[0, 0, 0]], "frame_of_reference": "zz"}),
+     "ERROR validation: groups[0].region.frame_of_reference must be a UID, got 'zz'"),
+    ("image UIDs that are not UIDs", spec_edit(True, region={
+        "type": "point2d", "points": [[3, 4]],
+        "image": {"sop_class_uid": "a", "sop_instance_uid": "b"}}),
+     "ERROR validation: groups[0].region.image.sop_class_uid must be a UID, got 'a'"),
+    ("segment instance that is not a UID", spec_edit(True, region={
+        "type": "segment", "sop_instance_uid": "b", "segment_number": 1}),
+     "ERROR validation: groups[0].region.sop_instance_uid must be a UID, got 'b'"),
+    ("frame numbers that are not a list", spec_edit(True, region={
+        "type": "point2d", "points": [[3, 4]], "image": {
+            "sop_class_uid": CT_IMAGE_STORAGE, "sop_instance_uid": "2.25.1",
+            "frame_numbers": "x"}}),
+     "ERROR validation: groups[0].region.image.frame_numbers must be a list, got 'x'"),
+    ("code holding a backslash", spec_edit(True, finding="SCT:27925004:a\\b"),
+     "ERROR validation: groups[0].finding must be a SCHEME:VALUE[:MEANING] code, "
+     "got 'SCT:27925004:a\\\\b'"),
+    ("point past single precision", spec_edit(True, region={
+        "type": "point3d", "points": [[1e39, 0, 0]]}),
+     "ERROR validation: groups[0].region.points[0] must be 3 single-precision numbers, "
+     "got [1e+39, 0, 0]"),
+    ("optional keys that are null or empty", spec_edit(
+        observer={"type": None, "name": "detector", "uid": ""}, procedure=None),
+     "HAS OBS CONTEXT CODE Observer Type: = Device (DCM 121007)"),
 ]]
 
 
@@ -431,6 +500,24 @@ class TestCoords:
         assert code == 0
         assert out.strip() == "3,4"
 
+    @pytest.mark.parametrize("option, value, last_line", [
+        ("--to-ref", "1", "ERROR usage: pixel coordinates must be (column, row) pairs"),
+        ("--to-ref", "a,b", "ERROR usage: invalid arguments"),
+        ("--to-pixel", "1,2", "ERROR usage: reference coordinates must be (x, y, z) triplets"),
+    ])
+    def test_bad_coordinates_are_a_usage_error(self, tmp_path, capsys, option, value,
+                                               last_line):
+        code, out, err = run(["coords", "--geometry", self.geometry_file(tmp_path),
+                              option, value], capsys)
+        assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
+
+    def test_geometry_value_that_is_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("position=a,20,30\norientation=1,0,0,0,1,0\nspacing=2,2\n")
+        code, _, err = run(["coords", "--geometry", str(path), "--to-ref", "3,4"], capsys)
+        assert (code, err) == (1, "ERROR validation: bad geometry line 'position=a,20,30'; "
+                                  "use key=v1,v2,... (numbers)\n")
+
     def test_off_plane_is_validation_error(self, tmp_path, capsys):
         code, _, err = run([
             "coords", "--geometry", self.geometry_file(tmp_path),
@@ -484,6 +571,29 @@ class TestWebCommands:
                 args.func(args)
         assert excinfo.value.status == 202
         assert excinfo.value.failed_sop_instance_uids == ["1.2.901"]
+
+    @pytest.mark.parametrize("command, reply, message", [
+        ("search", [{"00200013": {"vr": "IS", "Value": ["a"]}}],
+         "attribute 00200013: invalid literal for int() with base 10: 'a'"),
+        ("store", {"00081199": {"vr": "SQ", "Value": [{"00081155": {"vr": "UI", "Value": [5]}}]}},
+         "attribute 00081155: (0008,1155): VR UI requires str values"),
+        ("store", {"00200013": {"vr": "IS", "Value": ["a"]}},
+         "attribute 00200013: invalid literal for int() with base 10: 'a'"),
+    ])
+    def test_malformed_reply_is_a_network_error(self, source_files, capsys,
+                                                command, reply, message):
+        body = json.dumps(reply).encode()
+        head = (b"HTTP/1.1 200 OK\r\nContent-Type: application/dicom+json\r\n"
+                b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body))
+        with recording_server(lambda request: head + body) as (base_url, _):
+            files = source_files[0][:1] if command == "store" else []
+            code, out, err = run([command, "--url", base_url, *files], capsys)
+        assert (code, out, err) == (4, "", f"ERROR network: {message}\n")
+
+    def test_port_out_of_range(self, capsys):
+        code, _, err = run(["serve", "--port", "70000"], capsys)
+        assert code == 4  # the socket module words the reason
+        assert err.startswith("ERROR network: cannot bind port 70000: ")
 
     def test_network_error_exit_code(self, capsys):
         code, _, err = run([
@@ -728,3 +838,37 @@ MK_SR_SPEC_SHA256 = (
     "f3bbe70d27081ea7821343e1c3c3fc59"
     "6ab22f11eb561805ef4b22c1ce11e3aa"
 )
+
+
+# -- the exit-code contract over mutated files ------------------------------
+
+
+def test_mutated_files_exit_0_or_1(tmp_path, capsys):
+    """Seeded mutations of a two-segment binary SEG, a fractional SEG and an
+    SR (a FUZZ_WORDS word written over the stream, or a truncation), each
+    run through validate, dump-sr, parse-seg and mk-sr --from-seg in
+    rotation: the command succeeds, or exits 1 with one `ERROR validation:`
+    line. A file never gives the usage code 2 nor an escaped exception."""
+    rng = random.Random(2106)
+    path, out = tmp_path / "mutated.dcm", tmp_path / "out"
+    commands = [["validate"], ["dump-sr"], ["parse-seg", "--frame", "1", "-o", str(out)],
+                ["mk-sr", "-o", str(out), "--from-seg"]]
+    outcomes = {0: 0, 1: 0}
+    for ds in (build_seg("binary"), build_seg("fractional"), golden_sr(3)):
+        original = write_part10(file_meta_for(ds), ds)
+        for i in range(1500):
+            stream = bytearray(original)
+            at = rng.randrange(len(stream))
+            if rng.random() < 0.2:
+                del stream[at:]
+            else:
+                stream[at:at + 4] = rng.choice(FUZZ_WORDS)
+            path.write_bytes(stream)
+            argv = [*commands[i % len(commands)], str(path)]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert (code, err) == (0, "") or (
+                code == 1 and err.startswith("ERROR validation: ") and err.count("\n") == 1
+            ), (argv, at, code, err)
+            outcomes[code] += 1
+    assert min(outcomes.values()) > 0  # both outcomes occur

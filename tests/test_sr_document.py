@@ -372,6 +372,44 @@ class TestMeasurementGroups:
         assert unit == UCUM.mm
         assert group.tracking.identifier == "Nodule 1"
 
+    def test_group_kind_without_template_identifier(self, ct_series):
+        """A foreign SR may leave TemplateIdentifier out of its groups; each
+        group's kind then follows from its regions."""
+        source = ct_series[0]
+        for_uid = source.value("FrameOfReferenceUID")
+
+        def contour(row):
+            return ScoordItem(None, "POLYLINE", [(0, row), (5, row)], children=[ImageItem(
+                None, source.value("SOPClassUID"), source.value("SOPInstanceUID"),
+                relationship=RelationshipType.SELECTED_FROM)])
+
+        seg_uid = new_uid()
+        seg_stub = DataSet.of(SOPClassUID="1.2.840.10008.5.1.4.1.1.66.4",
+                              SOPInstanceUID=seg_uid, SeriesInstanceUID=new_uid(),
+                              StudyInstanceUID=source.value("StudyInstanceUID"))
+        tracking = TrackingIdentifier.generate
+        groups = [
+            planar_roi_group(tracking(), polygon(for_uid), SCT.Nodule),
+            planar_roi_group(tracking(), contour(1), SCT.Nodule),
+            volumetric_roi_group(tracking(), SegmentReference(seg_uid, 1), SCT.Nodule),
+            volumetric_roi_group(tracking(), [contour(1), contour(2)], SCT.Nodule),
+            volumetric_roi_group(tracking(), [polygon(for_uid), polygon(for_uid, 2.5)],
+                                 SCT.Nodule),
+            measurement_group(tracking(), SCT.Neoplasm),
+        ]
+        ds = create_sr(SRKind.COMPREHENSIVE_3D, [*ct_series, seg_stub],
+                       measurement_report(OBSERVER, SCT.ImagingProcedure, groups))
+        kinds = [group.kind for group in open_sr(ds).measurement_groups()]
+        assert kinds == [GroupKind.PLANAR, GroupKind.PLANAR, GroupKind.VOLUMETRIC,
+                         GroupKind.VOLUMETRIC, GroupKind.VOLUMETRIC, GroupKind.IMAGE]
+        stripped = [item for item in content_items(ds) if "ContentTemplateSequence" in item]
+        assert len(stripped) == len(groups)
+        for item in stripped:
+            item.remove("ContentTemplateSequence")
+        views = open_sr(decode_dataset(encode_dataset(ds))).measurement_groups()
+        assert [view.container.template_id for view in views] == [None] * len(groups)
+        assert [view.kind for view in views] == kinds
+
     def test_groups_against_find_items_independent_path(self, ct_series):
         tree = nodule_report(ct_series, n_groups=4)
         ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, tree)

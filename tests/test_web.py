@@ -11,10 +11,10 @@ import threading
 import types
 from contextlib import contextmanager
 from typing import NamedTuple
+from urllib.parse import urlencode
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_ct_series, make_ct_source
@@ -340,11 +340,9 @@ class TestStoreRetrieve:
         for at, bit in data.draw(st.lists(st.tuples(position, st.integers(0, 7)),
                                           min_size=1, max_size=8)):
             body[at] ^= 1 << bit
-        response = requests.post(
-            f"{shared_archive.base_url}/studies", data=bytes(body), timeout=10,
-            headers={"Content-Type": content_type_header(boundary)},
-        )
-        assert response.status_code in (200, 400, 409)
+        status, _ = answer(shared_archive, "POST", "/studies", bytes(body),
+                           {"Content-Type": content_type_header(boundary)})
+        assert status in (200, 400, 409)
 
     def test_restore_replaces_not_duplicates(self, client, archive):
         seg = make_seg()
@@ -353,9 +351,7 @@ class TestStoreRetrieve:
         assert len(archive) == 1
 
     def test_unknown_path_404(self, client, archive):
-        import requests
-        response = requests.get(f"{archive.base_url}/nope", timeout=5)
-        assert response.status_code == 404
+        assert answer(archive, "GET", "/nope")[0] == 404
 
     def test_post_to_unknown_path_leaves_no_body_on_the_connection(self, client, archive):
         client.store_instances([make_ct_source()])
@@ -433,7 +429,6 @@ class TestStoreRetrieve:
         assert [reply.start for _, reply in exchanges] == ["HTTP/1.1 200 OK"] * 3
 
     def test_http_error_raises_transport_error(self, client, archive):
-        import requests
         # search with unsupported attribute -> 400 from the stub
         with pytest.raises(TransportError) as excinfo:
             client.search("instances", {"PatientName": "x"})
@@ -558,6 +553,26 @@ def test_import_does_not_load_requests():
 def test_non_object_json_metadata_rejected(payload):
     with pytest.raises(ProtocolError, match="not a JSON object"):
         dataset_from_json(payload)
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("00200013", {"vr": "IS", "Value": ["a"]},
+     "attribute 00200013: invalid literal for int() with base 10: 'a'"),
+    ("00081155", {"vr": "UI", "Value": [5]},
+     "attribute 00081155: (0008,1155): VR UI requires str values"),
+    ("00100010", {"vr": "PN", "Value": [{"Alphabetic": 7}]},
+     "attribute 00100010: (0010,0010): VR PN requires str values"),
+    ("00080020", {"vr": "DA", "Value": [None]},
+     "attribute 00080020: (0008,0020): VR DA requires str values"),
+    ("00080020", {"vr": "DA", "Value": None}, "attribute 00080020: Value is not an array"),
+    # a string Value is not a list of its characters ("12" is not 1\\2)
+    ("00200013", {"vr": "IS", "Value": "12"}, "attribute 00200013: Value is not an array"),
+])
+def test_malformed_json_value_rejected(key, entry, message):
+    """A value of the wrong JSON kind is a ProtocolError naming its key."""
+    with pytest.raises(ProtocolError) as excinfo:
+        dataset_from_json({key: entry})
+    assert str(excinfo.value) == message
 
 
 def raw_stow(archive, boundary_param: bytes, length: bytes, body: bytes):
@@ -725,14 +740,11 @@ class TestSearchByUid:
                                         "Modality": "CT"}) == []
 
     def test_mismatched_study_and_series_answers_204(self, stored, archive):
-        response = requests.get(f"{archive.base_url}/instances", timeout=10, params={
-            "StudyInstanceUID": "2.25.2", "SeriesInstanceUID": "2.25.11"})
-        assert response.status_code == 204
-        assert response.content == b""
+        assert answer(archive, "GET", "/instances?" + urlencode({
+            "StudyInstanceUID": "2.25.2", "SeriesInstanceUID": "2.25.11"})) == (204, b"")
         for uid in ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID"):
-            response = requests.get(f"{archive.base_url}/series", timeout=10,
-                                    params={uid: "2.25.404"})
-            assert response.status_code == 204
+            status, _ = answer(archive, "GET", "/series?" + urlencode({uid: "2.25.404"}))
+            assert status == 204
 
     @pytest.mark.parametrize("paging, sops", [
         ({"limit": 1}, ["2.25.111"]),
@@ -745,9 +757,9 @@ class TestSearchByUid:
     ])
     def test_limit_and_offset_on_uid_filter(self, stored, archive, paging, sops):
         assert found(stored, "instances", {"StudyInstanceUID": "2.25.1"}, **paging) == sops
-        response = requests.get(f"{archive.base_url}/instances", timeout=10,
-                                params={"StudyInstanceUID": "2.25.1", **paging})
-        assert response.status_code == (200 if sops else 204)
+        status, _ = answer(archive, "GET", "/instances?" + urlencode(
+            {"StudyInstanceUID": "2.25.1", **paging}))
+        assert status == (200 if sops else 204)
 
     def test_search_by_series_after_snapshot_restart(self, tmp_path):
         with StubArchive(snapshot_dir=tmp_path) as server:
@@ -890,11 +902,11 @@ class TestLifecycle:
             StubArchive(port=archive.port).start()
 
 
-def answer(archive, method, path):
+def answer(archive, method, path, body=None, headers={}):
     """(status, body) of one request on its own connection."""
     connection = http.client.HTTPConnection("127.0.0.1", archive.port, timeout=10)
     try:
-        connection.request(method, path)
+        connection.request(method, path, body, headers)
         reply = connection.getresponse()
         return reply.status, reply.read()
     finally:
