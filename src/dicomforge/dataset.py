@@ -15,7 +15,9 @@ may hold one item object several times. Decoded data sets share items and
 nested elements too: the decoder returns one data set for every
 defined-length item with the same bytes at the same depth, and one element
 for every short element with the same bytes inside any item (see
-:mod:`dicomforge.codec`). Mutating a data set that ``concept_to_items``
+:mod:`dicomforge.codec`). An SR opened from such data sets shares in turn:
+``open_sr`` builds one concept per code item and one content item per
+content-item data set. Mutating a data set that ``concept_to_items``
 returned, or an item reachable from a built SR or SEG or from a decoded
 data set, is unsupported: the change would show up everywhere the item is
 shared. (Elements are never changed in place: ``put`` and ``add`` replace

@@ -3,9 +3,11 @@
 Each item is a name/value pair; the value shape is fixed by the item's
 value type (CODE, NUM, SCOORD, ...). Items form trees through `children`;
 every non-root item carries exactly one relationship to its parent, and
-only CONTAINER items may hold children related by CONTAINS. Trees are
-treated as immutable once built; `with_relationship` returns modified
-copies rather than mutating.
+only CONTAINER items may hold children related by CONTAINS. Items are
+immutable: assigning to a field raises AttributeError, and
+`with_relationship` and `with_children` return modified copies. So one item
+may sit in a tree several times; a tree that :func:`item_from_dataset` reads
+holds one item for each distinct data set.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..coding import CodedConcept, concept_from_items, concept_to_items
+from ..coding import DCM, CodedConcept, concept_from_items, concept_to_items
 from ..dataset import DataElement, DataSet
 from ..derived import sop_reference
 from ..errors import InvalidGraphicError, InvalidUnitError, MissingContentError, UsageError
@@ -105,15 +107,26 @@ def _first_item(ds: DataSet, tag, value_type: ValueType) -> DataSet:
     return items[0]
 
 
-def _concept(items: DataSet, concepts: dict) -> CodedConcept:
-    """The concept of one code item, built once per item object: `concepts`
-    maps ``id(items)`` to it for the whole read, during which the caller's
-    tree keeps every item alive. (A decoded tree shares the items of
-    repeated codes, and CodedConcept is immutable.)"""
-    concept = concepts.get(id(items))
-    if concept is None:
-        concept = concepts[id(items)] = concept_from_items(items)
+def _concept(items: DataSet, built: dict) -> CodedConcept:
+    """The concept of one code item, built once per item object: `built` is
+    the read's memo (see `_item_from_dataset`)."""
+    concept = built.get(id(items))
+    if type(concept) is not CodedConcept:
+        concept = built[id(items)] = concept_from_items(items)
     return concept
+
+
+_set = object.__setattr__
+
+
+def _rebuild(cls, values) -> "ContentItem":
+    """An item of `cls` holding `values`, one per field of ``cls._fields``,
+    which come from an item of that class and so are valid already: the
+    one way clones, copies and unpickled items are made."""
+    item = object.__new__(cls)
+    for field, value in zip(cls._fields, values):
+        _set(item, field, value)
+    return item
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,8 @@ class ContentItem:
     value_type: ValueType  # set on subclasses
 
     __slots__ = ("name", "relationship", "children")
-    # every slot of the class and its bases, which a clone copies
+    # every slot of the class and its bases, which a clone copies; the
+    # fields after these three are the value, which equality compares
     _fields = __slots__
 
     def __init_subclass__(cls, **kwargs):
@@ -171,12 +185,17 @@ class ContentItem:
         relationship: RelationshipType | str | None = None,
         children: Iterable["ContentItem"] = (),
     ):
-        self.name = name
-        self.relationship = (
-            None if relationship is None else _member(RelationshipType, relationship)
-        )
-        self.children = tuple(children)
+        _set(self, "name", name)
+        _set(self, "relationship",
+             None if relationship is None else _member(RelationshipType, relationship))
+        _set(self, "children", tuple(children))
         self._validate_children()
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), [getattr(self, field) for field in self._fields])
 
     def _validate_children(self) -> None:
         for child in self.children:
@@ -190,9 +209,9 @@ class ContentItem:
                     "only CONTAINER items may hold CONTAINS children"
                 )
 
-    # payload fields participating in equality/repr, defined per subclass
     def _payload(self) -> tuple:
-        return ()
+        """The value fields, which equality compares."""
+        return tuple(getattr(self, field) for field in self._fields[3:])
 
     def _put_value(self, ds: DataSet) -> None:
         """Write the attributes of this item's value type into `ds`."""
@@ -203,28 +222,23 @@ class ContentItem:
         raise NotImplementedError
 
     @classmethod
-    def _read(cls, ds: DataSet, concepts: dict, name, relationship,
+    def _read(cls, ds: DataSet, built: dict, name, relationship,
               children) -> "ContentItem":
         """An item of this class valued by the attributes of `ds`; the
-        constructor validates them. `concepts` is the read's concept memo
-        (see `_concept`)."""
+        constructor validates them. `built` is the read's memo (see
+        `_item_from_dataset`)."""
         raise NotImplementedError
 
-    def _clone(self) -> "ContentItem":
-        """A shallow copy: a new item of this class holding the same values."""
-        clone = object.__new__(type(self))
-        for field in self._fields:
-            setattr(clone, field, getattr(self, field))
-        return clone
+    def _clone(self, **changes) -> "ContentItem":
+        """A copy of this item with the fields named in `changes` replaced."""
+        return _rebuild(type(self), [changes.get(field, getattr(self, field))
+                                     for field in self._fields])
 
     def with_relationship(self, relationship) -> "ContentItem":
-        clone = self._clone()
-        clone.relationship = _member(RelationshipType, relationship)
-        return clone
+        return self._clone(relationship=_member(RelationshipType, relationship))
 
     def with_children(self, children: Iterable["ContentItem"]) -> "ContentItem":
-        clone = self._clone()
-        clone.children = tuple(children)
+        clone = self._clone(children=tuple(children))
         clone._validate_children()
         return clone
 
@@ -266,19 +280,13 @@ class ContentItem:
             return NotImplemented
         if (self.name, self.relationship) != (other.name, other.relationship):
             return False
-        mine, theirs = self._payload(), other._payload()
-        if len(mine) != len(theirs):
-            return False
-        for a, b in zip(mine, theirs):
+        for a, b in zip(self._payload(), other._payload()):
             if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
                 if not np.array_equal(a, b):
                     return False
             elif a != b:
                 return False
         return self.children == other.children
-
-    def __hash__(self):
-        raise TypeError("content items are not hashable")
 
     def __repr__(self) -> str:
         label = self.name.meaning if self.name else "<unnamed>"
@@ -298,11 +306,8 @@ class ContainerItem(ContentItem):
         template_id: str | None = None,
     ):
         super().__init__(name, relationship, children)
-        self.continuity = _member(ContinuityOfContent, continuity)
-        self.template_id = template_id
-
-    def _payload(self):
-        return (self.continuity, self.template_id)
+        _set(self, "continuity", _member(ContinuityOfContent, continuity))
+        _set(self, "template_id", template_id)
 
     def summary(self):
         template = f" [TID {self.template_id}]" if self.template_id else ""
@@ -317,7 +322,7 @@ class ContainerItem(ContentItem):
             ds.put("ContentTemplateSequence", (template,))
 
     @classmethod
-    def _read(cls, ds, concepts, name, relationship, children):
+    def _read(cls, ds, built, name, relationship, children):
         template_items = ds.items_of(TAGS.ContentTemplateSequence)
         template_id = (template_items[0].value(TAGS.TemplateIdentifier)
                        if template_items else None)
@@ -333,9 +338,10 @@ class CodeItem(ContentItem):
         super().__init__(name, relationship, children)
         if not isinstance(value, CodedConcept):
             raise TypeError("CODE items are valued by a CodedConcept")
-        self.value = value
+        _set(self, "value", value)
 
     def _payload(self):
+        # a code's meaning is not part of its equality, but an item's value is
         return (self.value, self.value.meaning)
 
     def summary(self):
@@ -345,9 +351,9 @@ class CodeItem(ContentItem):
         ds.put("ConceptCodeSequence", (concept_to_items(self.value),))
 
     @classmethod
-    def _read(cls, ds, concepts, name, relationship, children):
+    def _read(cls, ds, built, name, relationship, children):
         value = _first_item(ds, TAGS.ConceptCodeSequence, cls.value_type)
-        return cls(name, _concept(value, concepts), relationship, children)
+        return cls(name, _concept(value, built), relationship, children)
 
 
 class NumItem(ContentItem):
@@ -367,22 +373,19 @@ class NumItem(ContentItem):
         if isinstance(value, str):
             if not is_valid_ds(value):
                 raise ValueError(f"not a valid decimal string: {value!r}")
-            self.value = value
         else:
-            self.value = format_ds(value)
+            value = format_ds(value)
         if not isinstance(unit, CodedConcept) or unit.scheme != "UCUM":
             raise InvalidUnitError(
                 f"measurement units must be UCUM-coded, got {unit!r}"
             )
-        self.unit = unit
-        self.qualifier = qualifier
+        _set(self, "value", value)
+        _set(self, "unit", unit)
+        _set(self, "qualifier", qualifier)
 
     @property
     def numeric(self) -> float:
         return float(self.value)
-
-    def _payload(self):
-        return (self.value, self.unit, self.qualifier)
 
     def summary(self):
         return f"= {self.value} {self.unit.value}"
@@ -397,12 +400,12 @@ class NumItem(ContentItem):
                    (concept_to_items(self.qualifier),))
 
     @classmethod
-    def _read(cls, ds, concepts, name, relationship, children):
+    def _read(cls, ds, built, name, relationship, children):
         measured = _first_item(ds, TAGS.MeasuredValueSequence, cls.value_type)
         unit = _first_item(measured, TAGS.MeasurementUnitsCodeSequence, cls.value_type)
         qualifier = ds.items_of(TAGS.NumericValueQualifierCodeSequence)
-        return cls(name, measured.value(TAGS.NumericValue, ""), _concept(unit, concepts),
-                   _concept(qualifier[0], concepts) if qualifier else None,
+        return cls(name, measured.value(TAGS.NumericValue, ""), _concept(unit, built),
+                   _concept(qualifier[0], built) if qualifier else None,
                    relationship, children)
 
 
@@ -416,10 +419,7 @@ class _StringItem(ContentItem):
         super().__init__(name, relationship, children)
         if not isinstance(value, str):
             raise TypeError(f"{type(self).__name__} is valued by a string")
-        self.value = value
-
-    def _payload(self):
-        return (self.value,)
+        _set(self, "value", value)
 
     def summary(self):
         return f"= {self.value}"
@@ -428,7 +428,7 @@ class _StringItem(ContentItem):
         ds.put(self._keyword, self.value)
 
     @classmethod
-    def _read(cls, ds, concepts, name, relationship, children):
+    def _read(cls, ds, built, name, relationship, children):
         return cls(name, ds.value(cls._keyword, ""), relationship, children)
 
 
@@ -469,11 +469,8 @@ class _ReferenceItem(ContentItem):
         super().__init__(name, relationship, children)
         if not is_valid_uid(sop_class_uid) or not is_valid_uid(sop_instance_uid):
             raise ValueError("referenced SOP class/instance UIDs must be well-formed")
-        self.sop_class_uid = sop_class_uid
-        self.sop_instance_uid = sop_instance_uid
-
-    def _payload(self):
-        return (self.sop_class_uid, self.sop_instance_uid)
+        _set(self, "sop_class_uid", sop_class_uid)
+        _set(self, "sop_instance_uid", sop_instance_uid)
 
     def summary(self):
         return f"-> {self.sop_instance_uid}"
@@ -483,7 +480,7 @@ class _ReferenceItem(ContentItem):
             self.sop_class_uid, self.sop_instance_uid, **attributes),))
 
     @classmethod
-    def _read(cls, ds, concepts, name, relationship, children):
+    def _read(cls, ds, built, name, relationship, children):
         ref = _first_item(ds, TAGS.ReferencedSOPSequence, cls.value_type)
         return cls(name, ref.value(TAGS.ReferencedSOPClassUID),
                    ref.value(TAGS.ReferencedSOPInstanceUID),
@@ -508,13 +505,9 @@ class ImageItem(_ReferenceItem):
                  frame_numbers: Sequence[int] | None = None,
                  relationship=None, children=()):
         super().__init__(name, sop_class_uid, sop_instance_uid, relationship, children)
-        self.segment_number = None if segment_number is None else int(segment_number)
-        self.frame_numbers = (
-            None if frame_numbers is None else tuple(int(f) for f in frame_numbers)
-        )
-
-    def _payload(self):
-        return (*super()._payload(), self.segment_number, self.frame_numbers)
+        _set(self, "segment_number", None if segment_number is None else int(segment_number))
+        # no frame list and an empty one both write no ReferencedFrameNumber
+        _set(self, "frame_numbers", tuple(map(int, frame_numbers or ())) or None)
 
     def summary(self):
         segment = f" segment {self.segment_number}" if self.segment_number else ""
@@ -593,9 +586,6 @@ class _GraphicItem(ContentItem):
 
     __slots__ = ("graphic_type", "points")
 
-    def _payload(self):
-        return (self.graphic_type, self.points)
-
     def summary(self):
         return f"{self.graphic_type.value} ({len(self.points)} point(s))"
 
@@ -604,7 +594,7 @@ class _GraphicItem(ContentItem):
         ds.add(_GRAPHIC_TYPE_ELEMENTS[self.graphic_type])
 
     @classmethod
-    def _read(cls, ds, concepts, name, relationship, children, **arguments):
+    def _read(cls, ds, built, name, relationship, children, **arguments):
         points = ds.element(TAGS.GraphicData)
         if points is None or points.vr is not VR.FL:
             points = np.asarray(ds.values(TAGS.GraphicData))  # foreign VR
@@ -621,9 +611,11 @@ class ScoordItem(_GraphicItem):
     def __init__(self, name, graphic_type: GraphicType2D | str, points,
                  relationship=None, children=()):
         super().__init__(name, relationship, children)
-        self.graphic_type = _member(GraphicType2D, graphic_type)
-        self.points = _as_float32_points(points, 2, self.graphic_type.value)
-        _check_arity(self.graphic_type, len(self.points), _ARITY_2D)
+        graphic_type = _member(GraphicType2D, graphic_type)
+        points = _as_float32_points(points, 2, graphic_type.value)
+        _check_arity(graphic_type, len(points), _ARITY_2D)
+        _set(self, "graphic_type", graphic_type)
+        _set(self, "points", points)
 
     def source_image(self) -> ImageItem | None:
         for child in self.children:
@@ -645,27 +637,26 @@ class Scoord3DItem(_GraphicItem):
                  frame_of_reference_uid: str,
                  relationship=None, children=()):
         super().__init__(name, relationship, children)
-        self.graphic_type = _member(GraphicType3D, graphic_type)
-        self.points = _as_float32_points(points, 3, self.graphic_type.value)
-        _check_arity(self.graphic_type, len(self.points), _ARITY_3D)
-        if self.graphic_type is GraphicType3D.POLYGON and not _is_closed(self.points):
+        graphic_type = _member(GraphicType3D, graphic_type)
+        points = _as_float32_points(points, 3, graphic_type.value)
+        _check_arity(graphic_type, len(points), _ARITY_3D)
+        if graphic_type is GraphicType3D.POLYGON and not _is_closed(points):
             raise InvalidGraphicError("3D POLYGON must be closed (first point == last)")
         if not is_valid_uid(frame_of_reference_uid):
             raise ValueError("SCOORD3D needs a well-formed frame-of-reference UID, "
                              f"got {frame_of_reference_uid!r}")
-        self.frame_of_reference_uid = frame_of_reference_uid
-
-    def _payload(self):
-        return (*super()._payload(), self.frame_of_reference_uid)
+        _set(self, "graphic_type", graphic_type)
+        _set(self, "points", points)
+        _set(self, "frame_of_reference_uid", frame_of_reference_uid)
 
     def _put_value(self, ds):
         super()._put_value(ds)
         ds.put("ReferencedFrameOfReferenceUID", self.frame_of_reference_uid)
 
     @classmethod
-    def _read(cls, ds, concepts, name, relationship, children):
+    def _read(cls, ds, built, name, relationship, children):
         for_uid = ds.value(TAGS.ReferencedFrameOfReferenceUID)
-        return super()._read(ds, concepts, name, relationship, children,
+        return super()._read(ds, built, name, relationship, children,
                              frame_of_reference_uid=for_uid)
 
 
@@ -753,8 +744,6 @@ class ObserverContext:
 
     def to_items(self) -> list[ContentItem]:
         """Observation-context items, each related by HAS OBS CONTEXT."""
-        from ..coding import DCM  # late import keeps module load order simple
-
         rel = RelationshipType.HAS_OBS_CONTEXT
         if self.observer_type is ObserverType.PERSON:
             return [
@@ -806,7 +795,17 @@ def item_from_dataset(ds: DataSet) -> ContentItem:
     return _item_from_dataset(ds, {})
 
 
-def _item_from_dataset(ds: DataSet, concepts: dict) -> ContentItem:
+def _item_from_dataset(ds: DataSet, built: dict) -> ContentItem:
+    """The item read from `ds`. `built` maps ``id`` of each data set read so
+    far to what was built from it, for the whole read, during which the
+    caller's tree keeps every data set alive. A decoded tree shares the data
+    set of every repeated item, and that data set holds the item's
+    relationship and subtree, so its one item is right everywhere. (A
+    crafted file may hold one data set both as a content item and as a code
+    item; the type check keeps the two apart.)"""
+    item = built.get(id(ds))
+    if isinstance(item, ContentItem):
+        return item
     raw_type = ds.value(TAGS.ValueType)
     try:
         cls = _ITEM_CLASSES[_member(ValueType, raw_type)]
@@ -814,9 +813,11 @@ def _item_from_dataset(ds: DataSet, concepts: dict) -> ContentItem:
         raise MissingContentError(f"content item has no known ValueType: {raw_type!r}") from None
     try:
         name_items = ds.items_of(TAGS.ConceptNameCodeSequence)
-        name = _concept(name_items[0], concepts) if name_items else None
-        children = tuple(_item_from_dataset(c, concepts)
+        name = _concept(name_items[0], built) if name_items else None
+        children = tuple(_item_from_dataset(c, built)
                          for c in ds.items_of(TAGS.ContentSequence))
-        return cls._read(ds, concepts, name, ds.value(TAGS.RelationshipType), children)
+        item = built[id(ds)] = cls._read(ds, built, name, ds.value(TAGS.RelationshipType),
+                                         children)
     except (ValueError, TypeError, InvalidGraphicError, InvalidUnitError) as exc:
         raise MissingContentError(f"{cls.value_type.value} item rejected: {exc}") from None
+    return item

@@ -132,10 +132,8 @@ def _planar_region_item(region) -> ContentItem:
             "a 2D image region must carry its source-image reference"
         )
     if isinstance(region, (ScoordItem, Scoord3DItem)):
-        clone = region.with_relationship(_CONTAINS)
-        if clone.name is None:
-            clone.name = DCM.ImageRegion
-        return clone
+        return region._clone(relationship=_CONTAINS,
+                             name=DCM.ImageRegion if region.name is None else region.name)
     raise TypeError(f"unsupported region form: {type(region).__name__}")
 
 

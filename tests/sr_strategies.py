@@ -83,7 +83,7 @@ NUMBERS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(1 - 10
            | st.sampled_from(["0", "-1.5", "+2", "1e3", ".5", "7."]))
 DATETIMES = st.datetimes(datetime(1900, 1, 1)).map(lambda d: d.strftime("%Y%m%d%H%M%S"))
 PERSON_NAMES = st.lists(_WORDS, min_size=1, max_size=3).map("^".join)
-FRAME_NUMBERS = st.none() | st.lists(st.integers(1, 2 ** 31 - 1), min_size=1, max_size=3)
+FRAME_NUMBERS = st.none() | st.lists(st.integers(1, 2 ** 31 - 1), max_size=3)
 SEGMENT_NUMBERS = st.integers(1, 2 ** 16 - 1)
 TEMPLATE_IDS = st.none() | st.integers(1, 9999).map(str)
 COORDINATES = st.floats(-1e6, 1e6, width=32)

@@ -192,6 +192,32 @@ class TestOpen:
         assert doc.tree == tree
         assert doc.kind is SRKind.COMPREHENSIVE_3D
 
+    def test_decoded_repeats_are_one_item(self, ct_series):
+        """The decoder shares the data set of a repeated content item, and
+        the reader builds one item from it."""
+        ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series, n_groups=3))
+        groups = open_sr(decode_dataset(encode_dataset(ds))).measurement_groups()
+        findings = [group.container.find(name=DCM.Finding)[0] for group in groups]
+        assert len(findings) == 3
+        assert findings[0] is findings[1] is findings[2]
+        assert findings[0].relationship is RelationshipType.CONTAINS
+
+    def test_data_set_read_as_content_item_and_code(self, ct_series):
+        """A data set that a crafted file holds both as a content item and
+        as a code item reads as both, whichever comes first."""
+        ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, nodule_report(ct_series))
+        shared = DataSet.of(CodeValue="126000", CodingSchemeDesignator="DCM",
+                            CodeMeaning="Imaging Measurement Report",
+                            RelationshipType="CONTAINS", ValueType="TEXT", TextValue="x")
+        named = DataSet.of(RelationshipType="CONTAINS", ValueType="TEXT", TextValue="y",
+                           ConceptNameCodeSequence=(shared,))
+        ds.put("ConceptNameCodeSequence", (shared,))  # a code, then an item
+        ds.put("ContentSequence", (*ds.items_of("ContentSequence"), shared, named))
+        tree = open_sr(ds).tree  # named: an item, then a code
+        assert tree.name == DCM.ImagingMeasurementReport
+        assert [(item.value, item.name) for item in tree.children[-2:]] == [
+            ("x", None), ("y", DCM.ImagingMeasurementReport)]
+
     def test_missing_content_sequence(self, ct_source):
         ds = DataSet()
         ds.put("SOPClassUID", COMPREHENSIVE_3D_SR_STORAGE)

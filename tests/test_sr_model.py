@@ -1,7 +1,12 @@
 """Content items, graphic arity rules, and template builders."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from dicomforge.codec import decode_dataset, encode_dataset
 from dicomforge.coding import CADSR, DCM, ICD10CM, ICDO3, SCT, UCUM, CodedConcept
 from dicomforge.errors import (
     InvalidGraphicError,
@@ -33,6 +38,7 @@ from dicomforge.sr import (
     planar_roi_group,
     volumetric_roi_group,
 )
+from sr_strategies import content_items
 
 FOR_UID = "1.2.840.99.5.1"
 
@@ -125,6 +131,16 @@ class TestContentItems:
         back = item_from_dataset(item_to_dataset(item))
         assert back == item
         assert back.segment_number == 2
+
+    @pytest.mark.parametrize("frames", [None, [], (3, 1)])
+    def test_image_item_frame_numbers_round_trip(self, frames):
+        item = ImageItem(None, "1.2.840.10008.5.1.4.1.1.2", "1.2.840.99.3",
+                         frame_numbers=frames)
+        [reference] = item_to_dataset(item).items_of("ReferencedSOPSequence")
+        assert ("ReferencedFrameNumber" in reference) == bool(frames)
+        back = item_from_dataset(decode_dataset(encode_dataset(item_to_dataset(item))))
+        assert back.frame_numbers == (tuple(frames) if frames else None)
+        assert back == item
 
     def test_make_content_item_factory(self):
         item = make_content_item(
@@ -322,3 +338,32 @@ class TestMeasurementReport:
         found = find_items(report, name=DCM.Finding)
         assert len(found) == 1
         assert found[0].value == SCT.Neoplasm
+
+
+class TestImmutability:
+    """Items of every class refuse assignment; clones, copies and pickles
+    are equal to the item they come from."""
+
+    @settings(deadline=None)
+    @given(content_items(relationship=RelationshipType.HAS_PROPERTIES))
+    def test_assignment_raises(self, item):
+        for field in (*item._fields, "other"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(item, field, None)
+        assert item.relationship is RelationshipType.HAS_PROPERTIES
+        with pytest.raises(TypeError):
+            hash(item)
+
+    @settings(deadline=None)
+    @given(content_items(relationship=RelationshipType.HAS_PROPERTIES))
+    def test_clones_copies_and_pickles_are_equal(self, item):
+        for twin in (item.with_relationship(RelationshipType.HAS_PROPERTIES),
+                     item.with_children(item.children), copy.copy(item),
+                     copy.deepcopy(item), pickle.loads(pickle.dumps(item))):
+            assert type(twin) is type(item)
+            assert twin is not item
+            assert twin == item
+        moved = item.with_relationship(RelationshipType.INFERRED_FROM)
+        assert moved.relationship is RelationshipType.INFERRED_FROM
+        assert item.relationship is RelationshipType.HAS_PROPERTIES
+        assert moved.with_relationship(RelationshipType.HAS_PROPERTIES) == item
