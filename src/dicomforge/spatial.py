@@ -38,6 +38,9 @@ class PlaneGeometry:
         object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
         if len(self.position) != 3 or len(self.orientation) != 6 or len(self.spacing) != 2:
             raise GeometryError("geometry needs 3 position, 6 orientation, 2 spacing values")
+        # NaN passes every comparison check below, and infinity the spacing one
+        if not np.isfinite((*self.position, *self.orientation, *self.spacing)).all():
+            raise GeometryError("geometry values must be finite numbers")
         col_dir = np.asarray(self.orientation[:3])
         row_dir = np.asarray(self.orientation[3:])
         if abs(np.linalg.norm(col_dir) - 1.0) > _ORTHONORMALITY_TOL:
@@ -91,8 +94,11 @@ class AffineMapper:
 
         The point must lie within `tolerance` mm of the plane (measured
         along the normal); otherwise an OffPlaneError reporting the
-        distance is raised. The result is the in-plane projection.
+        distance is raised. The result is the in-plane projection. A
+        tolerance that is not a number >= 0 raises UsageError.
         """
+        if not tolerance >= 0:  # NaN too
+            raise UsageError(f"tolerance must be a number of mm >= 0, got {tolerance}")
         points = np.atleast_2d(np.asarray(point, dtype=float))
         if points.shape[-1] != 3:
             raise UsageError("reference coordinates must be (x, y, z) triplets")

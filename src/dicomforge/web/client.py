@@ -31,6 +31,7 @@ from urllib.parse import quote, urlencode, urlparse
 
 from ..dataset import DataSet
 from ..errors import (
+    NotASequenceError,
     NotFoundError,
     PartialStoreError,
     ProtocolError,
@@ -104,6 +105,19 @@ def _failed_uids(response_ds: DataSet) -> list[str]:
         item.value("ReferencedSOPInstanceUID", "")
         for item in response_ds.items_of("FailedSOPSequence")
     ]
+
+
+def _store_response(reply: bytes) -> DataSet:
+    """The store response in `reply`. Raises ProtocolError unless it is a
+    DICOM JSON data set whose ReferencedSOPSequence and FailedSOPSequence,
+    where present, are sequences."""
+    try:
+        response = dataset_from_json(json.loads(reply))
+        for keyword in ("ReferencedSOPSequence", "FailedSOPSequence"):
+            response.items_of(keyword)
+    except (ValueError, NotASequenceError) as exc:
+        raise ProtocolError(f"malformed store response: {exc}") from None
+    return response
 
 
 class WebClient:
@@ -248,6 +262,8 @@ class WebClient:
         Returns the store response. When the server rejected every part
         (409 with a store response), raises PartialStoreError with the
         rejected SOP instance UIDs ("" where the server could not read one).
+        A 2xx reply that is not a store response raises ProtocolError, and
+        a 409 one TransportError.
         """
         boundary = random_boundary()
         body = build_multipart(list(parts), boundary)
@@ -263,17 +279,13 @@ class WebClient:
         )
         if status == 409:
             try:
-                failed = _failed_uids(dataset_from_json(json.loads(reply)))
-            except (ValueError, ProtocolError):
+                failed = _failed_uids(_store_response(reply))
+            except ProtocolError:
                 failed = []
             if not failed:  # not a store response: a plain HTTP error
                 raise _status_error("POST", f"{self.base_url}/studies", status, reply)
             raise PartialStoreError(failed, status=409)
-        try:
-            payload = json.loads(reply)
-        except ValueError as exc:
-            raise ProtocolError(f"store response is not valid JSON: {exc}")
-        return dataset_from_json(payload)
+        return _store_response(reply)
 
     # -- WADO-RS -----------------------------------------------------------
 

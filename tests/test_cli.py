@@ -518,6 +518,28 @@ class TestCoords:
         assert (code, err) == (1, "ERROR validation: bad geometry line 'position=a,20,30'; "
                                   "use key=v1,v2,... (numbers)\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("position", "nan,0,0"), ("orientation", "1,0,0,0,1,nan"), ("spacing", "nan,1"),
+        ("spacing", "inf,1"),
+    ])
+    def test_non_finite_geometry_is_validation_error(self, tmp_path, capsys, key, value):
+        lines = {"position": "10,20,30", "orientation": "1,0,0,0,1,0", "spacing": "2,2",
+                 key: value}
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
+        code, out, err = run(["coords", "--geometry", str(path), "--to-ref", "1,2"], capsys)
+        assert (code, out, err) == (
+            1, "", "ERROR validation: geometry values must be finite numbers\n")
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_tolerance_below_zero_or_nan_is_usage_error(self, tmp_path, capsys, tolerance):
+        code, out, err = run([
+            "coords", "--geometry", self.geometry_file(tmp_path),
+            "--to-pixel", "16,28,500", "--tolerance", tolerance,
+        ], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR usage: tolerance must be a number of mm >= 0, got {float(tolerance)}\n"
+
     def test_off_plane_is_validation_error(self, tmp_path, capsys):
         code, _, err = run([
             "coords", "--geometry", self.geometry_file(tmp_path),
@@ -579,6 +601,10 @@ class TestWebCommands:
          "attribute 00081155: (0008,1155): VR UI requires str values"),
         ("store", {"00200013": {"vr": "IS", "Value": ["a"]}},
          "attribute 00200013: invalid literal for int() with base 10: 'a'"),
+        ("store", {"00081199": {"vr": "UI", "Value": ["1.2.3"]}},
+         "malformed store response: (0008,1199) is UI, not a sequence"),
+        ("store", {"00081198": {"vr": "UI", "Value": ["1.2.3"]}},
+         "malformed store response: (0008,1198) is UI, not a sequence"),
     ])
     def test_malformed_reply_is_a_network_error(self, source_files, capsys,
                                                 command, reply, message):
@@ -589,6 +615,15 @@ class TestWebCommands:
             files = source_files[0][:1] if command == "store" else []
             code, out, err = run([command, "--url", base_url, *files], capsys)
         assert (code, out, err) == (4, "", f"ERROR network: {message}\n")
+
+    def test_malformed_409_reply_is_a_network_error(self, source_files, capsys):
+        body = json.dumps({"00081198": {"vr": "UI", "Value": ["1.2.3"]}}).encode()
+        head = (b"HTTP/1.1 409 Conflict\r\nContent-Type: application/dicom+json\r\n"
+                b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body))
+        with recording_server(lambda request: head + body) as (base_url, _):
+            code, out, err = run(["store", "--url", base_url, source_files[0][0]], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"ERROR network: POST {base_url}/studies returned 409: {body.decode()}\n"
 
     def test_port_out_of_range(self, capsys):
         code, _, err = run(["serve", "--port", "70000"], capsys)

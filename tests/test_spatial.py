@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dicomforge.errors import GeometryError, OffPlaneError
+from dicomforge.errors import GeometryError, OffPlaneError, UsageError
 from dicomforge.spatial import AffineMapper, PlaneGeometry, mapper_from_geometry
 
 IDENTITY = PlaneGeometry(
@@ -73,6 +73,18 @@ class TestMapperFromGeometry:
         with pytest.raises(GeometryError):
             PlaneGeometry((0, 0, 0), (1, 0, 0, 0, 1, 0), (0, 1))
 
+    @pytest.mark.parametrize("position, orientation, spacing", [
+        ((math.nan, 0, 0), (1, 0, 0, 0, 1, 0), (1, 1)),
+        ((0, 0, math.inf), (1, 0, 0, 0, 1, 0), (1, 1)),
+        ((0, 0, 0), (math.nan, 0, 0, 0, 1, 0), (1, 1)),
+        ((0, 0, 0), (1, 0, 0, 0, 1, 0), (math.nan, 1)),
+        ((0, 0, 0), (1, 0, 0, 0, 1, 0), (1, math.inf)),
+    ], ids=["nan-position", "inf-position", "nan-orientation", "nan-spacing",
+            "inf-spacing"])
+    def test_non_finite_geometry_rejected(self, position, orientation, spacing):
+        with pytest.raises(GeometryError, match="finite"):
+            PlaneGeometry(position, orientation, spacing)
+
 
 class TestInverse:
     def test_round_trip_random_planes(self, rng):
@@ -91,6 +103,13 @@ class TestInverse:
         with pytest.raises(OffPlaneError) as excinfo:
             mapper.reference_to_pixel(displaced, tolerance=0.1)
         assert excinfo.value.distance == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, -0.0001, math.nan])
+    def test_tolerance_must_be_a_number_of_at_least_zero(self, tolerance):
+        mapper = mapper_from_geometry(IDENTITY)
+        with pytest.raises(UsageError, match="tolerance"):
+            mapper.reference_to_pixel((1, 2, 500), tolerance=tolerance)
+        assert np.array_equal(mapper.reference_to_pixel((1, 2, 0), tolerance=0), (1, 2))
 
     def test_within_tolerance_projected(self, rng):
         geometry = random_geometry(rng)

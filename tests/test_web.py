@@ -1,6 +1,7 @@
 """DICOMweb loop tests against the in-repo stub archive."""
 import http.client
 import itertools
+import json
 import logging
 import os
 import select
@@ -317,6 +318,27 @@ class TestStoreRetrieve:
             client.store_parts([write_part10(file_meta_for(cut), cut)[:-3]])
         assert excinfo.value.failed_sop_instance_uids == [""]
         assert len(archive) == 0
+
+    @pytest.mark.parametrize("keyword", ["00081199", "00081198"],
+                             ids=["ReferencedSOPSequence", "FailedSOPSequence"])
+    @pytest.mark.parametrize("status", [200, 409])
+    def test_reference_sequence_of_another_vr(self, keyword, status):
+        """A store reply that writes one of its reference sequences with
+        another VR is not a store response: a 2xx one is a protocol error,
+        a 409 one a plain HTTP error."""
+        body = json.dumps({keyword: {"vr": "UI", "Value": ["1.2.3"]}}).encode()
+        reply = (b"HTTP/1.1 %d X\r\nContent-Type: application/dicom+json\r\n"
+                 b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+                 % (status, len(body), body))
+        with recording_server(lambda _: reply) as (base_url, _):
+            with pytest.raises(TransportError if status == 409 else ProtocolError) as excinfo:
+                WebClient(base_url, timeout=10).store_parts([b"x"])
+        if status == 409:
+            assert excinfo.value.status == 409
+            assert not isinstance(excinfo.value, PartialStoreError)
+        else:
+            assert str(excinfo.value) == (f"malformed store response: ({keyword[:4]},"
+                                          f"{keyword[4:]}) is UI, not a sequence")
 
     def test_non_json_409_stays_a_transport_error(self):
         reply = (b"HTTP/1.1 409 Conflict\r\nContent-Type: text/plain\r\n"
