@@ -171,8 +171,7 @@ class ContentItem:
     value_type: ValueType  # set on subclasses
 
     __slots__ = ("name", "relationship", "children")
-    # every slot of the class and its bases, which a clone copies; the
-    # fields after these three are the value, which equality compares
+    # every slot of the class and its bases, which a clone copies
     _fields = __slots__
 
     def __init_subclass__(cls, **kwargs):
@@ -210,7 +209,8 @@ class ContentItem:
                 )
 
     def _payload(self) -> tuple:
-        """The value fields, which equality compares."""
+        """The fields after name, relationship and children: the item's
+        value, which equality compares."""
         return tuple(getattr(self, field) for field in self._fields[3:])
 
     def _put_value(self, ds: DataSet) -> None:
