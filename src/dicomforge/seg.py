@@ -25,11 +25,13 @@ and by an element-wise maximum, into a volume of the smallest unsigned
 dtype that holds the largest described segment number, so the highest
 number wins where segments overlap.
 
-Each functional group has one owner that writes and reads it: a
-:class:`FrameRecord` writes and parses its per-frame group (the items
-that repeat between frames, a segment's identification and a source
-frame's derivation and position, are one object each within a SEG, so
-the encoder writes each once and copies its bytes), each
+Each functional group and segment item has one owner that writes and
+reads it: a :class:`SegmentDescription` writes and reads its
+SegmentSequence item, a source :class:`FrameRecord` writes the per-frame
+group of each SEG frame stored for it and a SEG one parses its own (the
+items that repeat between frames, a segment's identification and a
+source frame's derivation and position, are one object each within a
+SEG, so the encoder writes each once and copies its bytes), each
 plane-position class its own position item (:func:`plane_position` reads
 either kind), and :func:`shared_geometry` reads the shared group of a SEG
 or a source. SOP references go through :mod:`dicomforge.derived`.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -139,6 +141,53 @@ class SegmentDescription:
             raise ValueError(
                 f"{self.algorithm_type.value} segments need an algorithm identification"
             )
+
+    def to_item(self) -> DataSet:
+        """This segment's SegmentSequence item. Of the algorithm only the
+        name is written, as SegmentAlgorithmName."""
+        item = DataSet()
+        item.put("SegmentNumber", self.number)
+        item.put("SegmentLabel", self.label)
+        item.put("SegmentAlgorithmType", self.algorithm_type.value)
+        if self.algorithm is not None:
+            item.put("SegmentAlgorithmName", self.algorithm.name)
+        item.put("SegmentedPropertyCategoryCodeSequence", (concept_to_items(self.category),))
+        item.put("SegmentedPropertyTypeCodeSequence", (concept_to_items(self.property_type),))
+        if self.anatomic_site is not None:
+            item.put("AnatomicRegionSequence", (concept_to_items(self.anatomic_site),))
+        if self.tracking is not None:
+            if self.tracking.identifier:
+                item.put("TrackingID", self.tracking.identifier)
+            item.put("TrackingUID", self.tracking.uid)
+        return item
+
+    @classmethod
+    def from_item(cls, item: DataSet, index: int) -> "SegmentDescription":
+        """Inverse of :meth:`to_item` for item `index` (from 0) of a
+        SegmentSequence; an item without a SegmentNumber raises
+        MalformedSegError. A missing category or property type reads as an
+        "unknown" code, a missing algorithm type as MANUAL. Since a SEG
+        keeps only the algorithm's name, its version reads as "unknown" and
+        its parameters as ()."""
+        number = item.value("SegmentNumber")
+        if number is None:
+            raise MalformedSegError(f"segment item {index + 1} lacks a SegmentNumber")
+        name = item.value("SegmentAlgorithmName")
+        uid = item.value("TrackingUID")
+        category = item.items_of("SegmentedPropertyCategoryCodeSequence")
+        property_type = item.items_of("SegmentedPropertyTypeCodeSequence")
+        site = item.items_of("AnatomicRegionSequence")
+        unknown = CodedConcept("unknown", "99UNKNOWN", "unknown")
+        return cls(
+            number=int(number),
+            label=item.value("SegmentLabel", ""),
+            category=concept_from_items(category[0]) if category else unknown,
+            property_type=concept_from_items(property_type[0]) if property_type else unknown,
+            algorithm_type=item.value("SegmentAlgorithmType", "MANUAL"),
+            algorithm=AlgorithmIdentification(name, "unknown") if name else None,
+            anatomic_site=concept_from_items(site[0]) if site else None,
+            tracking=TrackingIdentifier(uid, item.value("TrackingID")) if uid else None,
+        )
 
 
 def _numbers(values) -> bool:
@@ -261,18 +310,20 @@ class FrameRecord:
     source_frame_number: int
     position: PlanePositionPatient | PlanePositionSlide
 
-    def to_group(self, frame_number: bool, shared: dict) -> DataSet:
-        """This SEG frame's per-frame functional group; `frame_number`
+    def to_group(self, segment_number: int, frame_number: bool, repeated: dict) -> DataSet:
+        """The per-frame functional group of the SEG frame that segment
+        `segment_number` stores for this source frame; `frame_number`
         references the source frame by number (multi-frame sources).
 
-        `shared` holds the items that repeat between the frames of one SEG,
-        each built on first use: a segment's identification item, keyed by
-        its number, and a source frame's derivation and plane-position
-        items. Only the frame content item is the frame's own.
+        `repeated` holds the items that repeat between the frames of one
+        SEG, each built on first use: a segment's identification item,
+        keyed by its number, and a source frame's derivation and
+        plane-position items. Only the frame content item is the frame's
+        own.
         """
         source = (self.source_sop_class_uid, self.source_sop_instance_uid,
                   self.source_frame_number, self.position)
-        if source not in shared:
+        if source not in repeated:
             reference = sop_reference(
                 self.source_sop_class_uid,
                 self.source_sop_instance_uid,
@@ -281,19 +332,18 @@ class FrameRecord:
                     concept_to_items(DCM.SourceImageForImageProcessingOperation),
                 ),
             )
-            shared[source] = (DataSet.of(
+            repeated[source] = (DataSet.of(
                 SourceImageSequence=(reference,),
                 DerivationCodeSequence=(concept_to_items(DCM.Segmentation),),
             ),), (self.position.to_item(),)
-        if self.segment_number not in shared:
-            shared[self.segment_number] = (
-                DataSet.of(ReferencedSegmentNumber=self.segment_number),)
-        derivation, position = shared[source]
+        if segment_number not in repeated:
+            repeated[segment_number] = (DataSet.of(ReferencedSegmentNumber=segment_number),)
+        derivation, position = repeated[source]
         return DataSet.of(
             FrameContentSequence=(DataSet.of(
-                DimensionIndexValues=[self.segment_number, self.source_frame_number]
+                DimensionIndexValues=[segment_number, self.source_frame_number]
             ),),
-            SegmentIdentificationSequence=shared[self.segment_number],
+            SegmentIdentificationSequence=repeated[segment_number],
             DerivationImageSequence=derivation,
             **{self.position.sequence: position},
         )
@@ -508,15 +558,15 @@ def create_seg(
 
     # The kept frames are copied once, as one stored value per pixel.
     stored = np.empty((sum(len(kept) for _, kept in stacks), rows, cols), np.uint8)
-    records: list[FrameRecord] = []
+    groups: list[DataSet] = []
+    repeated: dict = {}
     for description, (stack, frame_numbers) in zip(descriptions, stacks):
         for f in frame_numbers:
-            stored[len(records)] = (
+            stored[len(groups)] = (
                 stack[f] if seg_type.is_binary
                 else quantize_fraction(stack[f], seg_type.max_fractional_value)
             )
-            records.append(replace(source_frames[f], index=len(records),
-                                   segment_number=description.number))
+            groups.append(source_frames[f].to_group(description.number, slide_based, repeated))
 
     if seg_type.is_binary:
         pixel_data = pack_bits(stored)
@@ -552,35 +602,9 @@ def create_seg(
     if not seg_type.is_binary:
         ds.put("SegmentationFractionalType", seg_type.fractional_kind.value)
         ds.put("MaximumFractionalValue", seg_type.max_fractional_value)
-    ds.put("NumberOfFrames", len(records))
+    ds.put("NumberOfFrames", len(groups))
 
-    segment_items = []
-    for description in descriptions:
-        item = DataSet()
-        item.put("SegmentNumber", description.number)
-        item.put("SegmentLabel", description.label)
-        item.put("SegmentAlgorithmType", description.algorithm_type.value)
-        if description.algorithm is not None:
-            item.put("SegmentAlgorithmName", description.algorithm.name)
-        item.put(
-            "SegmentedPropertyCategoryCodeSequence",
-            (concept_to_items(description.category),),
-        )
-        item.put(
-            "SegmentedPropertyTypeCodeSequence",
-            (concept_to_items(description.property_type),),
-        )
-        if description.anatomic_site is not None:
-            item.put(
-                "AnatomicRegionSequence",
-                (concept_to_items(description.anatomic_site),),
-            )
-        if description.tracking is not None:
-            if description.tracking.identifier:
-                item.put("TrackingID", description.tracking.identifier)
-            item.put("TrackingUID", description.tracking.uid)
-        segment_items.append(item)
-    ds.put("SegmentSequence", tuple(segment_items))
+    ds.put("SegmentSequence", tuple(d.to_item() for d in descriptions))
 
     organization_uid = new_uid()
     ds.put("DimensionOrganizationSequence",
@@ -608,9 +632,7 @@ def create_seg(
         ds.put("ImageOrientationSlide", list(orientation))
     ds.put("SharedFunctionalGroupsSequence", (shared,))
 
-    shared: dict = {}
-    ds.put("PerFrameFunctionalGroupsSequence",
-           tuple(record.to_group(slide_based, shared) for record in records))
+    ds.put("PerFrameFunctionalGroupsSequence", tuple(groups))
     ds.put("ReferencedSeriesSequence", reference_sequence(
         map(instance_reference, sources), "ReferencedInstanceSequence", by_study=False
     ))
@@ -645,7 +667,10 @@ class Segmentation:
                     int(dataset.value("MaximumFractionalValue", 255)),
                 )
             )
-            self.descriptions = self._parse_descriptions(dataset)
+            self.descriptions = tuple(
+                SegmentDescription.from_item(item, i)
+                for i, item in enumerate(dataset.items_of("SegmentSequence"))
+            )
         except ValueError as exc:
             raise MalformedSegError(f"malformed segmentation: {exc}") from exc
         self._described = frozenset(d.number for d in self.descriptions)
@@ -689,41 +714,6 @@ class Segmentation:
             )
         ]
         self._referenced_instances = set(self._source_uids)
-
-    @staticmethod
-    def _parse_descriptions(dataset: DataSet) -> tuple[SegmentDescription, ...]:
-        out = []
-        for i, item in enumerate(dataset.items_of("SegmentSequence")):
-            number = item.value("SegmentNumber")
-            if number is None:
-                raise MalformedSegError(f"segment item {i + 1} lacks a SegmentNumber")
-            algorithm = None
-            if item.value("SegmentAlgorithmName"):
-                algorithm = AlgorithmIdentification(
-                    name=item.value("SegmentAlgorithmName"), version="unknown"
-                )
-            tracking = None
-            if item.value("TrackingUID"):
-                tracking = TrackingIdentifier(
-                    uid=item.value("TrackingUID"),
-                    identifier=item.value("TrackingID"),
-                )
-            category_items = item.items_of("SegmentedPropertyCategoryCodeSequence")
-            type_items = item.items_of("SegmentedPropertyTypeCodeSequence")
-            site_items = item.items_of("AnatomicRegionSequence")
-            out.append(SegmentDescription(
-                number=int(number),
-                label=item.value("SegmentLabel", ""),
-                category=concept_from_items(category_items[0]) if category_items
-                else CodedConcept("unknown", "99UNKNOWN", "unknown"),
-                property_type=concept_from_items(type_items[0]) if type_items
-                else CodedConcept("unknown", "99UNKNOWN", "unknown"),
-                algorithm_type=item.value("SegmentAlgorithmType", "MANUAL"),
-                algorithm=algorithm,
-                anatomic_site=concept_from_items(site_items[0]) if site_items else None,
-                tracking=tracking,
-            ))
-        return tuple(out)
 
     def _check_pixel_length(self) -> None:
         actual = len(self._pixel_data)
