@@ -131,7 +131,8 @@ def _rebuild(cls, values) -> "ContentItem":
 
 @dataclass(frozen=True)
 class TrackingIdentifier:
-    """Stable identity for an ROI: a UID plus an optional readable label."""
+    """Stable identity for an ROI: a UID plus an optional readable label.
+    An empty label is held as None, as neither an SR nor a SEG writes one."""
 
     uid: str
     identifier: str | None = None
@@ -139,6 +140,7 @@ class TrackingIdentifier:
     def __post_init__(self):
         if not is_valid_uid(self.uid):
             raise ValueError(f"not a well-formed tracking UID: {self.uid!r}")
+        object.__setattr__(self, "identifier", self.identifier or None)
 
     @classmethod
     def generate(cls, identifier: str | None = None) -> "TrackingIdentifier":

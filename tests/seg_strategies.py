@@ -8,7 +8,8 @@ not a multiple of 8, so every binary frame after the first starts inside
 a byte; one to four segments whose masks overlap, some frames left empty,
 given as bool, int or float stacks; a binary or fractional type;
 `omit_empty` on or off; and descriptions with registry and made-up codes,
-an optional anatomic site, an algorithm and optional tracking. Every
+an optional anatomic site, an algorithm and optional tracking (whose
+identifier may be empty). Every
 value is one that a Part 10 round trip keeps.
 """
 from __future__ import annotations
@@ -55,7 +56,8 @@ OFFSETS = st.integers(-10 ** 4, 10 ** 4).map(lambda n: str(n / 4))
 LONG_STRINGS = text(30)
 ALGORITHMS = st.builds(AlgorithmIdentification, LONG_STRINGS, LONG_STRINGS,
                        st.lists(LONG_STRINGS, max_size=2))
-TRACKING = st.none() | st.builds(TrackingIdentifier, UIDS, st.none() | LONG_STRINGS)
+TRACKING = st.none() | st.builds(TrackingIdentifier, UIDS,
+                                 st.none() | st.just("") | LONG_STRINGS)
 
 
 def slide_source(rows: int, cols: int, tiles) -> DataSet:
@@ -71,8 +73,8 @@ def slide_source(rows: int, cols: int, tiles) -> DataSet:
     ds.put("SharedFunctionalGroupsSequence", (DataSet.of(
         PixelMeasuresSequence=(DataSet.of(PixelSpacing=["0.25", "0.25"]),)),))
     ds.put("PerFrameFunctionalGroupsSequence", tuple(
-        DataSet.of(PlanePositionSlideSequence=(PlanePositionSlide((x, y, "0"), row, column)
-                                               .to_item(),))
+        DataSet.of(PlanePositionSlideSequence=(
+            PlanePositionSlide((x, y, "0"), row, column).to_item(),))
         for x, y, row, column in tiles
     ))
     return ds

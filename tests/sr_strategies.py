@@ -188,7 +188,7 @@ def regions(draw, cls):
 def groups(draw, allow_3d: bool):
     """One planar, volumetric or image-level measurement group."""
     kind = draw(st.sampled_from(GroupKind))
-    tracking = TrackingIdentifier(draw(UIDS), draw(st.none() | text(30)))
+    tracking = TrackingIdentifier(draw(UIDS), draw(st.none() | st.just("") | text(30)))
     finding = draw(CODES)
     measurements = draw(st.lists(st.builds(NumItem, CODES, NUMBERS, UNITS), max_size=3))
     # the group projection reads a CODE item named Finding or Finding Site

@@ -305,6 +305,13 @@ class TestOpen:
         assert parsed.category == SCT.MorphologicallyAbnormalStructure
         assert parsed.tracking.uid == tracking.uid
 
+    def test_empty_tracking_identifier_reads_as_none(self, ct_series):
+        tracking = TrackingIdentifier("1.2.3", "")
+        ds = create_seg(ct_series, [np.ones((3, 16, 16), np.uint8)],
+                        [description(1, tracking=tracking)], SegmentationType.binary())
+        [parsed] = open_seg(decode_dataset(encode_dataset(ds))).descriptions
+        assert parsed.tracking == tracking == TrackingIdentifier("1.2.3")
+
     def test_fractional_type_echoed(self, ct_series):
         ds = create_seg(ct_series, [np.full((3, 16, 16), 0.25)],
                         [description(1)],

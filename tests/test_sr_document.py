@@ -398,6 +398,14 @@ class TestMeasurementGroups:
         assert unit == UCUM.mm
         assert group.tracking.identifier == "Nodule 1"
 
+    def test_empty_tracking_identifier_reads_as_none(self, ct_series):
+        tracking = TrackingIdentifier("1.2.3", "")
+        tree = measurement_report(OBSERVER, SCT.ImagingProcedure,
+                                  [measurement_group(tracking, SCT.Nodule)])
+        ds = create_sr(SRKind.COMPREHENSIVE_3D, ct_series, tree)
+        [group] = open_sr(decode_dataset(encode_dataset(ds))).measurement_groups()
+        assert group.tracking == tracking == TrackingIdentifier("1.2.3")
+
     def test_group_kind_without_template_identifier(self, ct_series):
         """A foreign SR may leave TemplateIdentifier out of its groups; each
         group's kind then follows from its regions."""
