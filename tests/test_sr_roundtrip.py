@@ -4,7 +4,9 @@ Each example builds a measurement report (`sr_strategies.reports`), runs
 `create_sr` -> `write_part10` -> `read_part10` -> `open_sr`, and checks
 that the tree and the measurement groups read back are the ones built,
 that the decoded data set encodes to the same bytes, and that `dump-sr`
-prints every item of the tree.
+prints every item of the tree. A variant strips the template identifier
+from every group, as a foreign SR may, and checks the kind each group is
+then given by its regions.
 """
 import contextlib
 import io
@@ -16,9 +18,17 @@ import pytest
 from hypothesis import given, settings
 
 from dicomforge.cli import main
+from dicomforge.coding import DCM, concept_from_items
 from dicomforge.errors import NoGeometryError
 from dicomforge.part10 import file_meta_for, read_part10, write_part10
-from dicomforge.sr import ScoordItem, SegmentReference, WorldRegion, create_sr, open_sr
+from dicomforge.sr import (
+    GroupKind,
+    ScoordItem,
+    SegmentReference,
+    WorldRegion,
+    create_sr,
+    open_sr,
+)
 from sr_strategies import EVIDENCE, reports
 
 ROUND_TRIPS = settings(max_examples=200, deadline=None)
@@ -98,3 +108,35 @@ def test_dump_sr_prints_every_item(report):
         with contextlib.redirect_stdout(out):
             assert main(["dump-sr", path]) == 0
     assert out.getvalue().split("\n") == [*rendered(report.tree), ""]
+
+
+def strip_group_templates(ds) -> None:
+    """Remove ContentTemplateSequence from every measurement group container
+    of the SR data set `ds`."""
+    for item in ds.items_of("ContentSequence"):
+        names = item.items_of("ConceptNameCodeSequence")
+        if names and concept_from_items(names[0]) == DCM.ImagingMeasurements:
+            for group in item.items_of("ContentSequence"):
+                group.remove("ContentTemplateSequence")
+
+
+def kind_by_regions(group) -> GroupKind:
+    """The kind a group without a template identifier reads as: a segment
+    reference or more than one region is volumetric, one region planar,
+    no region image-level; whatever kind it was built as."""
+    if group.region is None:
+        return GroupKind.IMAGE
+    if isinstance(group.region, SegmentReference) or len(group.region) > 1:
+        return GroupKind.VOLUMETRIC
+    return GroupKind.PLANAR
+
+
+@ROUND_TRIPS
+@given(reports())
+def test_groups_without_templates_read_by_their_regions(report):
+    ds = create_sr(report.kind, EVIDENCE, report.tree)
+    strip_group_templates(ds)
+    _, decoded = read_part10(write_part10(file_meta_for(ds), ds))
+    views = open_sr(decoded).measurement_groups()
+    assert [view.container.template_id for view in views] == [None] * len(report.groups)
+    assert [view.kind for view in views] == list(map(kind_by_regions, report.groups))
