@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fractional", action="store_true")
     p.add_argument("--max-fractional", type=int, default=255)
     p.add_argument("--omit-empty", action="store_true")
-    p.add_argument("--algorithm", metavar="NAME:VERSION")
+    p.add_argument("--algorithm", metavar="NAME:VERSION",
+                   help="the algorithm that made the masks; the SEG keeps only NAME")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_mk_seg)
 
