@@ -46,8 +46,9 @@ def stored_frames(case) -> list[tuple[int, int]]:
 def stored_form(description):
     """A description as a SEG keeps it: of the algorithm only the name."""
     algorithm = description.algorithm
-    return replace(description, algorithm=algorithm and AlgorithmIdentification(
-        algorithm.name, "unknown"))
+    if algorithm is not None:
+        algorithm = AlgorithmIdentification(algorithm.name, "unknown")
+    return replace(description, algorithm=algorithm)
 
 
 @ROUND_TRIPS
