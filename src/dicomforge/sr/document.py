@@ -7,13 +7,14 @@ content tree. Two readers build such a document from other input:
 bounding-box group per connected region of each stored frame), and
 :func:`report_from_spec` from an annotation spec, the JSON document the
 README describes. Opening exposes the document meta, the evidence
-references, the parsed tree, and measurement-group views with filtering.
+references and the parsed tree, and filters the measurement groups that
+:mod:`.templates` reads back.
 """
 from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -34,7 +35,6 @@ from ..errors import (
     DicomforgeError,
     EvidenceError,
     MissingContentError,
-    NoGeometryError,
     TemplateViolationError,
     UnknownCodeError,
     ValueTypeForbiddenError,
@@ -60,14 +60,13 @@ from .items import (
     item_to_dataset,
 )
 from .templates import (
-    IMAGE_GROUP_TID,
-    PLANAR_GROUP_TID,
-    VOLUMETRIC_GROUP_TID,
-    ImageReference,
+    GroupKind,
+    MeasurementGroupView,
     SegmentReference,
     measurement_group,
     measurement_report,
     planar_roi_group,
+    report_groups,
     volumetric_roi_group,
 )
 
@@ -443,160 +442,6 @@ _SPEC = {
 }
 
 
-# -- parsing ------------------------------------------------------------------
-
-
-class GroupKind(str, enum.Enum):
-    PLANAR = "planar"
-    VOLUMETRIC = "volumetric"
-    IMAGE = "image-level"
-
-
-_TEMPLATE_KIND = {
-    PLANAR_GROUP_TID: GroupKind.PLANAR,
-    VOLUMETRIC_GROUP_TID: GroupKind.VOLUMETRIC,
-    IMAGE_GROUP_TID: GroupKind.IMAGE,
-}
-
-
-# Another name for SegmentReference: geometry() returns the type that the
-# group builders take.
-SegmentRegion = SegmentReference
-
-
-@dataclass(frozen=True)
-class WorldRegion:
-    """3D frame-of-reference geometry (one or more point sets, mm)."""
-
-    polygons: tuple[np.ndarray, ...]
-    frame_of_reference_uid: str
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.vstack(self.polygons)
-
-
-@dataclass(frozen=True)
-class PixelRegion:
-    """2D pixel-matrix geometry plus the image it indexes into."""
-
-    points: np.ndarray
-    source: ImageReference | None
-
-
-@dataclass(frozen=True)
-class MeasurementGroupView:
-    """Read-only projection of one measurement-group subtree."""
-
-    kind: GroupKind
-    tracking: TrackingIdentifier | None
-    finding: CodedConcept | None
-    finding_sites: tuple[CodedConcept, ...]
-    measurements: tuple[tuple[CodedConcept, str, CodedConcept], ...]
-    evaluations: tuple[tuple[CodedConcept, CodedConcept], ...]
-    container: ContainerItem = field(repr=False)
-    _segment_items: tuple[ImageItem, ...] = field(repr=False)
-    _scoord_items: tuple[ScoordItem, ...] = field(repr=False)
-    _scoord3d_items: tuple[Scoord3DItem, ...] = field(repr=False)
-
-    def geometry(self):
-        """The group's region geometry.
-
-        Returns a SegmentReference, a WorldRegion (3D), a PixelRegion (2D), or
-        a tuple of PixelRegion for per-frame 2D contours. Image-level
-        groups have no geometry and raise NoGeometryError.
-        """
-        if self._segment_items:
-            item = self._segment_items[0]
-            return SegmentReference(item.sop_instance_uid, item.segment_number,
-                                    item.sop_class_uid)
-        if self._scoord3d_items:
-            return WorldRegion(
-                polygons=tuple(i.points for i in self._scoord3d_items),
-                frame_of_reference_uid=self._scoord3d_items[0].frame_of_reference_uid,
-            )
-        if self._scoord_items:
-            regions = []
-            for item in self._scoord_items:
-                source = item.source_image()
-                ref = None
-                if source is not None:
-                    ref = ImageReference(
-                        sop_class_uid=source.sop_class_uid,
-                        sop_instance_uid=source.sop_instance_uid,
-                        frame_numbers=source.frame_numbers,
-                    )
-                regions.append(PixelRegion(points=item.points, source=ref))
-            return regions[0] if len(regions) == 1 else tuple(regions)
-        raise NoGeometryError("image-level measurement groups carry no region")
-
-
-# Concepts that _project_group and measurement_groups compare items with,
-# bound once rather than looked up per item
-_TRACKING_UID = DCM.TrackingUniqueIdentifier
-_TRACKING_ID = DCM.TrackingIdentifier
-_FINDING = DCM.Finding
-_FINDING_SITE = SCT.FindingSite
-_IMAGING_MEASUREMENTS = DCM.ImagingMeasurements
-
-
-def _project_group(container: ContainerItem) -> MeasurementGroupView:
-    tracking_uid = None
-    tracking_id = None
-    finding = None
-    sites = []
-    measurements = []
-    evaluations = []
-    segments = []
-    scoords = []
-    scoord3ds = []
-    for item in container.children:
-        if item.value_type is ValueType.UIDREF and item.name == _TRACKING_UID:
-            tracking_uid = item.value
-        elif item.value_type is ValueType.TEXT and item.name == _TRACKING_ID:
-            tracking_id = item.value
-        elif item.value_type is ValueType.CODE:
-            if item.name == _FINDING:
-                finding = item.value
-            elif item.name == _FINDING_SITE:
-                sites.append(item.value)
-            else:
-                evaluations.append((item.name, item.value))
-        elif item.value_type is ValueType.NUM:
-            measurements.append((item.name, item.value, item.unit))
-        elif isinstance(item, ImageItem) and item.segment_number is not None:
-            segments.append(item)
-        elif isinstance(item, ScoordItem):
-            scoords.append(item)
-        elif isinstance(item, Scoord3DItem):
-            scoord3ds.append(item)
-    kind = _TEMPLATE_KIND.get(container.template_id or "")
-    if kind is None:
-        if segments or len(scoords) + len(scoord3ds) > 1:
-            kind = GroupKind.VOLUMETRIC
-        elif scoords or scoord3ds:
-            kind = GroupKind.PLANAR
-        else:
-            kind = GroupKind.IMAGE
-    tracking = (
-        TrackingIdentifier(uid=tracking_uid, identifier=tracking_id)
-        if tracking_uid
-        else None
-    )
-    return MeasurementGroupView(
-        kind=kind,
-        tracking=tracking,
-        finding=finding,
-        finding_sites=tuple(sites),
-        measurements=tuple(measurements),
-        evaluations=tuple(evaluations),
-        container=container,
-        _segment_items=tuple(segments),
-        _scoord_items=tuple(scoords),
-        _scoord3d_items=tuple(scoord3ds),
-    )
-
-
 def _flag(dataset: DataSet, keyword: str, default: enum.Enum) -> enum.Enum:
     """The document flag `keyword`, a member of `default`'s enum; a value
     outside it raises MissingContentError."""
@@ -648,15 +493,8 @@ class StructuredReport:
         """Group views matching every supplied filter, in document order."""
         if kind is not None:
             kind = GroupKind(kind)
-        groups = []
-        for measurements_container in self.tree.find(
-            name=_IMAGING_MEASUREMENTS, value_type=ValueType.CONTAINER
-        ):
-            for child in measurements_container.children:
-                if isinstance(child, ContainerItem):
-                    groups.append(_project_group(child))
         out = []
-        for group in groups:
+        for group in report_groups(self.tree):
             if finding is not None and (group.finding is None or group.finding != finding):
                 continue
             if finding_site is not None and finding_site not in group.finding_sites:
