@@ -5,10 +5,13 @@ Hypothesis drives one running `StubArchive` through one long-lived
 checks every answer against a model: a dict from (study, series, sop) to
 the stored Part 10 bytes, in store order. A restart stops the archive and
 starts a new one on the same snapshot directory and the same port, so the
-client's next call meets whatever the old archive left behind.
+client's next call meets whatever the old archive left behind. The
+model also keeps the answers the archive gave since it last started, by
+status, and the STOW body bytes it read, which its `stats()` must report.
 """
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import settings, strategies as st
@@ -19,6 +22,7 @@ from dicomforge.errors import NotFoundError, PartialStoreError, TransportError
 from dicomforge.part10 import file_meta_for, read_part10, write_part10
 from dicomforge.web import StubArchive, WebClient
 from dicomforge.web.client import SEARCH_LEVELS
+from dicomforge.web.multipart import build_multipart, random_boundary
 
 STUDIES = ("2.25.1", "2.25.2")
 SERIES = ("2.25.7", "2.25.8", "2.25.9")  # a series UID may recur under both studies
@@ -51,6 +55,8 @@ class ArchiveMachine(RuleBasedStateMachine):
         self.client = WebClient(self.archive.base_url, timeout=10)
         self.model: dict[tuple[str, str, str], bytes] = {}
         self.sops = 0
+        self.answers: Counter[int] = Counter()  # since the archive started
+        self.bytes_in = 0
 
     def teardown(self):
         self.archive.stop()
@@ -95,6 +101,14 @@ class ArchiveMachine(RuleBasedStateMachine):
                         ("StudyInstanceUID", "SeriesInstanceUID", "SOPInstanceUID"))
             self.model[key] = encode(ds)  # a replaced key keeps its place
 
+    def answered(self, status: int, parts=()) -> None:
+        """One more request answered with `status`, whose body the archive
+        read as a STOW of `parts`; a body it did not read has no parts."""
+        self.answers[status] += 1
+        if parts:
+            # every boundary is 32 characters, so any one gives the length
+            self.bytes_in += len(build_multipart(list(parts), random_boundary()))
+
     def snapshot_files(self) -> dict[str, int]:
         return {p.name: p.stat().st_mtime_ns for p in self.directory.iterdir()}
 
@@ -104,6 +118,7 @@ class ArchiveMachine(RuleBasedStateMachine):
     def store_new(self, data):
         ds = self.draw_good(data, replace=False)
         [ref] = self.client.store_instances([ds])
+        self.answered(200, [encode(ds)])
         assert ref.sop_instance_uid == ds.value("SOPInstanceUID")
         self.stored([ds])
 
@@ -112,6 +127,7 @@ class ArchiveMachine(RuleBasedStateMachine):
     def store_replacement(self, data):
         ds = self.draw_good(data, replace=True)
         [ref] = self.client.store_instances([ds])
+        self.answered(200, [encode(ds)])
         assert ref.sop_instance_uid == ds.value("SOPInstanceUID")
         self.stored([ds])
 
@@ -123,15 +139,18 @@ class ArchiveMachine(RuleBasedStateMachine):
         parts = [encode(ds) for ds in good]
         parts.insert(data.draw(st.integers(0, count)), bad)
         if bad_sop:  # both halves of the answer through the typed call too
+            datasets = [*good, make_ct_source(study_uid="../escaped", series_uid=SERIES[0],
+                                              sop_uid=bad_sop)]
             try:
-                self.client.store_instances([*good, make_ct_source(
-                    study_uid="../escaped", series_uid=SERIES[0], sop_uid=bad_sop)])
+                self.client.store_instances(datasets)
             except PartialStoreError as exc:
+                self.answered(202, map(encode, datasets))
                 assert exc.status == 202
                 assert exc.failed_sop_instance_uids == [bad_sop]
             else:
                 raise AssertionError("a batch with a bad part stored without error")
         response = self.client.store_parts(parts)
+        self.answered(202, parts)
         assert [item.value("ReferencedSOPInstanceUID", "")
                 for item in response.items_of("FailedSOPSequence")] == [bad_sop]
         assert [item.value("ReferencedSOPInstanceUID")
@@ -145,6 +164,7 @@ class ArchiveMachine(RuleBasedStateMachine):
         try:
             self.client.store_parts([blob for blob, _ in bad])
         except PartialStoreError as exc:
+            self.answered(409, [blob for blob, _ in bad])
             assert exc.status == 409
             assert exc.failed_sop_instance_uids == [sop for _, sop in bad]
         else:
@@ -157,6 +177,7 @@ class ArchiveMachine(RuleBasedStateMachine):
         try:
             self.client.store_parts([encode(good), b"\0" * MAX_BODY])
         except TransportError as exc:
+            self.answered(413)  # refused before the body is read
             assert exc.status == 413
         else:
             raise AssertionError("a body over the limit was stored")
@@ -188,6 +209,7 @@ class ArchiveMachine(RuleBasedStateMachine):
         if limit is not None:
             expected = expected[:limit]
         records = self.client.search(level, query, limit=limit, offset=offset)
+        self.answered(200 if expected else 204)
         assert [tuple(r.value(k) for k in RECORD_ATTRS[level]) for r in records] == expected
 
     # -- WADO ------------------------------------------------------------------
@@ -197,6 +219,7 @@ class ArchiveMachine(RuleBasedStateMachine):
     def retrieve_stored(self, data):
         key = data.draw(st.sampled_from(sorted(self.model)))
         assert self.client.retrieve_instance_bytes(*key) == self.model[key]
+        self.answered(200)
 
     @rule(data=st.data())
     def retrieve_missing(self, data):
@@ -206,7 +229,7 @@ class ArchiveMachine(RuleBasedStateMachine):
         try:
             self.client.retrieve_instance_bytes(*key)
         except NotFoundError:
-            pass
+            self.answered(404)
         else:
             raise AssertionError(f"{key} was found but never stored")
 
@@ -219,6 +242,7 @@ class ArchiveMachine(RuleBasedStateMachine):
         self.archive.stop()
         self.archive = StubArchive(port=port, snapshot_dir=self.directory,
                                    max_body_bytes=MAX_BODY).start()
+        self.answers, self.bytes_in = Counter(), 0
         assert self.snapshot_files() == before
         # a restart indexes the snapshot files in file-name order
         self.model = dict(sorted(self.model.items(), key=lambda item: f"{item[0][2]}.dcm"))
@@ -229,6 +253,17 @@ class ArchiveMachine(RuleBasedStateMachine):
     def archive_holds_the_model(self):
         assert len(self.archive) == len(self.model)
         assert set(self.snapshot_files()) == {f"{sop}.dcm" for _, _, sop in self.model}
+
+    @invariant()
+    def stats_agree_with_the_calls(self):
+        """The counters match the answers since the archive started. Reply
+        bytes (``bytes_out``) are not checked: the model would have to
+        re-encode every store response, search result and error page the
+        way the archive does, copying the code under test."""
+        stats = self.archive.stats()
+        assert stats["requests"] == self.answers
+        assert stats["bytes_in"] == self.bytes_in
+        assert stats["instances"] == len(self.model)
 
 
 ArchiveMachine.TestCase.settings = settings(
