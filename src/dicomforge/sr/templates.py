@@ -184,7 +184,9 @@ def volumetric_roi_group(
 
     `region` is a SegmentReference, a sequence of closed 3D contours
     (Scoord3DItem), or a sequence of per-frame 2D regions (ScoordItem, each
-    with its source-image reference).
+    with its source-image reference). The group holds one of these forms:
+    a sequence that mixes them, or holds more than one SegmentReference,
+    raises TemplateViolationError.
     """
     if isinstance(region, (SegmentReference, ScoordItem, Scoord3DItem)):
         region = [region]
@@ -192,6 +194,11 @@ def volumetric_roi_group(
     if not region_items:
         raise TemplateViolationError(
             "a volumetric group needs contours or a referenced segment"
+        )
+    if len({type(item) for item in region_items}) > 1 or (
+            len(region_items) > 1 and isinstance(region_items[0], ImageItem)):
+        raise TemplateViolationError(
+            "a volumetric group holds one referenced segment, 3D contours or 2D regions"
         )
     return _group(GroupKind.VOLUMETRIC, tracking, finding, finding_sites, measurements,
                   evaluations, region_items)

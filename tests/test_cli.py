@@ -234,6 +234,12 @@ SPEC_CASES = [pytest.param(edit, expected, id=name) for name, edit, expected in 
     ("volumetric region that is not an object", spec_edit(True, kind="volumetric",
                                                           region=["x"]),
      "ERROR validation: groups[0].region[0] must be an object, got 'x'"),
+    ("volumetric regions of two forms", spec_edit(True, kind="volumetric", region=[
+        {"type": "polygon3d", "points": [[0, 0, 0], [5, 0, 0], [5, 5, 0], [0, 0, 0]]},
+        {"type": "polyline2d", "points": [[0, 0], [7, 7]], "image": {
+            "sop_class_uid": "1.2.840.10008.5.1.4.1.1.2", "sop_instance_uid": "2.25.1"}}]),
+     "ERROR validation: a volumetric group holds one referenced segment, 3D contours "
+     "or 2D regions"),
     ("image that is not an object", spec_edit(True, region={
         "type": "point2d", "points": [[3, 4]], "image": "ct0.dcm"}),
      "ERROR validation: groups[0].region.image must be an object, got 'ct0.dcm'"),

@@ -254,6 +254,22 @@ class TestGroupBuilders:
         with pytest.raises(TypeError):
             planar_roi_group(TrackingIdentifier.generate(), both, SCT.Neoplasm)
 
+    @pytest.mark.parametrize("forms", [
+        ["segment", "contour"], ["region2d", "contour"], ["segment", "segment"],
+    ])
+    def test_volumetric_group_takes_exactly_one_region_form(self, forms):
+        # TID 1411 holds one referenced segment, or 3D contours, or 2D regions
+        regions = {
+            "segment": SegmentReference("1.2.840.99.88", 1),
+            "contour": closed_polygon(),
+            "region2d": ScoordItem(None, "POLYLINE", [(0, 0), (5, 5)], children=[ImageItem(
+                None, "1.2.840.10008.5.1.4.1.1.2", "1.2.840.99.4",
+                relationship=RelationshipType.SELECTED_FROM)]),
+        }
+        with pytest.raises(TemplateViolationError):
+            volumetric_roi_group(TrackingIdentifier.generate(),
+                                 [regions[form] for form in forms], SCT.Neoplasm)
+
     def test_pathology_image_level_group(self):
         group = measurement_group(
             TrackingIdentifier.generate("slide"),
