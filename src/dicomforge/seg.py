@@ -820,7 +820,10 @@ class Segmentation:
                      segments: Sequence[int] | None = None) -> np.ndarray:
         """Per-pixel segment numbers, ``(frames, rows, cols)``, for the
         requested source frames (BINARY only); None means every referenced
-        source frame, in :meth:`source_frame_keys` order.
+        source frame, in :meth:`source_frame_keys` order. For a multi-frame
+        (slide) source that list ends at the highest frame a stored frame
+        references, so with ``omit_empty`` the trailing tiles that are
+        empty in every segment are not in the default stack.
 
         The dtype is the smallest unsigned one that holds the largest
         described segment number: uint8 up to 255, else uint16. Each output
@@ -868,7 +871,10 @@ class Segmentation:
         """Referenced source frames as ordered (instance UID, frame) keys.
 
         Single-frame sources appear in root reference order with frame 1;
-        a multi-frame source expands to frames 1..max frame referenced.
+        a multi-frame source expands to frames 1..max frame referenced. The
+        SEG does not record the source's frame count, so source frames past
+        the highest one referenced are missing: with ``omit_empty``, the
+        trailing tiles of a slide that are empty in every segment.
         """
         max_frame = max((r.source_frame_number for r in self.frames), default=1)
         if len(self._source_uids) == 1 and max_frame > 1:
